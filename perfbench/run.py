@@ -2,15 +2,17 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload parity_study --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload parity_study --seed 1 --seconds 25 --trace 0
 
 Workloads: parity_study, large_batch, deep_ablation (see README.md).
 
 --trace 0 measures the end-to-end metrics: it times the set-up in fresh
 interpreters, then repeats whole rounds of the workload until --seconds
-have passed.  --trace 1 runs one untraced round and one traced round and
-reports per-layer metrics.  Both check the program's outputs; a failed
-check prints the reason on stderr and exits 1.  The last line of stdout is
+have passed; its times are scaled to a reference machine speed by a
+calibration kernel timed beside each measurement (calibrate.py).
+--trace 1 runs one untraced round and one traced round and reports
+per-layer metrics.  Both check the program's outputs; a failed check
+prints the reason on stderr and exits 1.  The last line of stdout is
 one JSON object with `correct`, `attempted`, `failed` and `metrics`; the
 full record goes to perfbench-out/ at the repository root.
 """
@@ -59,17 +61,20 @@ def pin_threads() -> None:
         os.environ[var] = str(BLAS_THREADS)
 
 
-def measure_setup(workload: str, seed: int) -> list[float]:
+def measure_setup(workload: str, seed: int) -> tuple[list[float], list[float]]:
+    """Set-up times of fresh interpreters, raw and calibrated (calibrate.py)."""
     cmd = [sys.executable, str(HERE / "setup_probe.py"), workload, str(seed)]
-    samples = []
+    raw, calibrated = [], []
     for i in range(SETUP_SAMPLES + 1):
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
             raise RuntimeError(f"set-up probe failed: {tail[0]}")
         if i:
-            samples.append(float(proc.stdout.split()[-1]))
-    return samples
+            seconds, scale = map(float, proc.stdout.split()[-2:])
+            raw.append(seconds)
+            calibrated.append(seconds * scale)
+    return raw, calibrated
 
 
 def environment() -> dict:
@@ -104,13 +109,16 @@ def main(argv=None) -> int:
     out_dir = ROOT / "perfbench-out"
     out_dir.mkdir(exist_ok=True)
 
-    setup = [] if args.trace else measure_setup(args.workload, args.seed)
+    setup_raw, setup = ([], []) if args.trace else measure_setup(args.workload, args.seed)
 
+    import calibrate
     import checks
     import workloads
 
     run_round, check_round, docs_of = workloads.WORKLOADS[args.workload]
-    recorder = workloads.RunRecorder()
+    # untraced runs time a calibration kernel beside every training run
+    calibrator = None if args.trace else calibrate.Calibrator(calibrate.KERNEL_OF[args.workload])
+    recorder = workloads.RunRecorder(calibrator)
     rounds = []  # (wall seconds, first call index, one past last call index)
 
     def timed_round(fn):
@@ -158,7 +166,10 @@ def main(argv=None) -> int:
     env = environment()
     calls = recorder.calls
     if tracer is None:
-        metrics, extra = end_to_end(setup, rounds, calls)
+        metrics, extra = end_to_end(setup, rounds, calls, recorder.calibration,
+                                    calibrator.reference_s)
+        extra["notes"]["wall: setup median s"] = statistics.median(setup_raw)
+        extra["setup_samples_wall_s"] = setup_raw
     else:
         metrics, extra = per_layer(tracer, rounds, calls)
         import numpy as np
@@ -185,25 +196,38 @@ def _metric(value: float, unit: str) -> dict:
     return {"value": float(value), "unit": unit}
 
 
-def end_to_end(setup: list[float], rounds: list[tuple], calls: list[tuple]):
+def end_to_end(setup: list[float], rounds: list[tuple], calls: list[tuple],
+               calibration: list[tuple], reference_s: float):
+    """Times are scaled to the reference machine speed (see calibrate.py)."""
     run_s = [c[2] for c in calls]
     steps = sum(c[1].steps_run for c in calls)
-    # Medians, not totals: on a shared machine a few runs slowed by other
-    # tenants move a total by twice as much between runs as a median.
-    rates = [c[1].steps_run / c[2] for c in calls]
+    scale = [reference_s / ((before + after) / 2) for before, after in calibration]
+    cal_run_s = [t * k for t, k in zip(run_s, scale)]
+    # A round is its calibrated calls plus the rest of its wall time (tuner,
+    # summaries; the kernels timed inside it left out) scaled by the calls'
+    # median factor.
+    cal_round_s = [sum(cal_run_s[first:last])
+                   + (wall - sum(run_s[first:last]) - sum(map(sum, calibration[first:last])))
+                   * statistics.median(scale[first:last]) for wall, first, last in rounds]
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     metrics = {
         "setup_s": _metric(statistics.median(setup), "s"),
-        "workload_s": _metric(statistics.median(r[0] for r in rounds), "s"),
-        "steps_per_s": _metric(statistics.median(rates), "1/s"),
-        "run_ms_p50": _metric(statistics.median(run_s) * 1e3, "ms"),
+        "workload_s": _metric(statistics.median(cal_round_s), "s"),
+        "steps_per_s": _metric(steps / sum(cal_run_s), "1/s"),
+        "run_ms_p50": _metric(statistics.median(cal_run_s) * 1e3, "ms"),
         "peak_rss_mb": _metric(peak_kib / 1024, "MB"),
     }
+    kernel_s = [t for pair in calibration for t in pair]
     notes = {"rounds": len(rounds), "run_training calls": len(calls), "steps": steps,
-             "steps / time in run_training": steps / sum(run_s),
-             "setup samples": len(setup)}
+             "setup samples": len(setup),
+             "calibration kernel median s (reference)":
+                 f"{statistics.median(kernel_s):.6g} ({reference_s})",
+             "wall: round median s": statistics.median(r[0] for r in rounds),
+             "wall: steps/s": steps / sum(run_s),
+             "wall: run_training median ms": statistics.median(run_s) * 1e3}
     extra = {"notes": notes, "round_s": [r[0] for r in rounds], "setup_samples_s": setup,
-             "run_training_s": run_s}
+             "run_training_s": run_s, "calibration_s": calibration,
+             "calibrated_run_training_s": cal_run_s, "calibrated_round_s": cal_round_s}
     return metrics, extra
 
 

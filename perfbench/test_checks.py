@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import calibrate  # noqa: E402
 import checks  # noqa: E402
 import configs  # noqa: E402
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from optparity import harness, model, optim, tuner  # noqa: E402
@@ -278,3 +281,30 @@ def test_workload_check_fails_on_perturbed_output(rounds, name, perturb):
     _, check, _ = workloads.WORKLOADS[name]
     with pytest.raises(checks.CheckFailed):
         check(out)
+
+
+def test_recorder_times_the_calibration_kernel_around_each_call():
+    config = harness.parse_config(configs.deep_ablation_config(0))
+    recorder = workloads.RunRecorder(calibrate.Calibrator("dispatch"))
+    recorder.install()
+    try:
+        harness.run_training(config)
+        harness.run_training(config)
+    finally:
+        recorder.uninstall()
+    assert len(recorder.calls) == len(recorder.calibration) == 2
+    assert all(0 < t < 10 for pair in recorder.calibration for t in pair)
+
+
+def test_end_to_end_scales_times_to_the_reference_speed():
+    result = types.SimpleNamespace(steps_run=100)
+    calls = [(None, result, 0.5), (None, result, 0.5), (None, result, 1.0)]
+    # kernel at twice, twice and four times its reference time of 0.01 s
+    calibration = [(0.02, 0.02), (0.01, 0.03), (0.04, 0.04)]
+    rounds = [(2.36, 0, 3)]  # 2.0 s in calls, 0.16 s in kernels, 0.2 s else
+    metrics, extra = run.end_to_end([0.1, 0.3, 0.2], rounds, calls, calibration, 0.01)
+    assert extra["calibrated_run_training_s"] == pytest.approx([0.25, 0.25, 0.25])
+    assert metrics["run_ms_p50"]["value"] == pytest.approx(250.0)
+    assert metrics["steps_per_s"]["value"] == pytest.approx(400.0)
+    assert metrics["workload_s"]["value"] == pytest.approx(0.75 + 0.2 * 0.5)
+    assert metrics["setup_s"]["value"] == pytest.approx(0.2)

@@ -22,11 +22,17 @@ import configs
 
 
 class RunRecorder:
-    def __init__(self):
+    """With a `calibrate` callable, also times it just before and just after
+    each call, outside the call's clock, into `calibration`."""
+
+    def __init__(self, calibrate=None):
         self.inner = harness.run_training
         self.calls: list[tuple] = []  # (ExperimentConfig, TrainResult or None, seconds)
+        self.calibrate = calibrate
+        self.calibration: list[tuple[float, float]] = []  # (before, after) per call
 
     def __call__(self, config):
+        before = self.calibrate() if self.calibrate else 0.0
         t0 = time.perf_counter()
         result = None
         try:
@@ -34,6 +40,8 @@ class RunRecorder:
             return result
         finally:
             self.calls.append((config, result, time.perf_counter() - t0))
+            after = self.calibrate() if self.calibrate else 0.0
+            self.calibration.append((before, after))
 
     def install(self):
         harness.run_training = self
