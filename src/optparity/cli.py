@@ -18,8 +18,12 @@ from .schedule import ScheduleSpec, export_schedule
 
 
 def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
+    """The JSON document at `path`; an unreadable or malformed file exits 2."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
+        _fail(f"{path}: {exc}")
 
 
 def _fail(exc, code=2):
@@ -36,8 +40,7 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", default=None, type=click.Path())
 @click.option("--seed", default=None, type=int, help="Override base_seed.")
-@click.option("--workers", default=1, type=int)
-def train(config_path, out_path, seed, workers):
+def train(config_path, out_path, seed):
     """Run one training job and print/write its result."""
     doc = _load_json(config_path)
     if seed is not None:

@@ -277,7 +277,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                 params, opt_state = composite_step(
                     params, grads, config.routing, lr, opt_state
                 )
-            if any(not np.all(np.isfinite(g.values)) for g in params):
+            if not np.isfinite(params.flat).all():
                 raise NonFiniteInput("non-finite parameters")
         except (NonFiniteInput, DivisionHazard, FloatingPointError):
             result.status = "diverged"

@@ -1,120 +1,40 @@
-"""Hot element-wise update kernels with optional Numba acceleration.
-
-Two interchangeable backends are provided: fused ``@njit`` loops (default
-when numba imports cleanly) and vectorized pure-numpy fallbacks. Set the
-environment variable ``OPTPARITY_NO_NUMBA=1`` before import to force the
-numpy path. ``benchmarks/bench_kernels.py`` compares the two.
+"""Element-wise update kernels, vectorized with numpy.
 
 All kernels mutate their array arguments in place; callers own copying.
-Arrays are flat float64.
+Arrays are flat float64. The per-element coefficients (`wd`, `scale`)
+may be scalars or arrays of the same length, so one call can update the
+slice of every group that a rule covers.
 """
-
-import os
 
 import numpy as np
 
-
-def _numba_disabled() -> bool:
-    return os.environ.get("OPTPARITY_NO_NUMBA", "").lower() in ("1", "true", "yes")
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend (vectorized)
-# ---------------------------------------------------------------------------
-
-def heavy_ball_step_np(theta, g, v, eta, mu, wd):
+def heavy_ball_step(theta, g, v, eta, mu, wd):
     v *= mu
     v += g
     theta -= eta * (v + wd * theta)
 
 
-def nesterov_step_np(theta, g, v, eta, mu, wd):
+def nesterov_step(theta, g, v, eta, mu, wd):
     v *= mu
     v += g
     theta -= eta * (mu * v + g + wd * theta)
 
 
-def adam_moments_np(m, s, g, beta1, beta2):
+def adam_moments(m, s, g, beta1, beta2):
     m *= beta1
     m += (1.0 - beta1) * g
     s *= beta2
     s += (1.0 - beta2) * g * g
 
 
-def adam_direction_np(out, m, s, eps, c1, c2):
+def adam_direction(out, m, s, eps, c1, c2):
     np.divide(m / c1, np.sqrt(s / c2) + eps, out=out)
 
 
-def trust_momentum_step_np(theta, g, v, scale, mu):
+def trust_momentum_step(theta, g, v, scale, mu):
     v *= mu
     v += scale * g
     theta -= v
-
-
-NUMPY_BACKEND = {
-    "heavy_ball_step": heavy_ball_step_np,
-    "nesterov_step": nesterov_step_np,
-    "adam_moments": adam_moments_np,
-    "adam_direction": adam_direction_np,
-    "trust_momentum_step": trust_momentum_step_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# fused-loop sources (compiled by numba when available)
-# ---------------------------------------------------------------------------
-
-def _heavy_ball_loop(theta, g, v, eta, mu, wd):
-    for i in range(theta.shape[0]):
-        v[i] = mu * v[i] + g[i]
-        theta[i] = theta[i] - eta * (v[i] + wd * theta[i])
-
-
-def _nesterov_loop(theta, g, v, eta, mu, wd):
-    for i in range(theta.shape[0]):
-        v[i] = mu * v[i] + g[i]
-        theta[i] = theta[i] - eta * (mu * v[i] + g[i] + wd * theta[i])
-
-
-def _adam_moments_loop(m, s, g, beta1, beta2):
-    for i in range(m.shape[0]):
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-        s[i] = beta2 * s[i] + (1.0 - beta2) * g[i] * g[i]
-
-
-def _adam_direction_loop(out, m, s, eps, c1, c2):
-    for i in range(m.shape[0]):
-        out[i] = (m[i] / c1) / (np.sqrt(s[i] / c2) + eps)
-
-
-def _trust_momentum_loop(theta, g, v, scale, mu):
-    for i in range(theta.shape[0]):
-        v[i] = mu * v[i] + scale * g[i]
-        theta[i] = theta[i] - v[i]
-
-
-NUMBA_BACKEND = None
-BACKEND = "numpy"
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        NUMBA_BACKEND = {
-            "heavy_ball_step": njit(cache=True)(_heavy_ball_loop),
-            "nesterov_step": njit(cache=True)(_nesterov_loop),
-            "adam_moments": njit(cache=True)(_adam_moments_loop),
-            "adam_direction": njit(cache=True)(_adam_direction_loop),
-            "trust_momentum_step": njit(cache=True)(_trust_momentum_loop),
-        }
-        BACKEND = "numba"
-
-_active = NUMBA_BACKEND if NUMBA_BACKEND is not None else NUMPY_BACKEND
-
-heavy_ball_step = _active["heavy_ball_step"]
-nesterov_step = _active["nesterov_step"]
-adam_moments = _active["adam_moments"]
-adam_direction = _active["adam_direction"]
-trust_momentum_step = _active["trust_momentum_step"]

@@ -7,21 +7,28 @@ the rule's mechanics; ``decoupled`` subtracts eta*lambda*theta directly
 in the parameter update. Groups whose tag is in ``exclude_tags`` receive
 neither decay nor layer-wise normalization.
 
-Every update op is a pure function: it validates inputs, copies, and
-returns new arrays. The composite optimizer routes each parameter group
-to a rule by tag (first matching rule wins) and advances the global step
-counter once per composite step.
+The composite optimizer routes each parameter group to a rule by tag
+(first matching rule wins) and advances the global step counter once per
+composite step. Because the store's flat vector is ordered by tag, the
+groups one rule covers form a contiguous slice (one per run of adjacent
+tags), and each rule updates its whole slice with one fused call: per-
+element decay where exclusions differ, per-group LARS/LAMB trust ratios.
+The composite step is copy-on-write: it returns a new store and state.
+
+The public ``*_update`` functions apply the same fused rules to a single
+group and return new arrays, leaving their inputs untouched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .errors import LengthMismatch, NonFiniteInput, DivisionHazard, UncoveredTag
-from .param_store import ParamStore, TAGS
+from .param_store import ParamStore, Segment, TAGS
 
 KINDS = ("heavy_ball", "nesterov", "adam", "lars", "lamb")
 
@@ -46,9 +53,7 @@ class OptimizerConfig:
             raise ValueError("momentum must be in [0, 1)")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta1/beta2 must be in [0, 1)")
-        if self.kind in ("adam", "lamb") and self.epsilon <= 0.0:
-            # epsilon=0 tolerated only for analytical tests; flagged at use time
-            pass
+        # epsilon=0 is tolerated for analytical tests; flagged at use time
         if self.trust_coefficient <= 0.0:
             raise ValueError("trust_coefficient must be > 0")
         if self.decay < 0.0:
@@ -77,14 +82,35 @@ class GroupState:
         return cls(np.zeros(n), np.zeros(n), np.zeros(n), t)
 
 
-@dataclass
 class OptimizerState:
-    slots: dict[str, GroupState]
-    t: int = 0
+    """Flat slot vectors `v`, `m`, `s` laid out like the store's `flat`.
+
+    `slots` maps each group name to a `GroupState` of views into them. The
+    state also carries the routing plan of the run it belongs to, so the
+    plan is built once per run and not per step.
+    """
+
+    def __init__(self, v, m, s, t: int = 0, segments: tuple[Segment, ...] = (),
+                 plan: "_Plan | None" = None):
+        self.v, self.m, self.s, self.t = v, m, s, t
+        self.segments = segments
+        self._plan = plan
+        self._slots = None
 
     @classmethod
     def for_store(cls, store: ParamStore) -> "OptimizerState":
-        return cls({g.name: GroupState.zeros(g.values.size) for g in store}, 0)
+        n = store.flat.size
+        return cls(np.zeros(n), np.zeros(n), np.zeros(n), 0, store.segments)
+
+    @property
+    def slots(self) -> dict[str, GroupState]:
+        if self._slots is None:
+            self._slots = {
+                seg.name: GroupState(self.v[seg.start:seg.stop], self.m[seg.start:seg.stop],
+                                     self.s[seg.start:seg.stop], self.t)
+                for seg in self.segments
+            }
+        return self._slots
 
 
 @dataclass
@@ -106,10 +132,62 @@ class RoutingRule:
         return covered >= set(TAGS)
 
 
+def _per_element(per_group: list[float], sizes: np.ndarray):
+    """One float when every group shares the value, else a per-element vector."""
+    if len(set(per_group)) == 1:
+        return per_group[0]
+    return np.repeat(per_group, sizes)
+
+
+class _Part:
+    """One rule's contiguous slice of the flat vector and its per-group settings.
+
+    `bounds` are the groups' (lo, hi) within the slice and `included` says
+    which groups are not excluded, i.e. get decay and trust ratios; `l2` and
+    `wd` are the decay lambdas of the two modes, each a float or a
+    per-element vector.
+    """
+
+    def __init__(self, config: OptimizerConfig, segs: list[Segment]):
+        self.config = config
+        self.start, self.stop = segs[0].start, segs[-1].stop
+        self.bounds = [(seg.start - self.start, seg.stop - self.start) for seg in segs]
+        self.sizes = np.array([seg.stop - seg.start for seg in segs])
+        self.included = [seg.tag not in config.exclude_tags for seg in segs]
+        decay = _per_element([config.decay if on else 0.0 for on in self.included],
+                             self.sizes)
+        if config.decay_mode == "l2_into_gradient":
+            self.l2, self.wd = decay, 0.0
+        else:
+            self.l2, self.wd = 0.0, decay
+
+
+class _Plan:
+    """The parts a routing makes of one store layout, in flat order."""
+
+    def __init__(self, routing: RoutingRule, flat_order: tuple[Segment, ...]):
+        self.routing, self.flat_order = routing, flat_order
+        runs: list[tuple[OptimizerConfig, list[Segment]]] = []
+        for seg in flat_order:
+            cfg = routing.config_for(seg.tag)
+            if runs and runs[-1][0] is cfg:
+                runs[-1][1].append(seg)
+            else:
+                runs.append((cfg, [seg]))
+        self.parts = [_Part(cfg, segs) for cfg, segs in runs]
+        kinds = {part.config.kind for part in self.parts}
+        self.writes_v = bool(kinds & {"heavy_ball", "nesterov", "lars"})
+        self.writes_ms = bool(kinds & {"adam", "lamb"})
+        self.grad_shapes = [(seg.stop - seg.start,) for seg in flat_order]
+
+    def fits(self, routing: RoutingRule, store: ParamStore) -> bool:
+        return routing is self.routing and store.flat_order is self.flat_order
+
+
 def _check(g: np.ndarray, theta: np.ndarray):
     if g.shape != theta.shape:
         raise LengthMismatch(f"{g.shape} vs {theta.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteInput("gradient contains NaN/Inf")
 
 
@@ -134,101 +212,139 @@ def effective_gradient(
     return g + l2 * theta
 
 
-def heavy_ball_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig,
-                      group_tag: str = "weight"):
-    _check(g, theta)
-    l2, wd = _decays(config, group_tag)
-    theta = np.array(theta, dtype=np.float64)
-    v = state.v.copy()
-    g_eff = np.asarray(g, dtype=np.float64) + l2 * theta if l2 else np.asarray(g, dtype=np.float64)
-    kernels.heavy_ball_step(theta, g_eff, v, eta, config.momentum, wd)
-    return theta, GroupState(v, state.m.copy(), state.s.copy(), state.t + 1)
+# -- fused rules: each updates theta and its slots in place over one part ---
+
+def _active(decay) -> bool:
+    return isinstance(decay, np.ndarray) or decay != 0.0
 
 
-def nesterov_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig,
-                    group_tag: str = "weight"):
-    _check(g, theta)
-    l2, wd = _decays(config, group_tag)
-    theta = np.array(theta, dtype=np.float64)
-    v = state.v.copy()
-    g_eff = np.asarray(g, dtype=np.float64) + l2 * theta if l2 else np.asarray(g, dtype=np.float64)
-    kernels.nesterov_step(theta, g_eff, v, eta, config.momentum, wd)
-    return theta, GroupState(v, state.m.copy(), state.s.copy(), state.t + 1)
+def _with_l2(g, theta, l2):
+    return g + l2 * theta if _active(l2) else g
 
 
-def _adam_direction(g_eff, state: GroupState, config: OptimizerConfig):
-    """Updated (m, s) and the m_hat/(sqrt(s_hat)+eps) direction at step t+1."""
-    t_next = state.t + 1
-    m = state.m.copy()
-    s = state.s.copy()
+def _trust_ratios(theta, d, part: _Part, coefficient: float) -> np.ndarray:
+    """Per group coefficient*|theta|/|d|; 1 when excluded or a norm is zero.
+
+    Each norm is the square root of one dot product over the group's own
+    slice, which is how np.linalg.norm computes a vector norm.
+    """
+    ratios = []
+    for (lo, hi), on in zip(part.bounds, part.included):
+        ratio = 1.0
+        if on:
+            a, b = theta[lo:hi], d[lo:hi]
+            a_norm, b_norm = math.sqrt(a @ a), math.sqrt(b @ b)
+            if a_norm != 0.0 and b_norm != 0.0:
+                ratio = coefficient * a_norm / b_norm
+        ratios.append(ratio)
+    return np.array(ratios)
+
+
+def _adam_direction(g_eff, m, s, config: OptimizerConfig, t: int):
+    """Advance (m, s) in place; the m_hat/(sqrt(s_hat)+eps) direction at step t+1."""
     kernels.adam_moments(m, s, g_eff, config.beta1, config.beta2)
     if config.bias_correction:
-        c1 = 1.0 - config.beta1 ** t_next
-        c2 = 1.0 - config.beta2 ** t_next
+        c1 = 1.0 - config.beta1 ** (t + 1)
+        c2 = 1.0 - config.beta2 ** (t + 1)
     else:
         c1 = c2 = 1.0
     if config.epsilon == 0.0 and np.any(s == 0.0):
         raise DivisionHazard("epsilon=0 with a zero second-moment entry")
     base = np.empty_like(m)
     kernels.adam_direction(base, m, s, config.epsilon, c1, c2)
-    return m, s, base
+    return base
+
+
+def _heavy_ball(theta, g, v, m, s, eta, part: _Part, t: int):
+    kernels.heavy_ball_step(theta, _with_l2(g, theta, part.l2), v, eta,
+                            part.config.momentum, part.wd)
+
+
+def _nesterov(theta, g, v, m, s, eta, part: _Part, t: int):
+    kernels.nesterov_step(theta, _with_l2(g, theta, part.l2), v, eta,
+                          part.config.momentum, part.wd)
+
+
+def _adam(theta, g, v, m, s, eta, part: _Part, t: int):
+    base = _adam_direction(_with_l2(g, theta, part.l2), m, s, part.config, t)
+    theta -= eta * (base + part.wd * theta)
+
+
+def _lars(theta, g, v, m, s, eta, part: _Part, t: int):
+    cfg = part.config
+    g_eff = _with_l2(g, theta, part.l2)
+    ratios = _trust_ratios(theta, g_eff, part, cfg.trust_coefficient)
+    kernels.trust_momentum_step(theta, g_eff, v, np.repeat(ratios * eta, part.sizes),
+                                cfg.momentum)
+    if _active(part.wd):
+        theta -= eta * part.wd * theta
+
+
+def _lamb(theta, g, v, m, s, eta, part: _Part, t: int):
+    base = _adam_direction(_with_l2(g, theta, part.l2), m, s, part.config, t)
+    u = base + part.wd * theta if _active(part.wd) else base
+    ratios = _trust_ratios(theta, u, part, 1.0)
+    theta -= np.repeat(eta * ratios, part.sizes) * u
+
+
+_UPDATE_FNS = {
+    "heavy_ball": _heavy_ball,
+    "nesterov": _nesterov,
+    "adam": _adam,
+    "lars": _lars,
+    "lamb": _lamb,
+}
+
+
+# -- one-group updates: pure functions over the same fused rules ------------
+
+def _update_one(kind, theta, g, state: GroupState, eta, config, group_tag):
+    theta = np.array(theta, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    _check(g, theta)
+    v, m, s = state.v.copy(), state.m.copy(), state.s.copy()
+    part = _Part(config, [Segment("", group_tag, theta.shape, 0, theta.size)])
+    _UPDATE_FNS[kind](theta, g, v, m, s, eta, part, state.t)
+    return theta, GroupState(v, m, s, state.t + 1)
+
+
+def heavy_ball_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig,
+                      group_tag: str = "weight"):
+    return _update_one("heavy_ball", theta, g, state, eta, config, group_tag)
+
+
+def nesterov_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig,
+                    group_tag: str = "weight"):
+    return _update_one("nesterov", theta, g, state, eta, config, group_tag)
 
 
 def adam_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig,
                 group_tag: str = "weight"):
-    _check(g, theta)
-    l2, wd = _decays(config, group_tag)
-    theta = np.asarray(theta, dtype=np.float64)
-    g_eff = np.asarray(g, dtype=np.float64) + l2 * theta if l2 else np.asarray(g, dtype=np.float64)
-    m, s, base = _adam_direction(g_eff, state, config)
-    theta_new = theta - eta * (base + wd * theta)
-    return theta_new, GroupState(state.v.copy(), m, s, state.t + 1)
+    return _update_one("adam", theta, g, state, eta, config, group_tag)
 
 
 def lars_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig,
                 group_tag: str = "weight"):
-    _check(g, theta)
-    theta = np.array(theta, dtype=np.float64)
-    l2, wd = _decays(config, group_tag)
-    g_eff = np.asarray(g, dtype=np.float64) + l2 * theta if l2 else np.asarray(g, dtype=np.float64)
-    theta_norm = float(np.linalg.norm(theta))
-    g_norm = float(np.linalg.norm(g_eff))
-    if group_tag in config.exclude_tags or theta_norm == 0.0 or g_norm == 0.0:
-        ratio = 1.0
-    else:
-        ratio = config.trust_coefficient * theta_norm / g_norm
-    v = state.v.copy()
-    kernels.trust_momentum_step(theta, g_eff, v, ratio * eta, config.momentum)
-    if wd:
-        theta -= eta * wd * theta
-    return theta, GroupState(v, state.m.copy(), state.s.copy(), state.t + 1)
+    return _update_one("lars", theta, g, state, eta, config, group_tag)
 
 
 def lamb_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig,
                 group_tag: str = "weight"):
-    _check(g, theta)
-    l2, wd = _decays(config, group_tag)
-    theta = np.asarray(theta, dtype=np.float64)
-    g_eff = np.asarray(g, dtype=np.float64) + l2 * theta if l2 else np.asarray(g, dtype=np.float64)
-    m, s, base = _adam_direction(g_eff, state, config)
-    u = base + wd * theta if wd else base
-    theta_norm = float(np.linalg.norm(theta))
-    u_norm = float(np.linalg.norm(u))
-    if group_tag in config.exclude_tags or theta_norm == 0.0 or u_norm == 0.0:
-        ratio = 1.0
-    else:
-        ratio = theta_norm / u_norm
-    theta_new = theta - eta * ratio * u
-    return theta_new, GroupState(state.v.copy(), m, s, state.t + 1)
+    return _update_one("lamb", theta, g, state, eta, config, group_tag)
 
 
-_UPDATE_FNS = {
-    "heavy_ball": heavy_ball_update,
-    "nesterov": nesterov_update,
-    "adam": adam_update,
-    "lars": lars_update,
-    "lamb": lamb_update,
-}
+def _flat_gradient(grads: dict[str, np.ndarray], plan: _Plan) -> np.ndarray:
+    """The gradients concatenated in flat order, checked for length and finiteness."""
+    parts = [grads[seg.name] for seg in plan.flat_order]
+    shapes = [p.shape for p in parts]
+    if shapes != plan.grad_shapes:
+        for seg, shape, want in zip(plan.flat_order, shapes, plan.grad_shapes):
+            if shape != want:
+                raise LengthMismatch(f"gradient of {seg.name!r}: {shape} vs {want}")
+    g = np.concatenate(parts, dtype=np.float64)
+    if not np.isfinite(g).all():
+        raise NonFiniteInput("gradient contains NaN/Inf")
+    return g
 
 
 def composite_step(
@@ -240,18 +356,20 @@ def composite_step(
 ) -> tuple[ParamStore, OptimizerState]:
     """Update every group via its routed rule with a shared learning rate.
 
-    The global step counter advances exactly once; each group's update
-    sees the pre-step count so Adam bias correction stays aligned.
+    The global step counter advances exactly once; every rule sees the
+    pre-step count so Adam bias correction stays aligned. Neither `store`
+    nor `state` is modified.
     """
+    plan = state._plan
+    if plan is None or not plan.fits(routing, store):
+        plan = _Plan(routing, store.flat_order)
+    g = _flat_gradient(grads, plan)
     new_store = store.copy()
-    new_slots = {}
-    for grp in new_store:
-        cfg = routing.config_for(grp.tag)
-        g = grads[grp.name]
-        slot = state.slots[grp.name]
-        gstate = GroupState(slot.v, slot.m, slot.s, state.t)
-        fn = _UPDATE_FNS[cfg.kind]
-        theta_new, slot_new = fn(grp.values, g, gstate, eta, cfg, grp.tag)
-        grp.values[:] = theta_new
-        new_slots[grp.name] = slot_new
-    return new_store, OptimizerState(new_slots, state.t + 1)
+    theta = new_store.flat
+    v = state.v.copy() if plan.writes_v else state.v
+    m, s = (state.m.copy(), state.s.copy()) if plan.writes_ms else (state.m, state.s)
+    for part in plan.parts:
+        sl = slice(part.start, part.stop)
+        _UPDATE_FNS[part.config.kind](theta[sl], g[sl], v[sl], m[sl], s[sl], eta, part,
+                                      state.t)
+    return new_store, OptimizerState(v, m, s, state.t + 1, store.segments, plan)

@@ -1,16 +1,20 @@
-"""Named, tagged flat parameter vectors.
+"""Named, tagged parameter groups over one contiguous vector.
 
 Optimizers and regularizers route per group by tag; the four tags cover
 every exclusion rule used in the experiments (weights vs. bias/BN scale/
-BN shift). All optimizer math downstream is shape-oblivious: norms are
-taken over the flat vector, shape metadata exists only for the model.
+BN shift). A store keeps all of its parameters in one float64 vector
+``flat``, ordered by tag (``TAGS`` order, model order within a tag), and
+every group's ``values`` is a view into it, so a route over adjacent tags
+is a single slice. Iteration, lookup, ``names()`` and the JSON snapshot
+keep model order. All optimizer math downstream is shape-oblivious: norms
+are taken over flat vectors, shape metadata exists only for the model.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,19 +44,59 @@ class ParamGroup:
                 f"group {self.name!r}: {self.values.size} values vs shape {self.shape}"
             )
 
+    @classmethod
+    def _view(cls, seg: "Segment", flat: np.ndarray) -> "ParamGroup":
+        """The group `seg` describes, over its slice of `flat`, unvalidated."""
+        grp = object.__new__(cls)
+        grp.name, grp.tag, grp.shape = seg.name, seg.tag, seg.shape
+        grp.values = flat[seg.start:seg.stop]
+        return grp
+
     def as_matrix(self) -> np.ndarray:
         return self.values.reshape(self.shape)
 
 
-@dataclass
-class ParamStore:
-    groups: list[ParamGroup] = field(default_factory=list)
+@dataclass(frozen=True)
+class Segment:
+    """Where one group lives in its store's flat vector."""
 
-    def __post_init__(self):
-        names = [g.name for g in self.groups]
+    name: str
+    tag: str
+    shape: tuple[int, ...]
+    start: int
+    stop: int
+
+
+class ParamStore:
+    """Groups in model order over one tag-ordered flat vector.
+
+    `segments` lists the groups in model order and `flat_order` the same
+    segments by offset; both are shared, unchanged, by every copy.
+    """
+
+    def __init__(self, groups: list[ParamGroup] = ()):
+        names = [g.name for g in groups]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise DuplicateGroupName(", ".join(dupes))
+        by_tag = sorted(range(len(groups)), key=lambda i: TAGS.index(groups[i].tag))
+        starts, offset = {}, 0
+        for i in by_tag:
+            starts[i] = offset
+            offset += groups[i].values.size
+        flat = np.empty(offset)
+        segments = []
+        for i, g in enumerate(groups):
+            seg = Segment(g.name, g.tag, g.shape, starts[i], starts[i] + g.values.size)
+            flat[seg.start:seg.stop] = g.values
+            segments.append(seg)
+        self.segments = tuple(segments)
+        self.flat_order = tuple(sorted(segments, key=lambda s: s.start))
+        self._adopt(flat)
+
+    def _adopt(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self.groups = [ParamGroup._view(seg, flat) for seg in self.segments]
         self._index = {g.name: g for g in self.groups}
 
     def __iter__(self):
@@ -72,12 +116,13 @@ class ParamStore:
 
     @property
     def total_params(self) -> int:
-        return sum(g.values.size for g in self.groups)
+        return self.flat.size
 
     def copy(self) -> "ParamStore":
-        return ParamStore(
-            [ParamGroup(g.name, g.tag, g.values.copy(), g.shape) for g in self.groups]
-        )
+        new = object.__new__(ParamStore)
+        new.segments, new.flat_order = self.segments, self.flat_order
+        new._adopt(self.flat.copy())
+        return new
 
 
 def build_param_store(groups: list[ParamGroup]) -> ParamStore:

@@ -169,16 +169,36 @@ def select_best(records: list[TrialRecord], metric: str, mode: str = "max") -> T
     return max(completed, key=lambda r: (sign * getattr(r, metric), -r.trial_index))
 
 
+def _percentile(xs: np.ndarray, q: float) -> float:
+    """np.percentile(xs, q, method="linear") on sorted `xs`, except at infinities.
+
+    numpy interpolates a diverged seed's -inf (or +inf) and a neighbour to
+    nan, even at weight 0. Here a percentile that falls on or beside an
+    infinite value is that value, so min <= q1 <= median <= q3 <= max holds.
+    Finite neighbours interpolate exactly as numpy's lerp does.
+    """
+    pos = (xs.size - 1) * (q / 100.0)
+    i = math.floor(pos)
+    t = pos - i
+    a, b = float(xs[i]), float(xs[min(i + 1, xs.size - 1)])
+    if t == 0.0 or a == b:
+        return a
+    if math.isinf(a) or math.isinf(b):
+        return a if math.isinf(a) else b
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
 def summarize(values: list[float], target: float, mode: str = "max") -> SeedSummary:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.sort(np.asarray(values, dtype=np.float64))
     if mode == "max":
         frac = float((arr >= target).mean())
     else:
         frac = float((arr <= target).mean())
     return SeedSummary(
         median=float(np.median(arr)),
-        q1=float(np.percentile(arr, 25, method="linear")),
-        q3=float(np.percentile(arr, 75, method="linear")),
+        q1=_percentile(arr, 25),
+        q3=_percentile(arr, 75),
         min=float(arr.min()),
         max=float(arr.max()),
         target_fraction=frac,

@@ -1,12 +1,14 @@
-"""Independent straight-line scalar reference recurrences.
+"""Independent reference implementations, with no imports from the package.
 
-Written directly from the update-rule definitions using plain Python
-floats and `math`, with no imports from the package under test. Each
-function replays a full scalar trajectory and returns the list of
-parameter values after each step.
+The scalar recurrences are written directly from the update-rule
+definitions using plain Python floats and `math`; each replays a full
+scalar trajectory and returns the list of parameter values after each
+step. `per_group_step` is the numpy per-group composite step.
 """
 
 import math
+
+import numpy as np
 
 
 def _decays(lam, mode, excluded):
@@ -100,4 +102,112 @@ def lamb_traj(theta, gs, etas, beta1, beta2, eps, bias_correction=True,
             ratio = abs(theta) / abs(u)
         theta = theta - eta * ratio * u
         out.append(theta)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Per-group composite step: the loop the fused optimizer replaced
+# ---------------------------------------------------------------------------
+#
+# One numpy update per parameter group, in model order, each on copies, with
+# the arithmetic of the element-wise kernels written out inline. The fused
+# composite step must reproduce it bit for bit. A config is any object with
+# the attributes of optparity's OptimizerConfig. Division by a zero second
+# moment under epsilon=0 raises ZeroDivisionError.
+
+def _group_decays(cfg, tag):
+    return _decays(cfg.decay, cfg.decay_mode, tag in cfg.exclude_tags)
+
+
+def _group_g_eff(g, theta, l2):
+    return g + l2 * theta if l2 else g
+
+
+def _group_heavy_ball(theta, g, v, m, s, eta, cfg, tag, t):
+    l2, wd = _group_decays(cfg, tag)
+    g_eff = _group_g_eff(g, theta, l2)
+    v = cfg.momentum * v + g_eff
+    return theta - eta * (v + wd * theta), v, m, s
+
+
+def _group_nesterov(theta, g, v, m, s, eta, cfg, tag, t):
+    l2, wd = _group_decays(cfg, tag)
+    g_eff = _group_g_eff(g, theta, l2)
+    v = cfg.momentum * v + g_eff
+    return theta - eta * (cfg.momentum * v + g_eff + wd * theta), v, m, s
+
+
+def _group_adam_direction(g_eff, m, s, cfg, t):
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * g_eff
+    s = cfg.beta2 * s + (1.0 - cfg.beta2) * g_eff * g_eff
+    if cfg.bias_correction:
+        c1 = 1.0 - cfg.beta1 ** (t + 1)
+        c2 = 1.0 - cfg.beta2 ** (t + 1)
+    else:
+        c1 = c2 = 1.0
+    if cfg.epsilon == 0.0 and (s == 0.0).any():
+        raise ZeroDivisionError("epsilon=0 with a zero second-moment entry")
+    return (m / c1) / (np.sqrt(s / c2) + cfg.epsilon), m, s
+
+
+def _group_adam(theta, g, v, m, s, eta, cfg, tag, t):
+    l2, wd = _group_decays(cfg, tag)
+    base, m, s = _group_adam_direction(_group_g_eff(g, theta, l2), m, s, cfg, t)
+    return theta - eta * (base + wd * theta), v, m, s
+
+
+def _group_norm(x):
+    return math.sqrt(float(x @ x))
+
+
+def _group_lars(theta, g, v, m, s, eta, cfg, tag, t):
+    l2, wd = _group_decays(cfg, tag)
+    g_eff = _group_g_eff(g, theta, l2)
+    theta_norm, g_norm = _group_norm(theta), _group_norm(g_eff)
+    if tag in cfg.exclude_tags or theta_norm == 0.0 or g_norm == 0.0:
+        ratio = 1.0
+    else:
+        ratio = cfg.trust_coefficient * theta_norm / g_norm
+    v = cfg.momentum * v + (ratio * eta) * g_eff
+    theta = theta - v
+    if wd:
+        theta = theta - eta * wd * theta
+    return theta, v, m, s
+
+
+def _group_lamb(theta, g, v, m, s, eta, cfg, tag, t):
+    l2, wd = _group_decays(cfg, tag)
+    base, m, s = _group_adam_direction(_group_g_eff(g, theta, l2), m, s, cfg, t)
+    u = base + wd * theta if wd else base
+    theta_norm, u_norm = _group_norm(theta), _group_norm(u)
+    if tag in cfg.exclude_tags or theta_norm == 0.0 or u_norm == 0.0:
+        ratio = 1.0
+    else:
+        ratio = theta_norm / u_norm
+    return theta - eta * ratio * u, v, m, s
+
+
+GROUP_RULES = {
+    "heavy_ball": _group_heavy_ball,
+    "nesterov": _group_nesterov,
+    "adam": _group_adam,
+    "lars": _group_lars,
+    "lamb": _group_lamb,
+}
+
+
+def per_group_step(groups, routes, eta, t):
+    """One routed step, group by group.
+
+    `groups` lists dicts with `tag` and flat float64 `theta`, `g`, `v`,
+    `m`, `s`; `routes` lists (tag set, config), first match wins; `t` is
+    the step count before the step. Returns one dict of new `theta`, `v`,
+    `m`, `s` per group, in the same order.
+    """
+    out = []
+    for grp in groups:
+        cfg = next(cfg for tags, cfg in routes if grp["tag"] in tags)
+        theta, v, m, s = GROUP_RULES[cfg.kind](
+            grp["theta"], grp["g"], grp["v"], grp["m"], grp["s"], eta, cfg, grp["tag"], t)
+        out.append({"theta": theta, "v": v, "m": m, "s": s})
     return out

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from optparity.cli import main
@@ -89,3 +90,50 @@ def test_schedule_export(tmp_path, base_config):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "step,lr"
     assert len(lines) == base_config["budget_steps"] + 2
+
+
+def _valid_inputs(tmp_path, base_config):
+    """A valid file for every JSON option of train, tune and ablate."""
+    paths = {"config": tmp_path / "config.json", "space": tmp_path / "space.json",
+             "overrides": tmp_path / "overrides.json"}
+    write_json(paths["config"], base_config)
+    write_json(paths["space"], [{"name": "schedule.eta_peak", "kind": "continuous",
+                                 "lo": 0.01, "hi": 1.0, "scaling": "log"}])
+    write_json(paths["overrides"], [["BN init", "model.bn_gamma_init", 0.5]])
+    return paths
+
+
+COMMANDS = {
+    "train": lambda p: ["train", "--config", str(p["config"])],
+    "tune": lambda p: ["tune", "--config", str(p["config"]), "--space", str(p["space"]),
+                       "--out", str(p["config"].parent / "trials.jsonl"), "--trials", "1"],
+    "ablate": lambda p: ["ablate", "--config", str(p["config"]),
+                         "--overrides", str(p["overrides"]), "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize("command,bad_file", [
+    ("train", "config"),
+    ("tune", "config"),
+    ("tune", "space"),
+    ("ablate", "config"),
+    ("ablate", "overrides"),
+])
+@pytest.mark.parametrize("content", [b"{bad", b"", b"\xff\xfe{"])
+def test_unreadable_json_exits_2_with_one_error_line(tmp_path, base_config, command,
+                                                     bad_file, content):
+    paths = _valid_inputs(tmp_path, base_config)
+    paths[bad_file].write_bytes(content)
+    result = CliRunner().invoke(main, COMMANDS[command](paths))
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert str(paths[bad_file]) in lines[0]
+
+
+def test_train_has_no_workers_option(tmp_path, base_config):
+    paths = _valid_inputs(tmp_path, base_config)
+    result = CliRunner().invoke(main, COMMANDS["train"](paths) + ["--workers", "2"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output

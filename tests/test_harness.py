@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from optparity import harness, tuner
@@ -127,6 +128,24 @@ class TestRunTraining:
         assert result.final_loss is None
         for h in result.history:
             assert all(v == v for v in h.values())  # no NaN persisted
+
+    def test_nan_gradient_is_divergence(self, base_config, monkeypatch):
+        real_backward = harness.backward
+        calls = []
+
+        def poisoned(cache, params, config):
+            grads = real_backward(cache, params, config)
+            calls.append(1)
+            if len(calls) == 60:
+                grads["b2"] = grads["b2"] * np.nan
+            return grads
+
+        monkeypatch.setattr(harness, "backward", poisoned)
+        result = harness.run_training(harness.parse_config(base_config))
+        assert result.status == "diverged"
+        assert result.diverged_step == 60
+        assert result.steps_run == 59
+        assert [h["step"] for h in result.history] == [50]
 
 
 class TestStudy:

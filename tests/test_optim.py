@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from optparity.errors import LengthMismatch, NonFiniteInput, UncoveredTag
+from optparity.errors import DivisionHazard, LengthMismatch, NonFiniteInput, UncoveredTag
 from optparity.optim import (
+    KINDS,
     GroupState,
     OptimizerConfig,
     OptimizerState,
@@ -16,7 +18,7 @@ from optparity.optim import (
     lars_update,
     nesterov_update,
 )
-from optparity.param_store import ParamGroup, build_param_store
+from optparity.param_store import TAGS, ParamGroup, build_param_store
 
 
 def arr(*xs):
@@ -306,3 +308,137 @@ class TestComposite:
             assert np.isfinite(slot.v).all()
             assert np.isfinite(slot.m).all()
             assert np.isfinite(slot.s).all()
+
+
+    def test_wrong_length_gradient(self):
+        store = self.make_store()
+        routing = RoutingRule([(frozenset(TAGS), OptimizerConfig())])
+        grads = {n: np.zeros_like(store[n].values) for n in store.names()}
+        grads["w1"] = arr(1.0, 2.0, 3.0)
+        with pytest.raises(LengthMismatch, match="w1"):
+            composite_step(store, grads, routing, 0.1, OptimizerState.for_store(store))
+        grads["w1"] = arr(1.0)
+        grads["b1"] = arr(1.0, 2.0)  # the total length still matches
+        with pytest.raises(LengthMismatch):
+            composite_step(store, grads, routing, 0.1, OptimizerState.for_store(store))
+
+    def test_nan_gradient(self):
+        store = self.make_store()
+        routing = RoutingRule([(frozenset(TAGS), OptimizerConfig())])
+        grads = {n: np.zeros_like(store[n].values) for n in store.names()}
+        grads["bn1_shift"] = arr(np.nan)
+        with pytest.raises(NonFiniteInput):
+            composite_step(store, grads, routing, 0.1, OptimizerState.for_store(store))
+
+    def test_one_update_call_per_routed_rule(self, monkeypatch):
+        from optparity import optim
+
+        calls = []
+        for kind, fn in list(optim._UPDATE_FNS.items()):
+            def counted(*args, _fn=fn, _kind=kind):
+                calls.append(_kind)
+                return _fn(*args)
+            monkeypatch.setitem(optim._UPDATE_FNS, kind, counted)
+        store = build_param_store([
+            ParamGroup("w1", "weight", arr(1.0, 2.0), (2,)),
+            ParamGroup("b1", "bias", arr(0.5), (1,)),
+            ParamGroup("w2", "weight", arr(3.0), (1,)),
+            ParamGroup("bn1_scale", "bn_scale", arr(1.0), (1,)),
+            ParamGroup("b2", "bias", arr(0.5), (1,)),
+        ])
+        routing = RoutingRule([
+            (frozenset({"weight"}), OptimizerConfig(kind="lamb")),
+            (frozenset(TAGS), OptimizerConfig(kind="adam")),
+        ])
+        grads = {n: np.ones_like(store[n].values) for n in store.names()}
+        composite_step(store, grads, routing, 0.1, OptimizerState.for_store(store))
+        assert calls == ["lamb", "adam"]
+
+    def test_plan_follows_a_new_routing(self):
+        store = self.make_store()
+        grads = {n: np.ones_like(store[n].values) for n in store.names()}
+        state = OptimizerState.for_store(store)
+        hb = RoutingRule([(frozenset(TAGS), OptimizerConfig(kind="heavy_ball"))])
+        adam = RoutingRule([(frozenset(TAGS), OptimizerConfig(kind="adam"))])
+        _, after_hb = composite_step(store, grads, hb, 0.1, state)
+        _, after_adam = composite_step(store, grads, adam, 0.1, after_hb)
+        np.testing.assert_allclose(after_adam.m, 0.1)  # Adam ran on its own plan
+        np.testing.assert_array_equal(after_adam.v, 1.0)  # heavy-ball's v carried over
+
+
+def _config(draw):
+    return OptimizerConfig(
+        kind=draw(st.sampled_from(KINDS)),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        beta1=draw(st.floats(0.5, 0.99)),
+        beta2=draw(st.floats(0.8, 0.9999)),
+        epsilon=draw(st.sampled_from([0.0, 1e-8, 1e-3])),
+        bias_correction=draw(st.booleans()),
+        trust_coefficient=draw(st.floats(1e-3, 1.0)),
+        decay_mode=draw(st.sampled_from(["l2_into_gradient", "decoupled"])),
+        decay=draw(st.sampled_from([0.0, 1e-4, 1e-2])),
+        exclude_tags=draw(st.frozensets(st.sampled_from(TAGS))),
+    )
+
+
+@st.composite
+def routed_problems(draw):
+    """Groups of random tags and sizes, some with zero norms, and a routing."""
+    n = draw(st.integers(1, 30))
+    groups = [(draw(st.sampled_from(TAGS)), draw(st.integers(1, 300)),
+               draw(st.sampled_from(["", "", "theta", "grad"]))) for _ in range(n)]
+    routes = [(draw(st.frozensets(st.sampled_from(TAGS), min_size=1)), _config(draw))
+              for _ in range(draw(st.integers(0, 3)))]
+    routes.append((frozenset(TAGS), _config(draw)))
+    return groups, routes, draw(st.integers(0, 5)), draw(st.floats(1e-4, 1.0)), \
+        draw(st.integers(0, 2**32 - 1))
+
+
+class TestFusedMatchesPerGroupLoop:
+    """The fused composite step against oracles.per_group_step, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(routed_problems())
+    def test_three_steps(self, problem):
+        groups, routes, t0, eta, seed = problem
+        rng = np.random.default_rng(seed)
+        names = [f"p{i}" for i in range(len(groups))]
+        zero = dict(zip(names, (z for _, _, z in groups)))
+        store = build_param_store([
+            ParamGroup(name, tag, np.zeros(size) if z == "theta" else rng.normal(size=size),
+                       (size,))
+            for name, (tag, size, z) in zip(names, groups)
+        ])
+        state = OptimizerState.for_store(store)
+        state.t = t0
+        for name in names:
+            slot = state.slots[name]
+            slot.v[:] = rng.normal(size=slot.v.size)
+            slot.m[:] = rng.normal(size=slot.m.size)
+            # a zero second moment under a zero gradient meets epsilon=0
+            slot.s[:] = 0.0 if zero[name] == "grad" else rng.uniform(0, 2, slot.s.size)
+        routing = RoutingRule(routes)
+        for _ in range(3):
+            grads = {name: np.zeros(store[name].values.size) if zero[name] == "grad"
+                     else rng.normal(size=store[name].values.size) for name in names}
+            reference_in = [{"tag": store[name].tag, "theta": store[name].values.copy(),
+                             "g": grads[name], "v": state.slots[name].v.copy(),
+                             "m": state.slots[name].m.copy(), "s": state.slots[name].s.copy()}
+                            for name in names]
+            before = [a.copy() for a in (store.flat, state.v, state.m, state.s)]
+            try:
+                expected = oracles.per_group_step(reference_in, routes, eta, state.t)
+            except ZeroDivisionError:
+                with pytest.raises(DivisionHazard):
+                    composite_step(store, grads, routing, eta, state)
+                return
+            new_store, new_state = composite_step(store, grads, routing, eta, state)
+            assert new_state.t == state.t + 1
+            for name, want in zip(names, expected):
+                np.testing.assert_array_equal(new_store[name].values, want["theta"])
+                for key in ("v", "m", "s"):
+                    np.testing.assert_array_equal(getattr(new_state.slots[name], key),
+                                                  want[key])
+            for old, now in zip(before, (store.flat, state.v, state.m, state.s)):
+                np.testing.assert_array_equal(old, now)
+            store, state = new_store, new_state

@@ -186,7 +186,30 @@ class TestSummarize:
     def test_order_statistics_invariants(self, values):
         s = summarize(values, target=0.0)
         assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
+        assert s.q1 == np.percentile(values, 25, method="linear")
+        assert s.q3 == np.percentile(values, 75, method="linear")
         assert 0.0 <= s.target_fraction <= 1.0
         ordered = sorted(values)
         assert s.min == ordered[0]
         assert s.max == ordered[-1]
+
+    def test_quartile_beside_a_diverged_seed_is_infinite(self):
+        inf = math.inf
+        with np.errstate(all="raise"):
+            s = summarize([-inf, -inf, 0.9, 0.95, 0.99, 1.0], 0.99)
+        assert s.q1 == -inf
+        assert s.median == pytest.approx(0.925)
+        assert s.q3 == pytest.approx(0.98)
+        assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
+        s = summarize([0.1, 0.2, inf, inf], 0.15, mode="min")
+        assert s.q3 == inf
+        assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
+
+    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40),
+           st.integers(0, 40), st.sampled_from(["max", "min"]))
+    def test_order_statistics_with_diverged_seeds(self, finite, n_diverged, mode):
+        fallback = -math.inf if mode == "max" else math.inf
+        s = summarize(finite + [fallback] * n_diverged, target=0.0, mode=mode)
+        fields = (s.min, s.q1, s.median, s.q3, s.max)
+        assert not any(math.isnan(x) for x in fields)
+        assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
