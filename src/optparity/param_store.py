@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,7 @@ class ParamGroup:
         return self.values.reshape(self.shape)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Where one group lives in its store's flat vector."""
 
     name: str
