@@ -26,6 +26,25 @@ def _load_json(path):
         _fail(f"{path}: {exc}")
 
 
+def _load_config(path, seed=None):
+    """The JSON object at `path` (a config or schedule spec), `seed` as base_seed."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        _fail(f"{path}: expected a JSON object")
+    if seed is not None:
+        doc["base_seed"] = seed
+    return doc
+
+
+def _write_text(path, text):
+    """Write `text` to the file at `path`; an unwritable path exits 2."""
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        _fail(f"{path}: {exc}")
+
+
 def _fail(exc, code=2):
     click.echo(f"error: {exc}", err=True)
     sys.exit(code)
@@ -42,18 +61,14 @@ def main():
 @click.option("--seed", default=None, type=int, help="Override base_seed.")
 def train(config_path, out_path, seed):
     """Run one training job and print/write its result."""
-    doc = _load_json(config_path)
-    if seed is not None:
-        doc["base_seed"] = seed
+    doc = _load_config(config_path, seed)
     try:
         config = harness.parse_config(doc)
     except (ParseError, ValidationError) as exc:
         _fail(exc)
     result = harness.run_training(config)
-    payload = asdict(result)
     if out_path:
-        with open(out_path, "w") as f:
-            json.dump(payload, f, indent=2)
+        _write_text(out_path, json.dumps(asdict(result), indent=2))
     click.echo(json.dumps({
         "status": result.status,
         "steps_run": result.steps_run,
@@ -78,18 +93,23 @@ def train(config_path, out_path, seed):
 @click.option("--workers", default=1, type=int)
 def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed, workers):
     """Quasi-random search; appends trial records to a JSONL log."""
-    doc = _load_json(config_path)
-    if seed is not None:
-        doc["base_seed"] = seed
-    space = [tuner.SearchDim(**d) for d in _load_json(space_path)]
+    doc = _load_config(config_path, seed)
+    space_doc = _load_json(space_path)
+    try:
+        space = [tuner.SearchDim(**d) for d in space_doc]
+    except (TypeError, OptparityError) as exc:  # TypeError: not a list of objects, bad key
+        _fail(f"{space_path}: {exc}")
     if budget is None:
-        budget = int(doc["budget_steps"])
+        try:
+            budget = int(doc["budget_steps"])
+        except (KeyError, TypeError, ValueError):
+            _fail(f"{config_path}: budget_steps: missing or not an integer")
     try:
         records = tuner.run_study(space, doc, trials, budget, metric,
                                   offset=offset, workers=workers)
+        harness.write_results(records, out_path)
     except OptparityError as exc:
         _fail(exc)
-    harness.write_results(records, out_path)
     try:
         best = tuner.select_best(records, metric)
         click.echo(json.dumps({"best_trial": best.trial_index,
@@ -105,18 +125,24 @@ def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed
               help="JSON list of [label, dotted.path, value].")
 @click.option("--seeds", default="0,1,2,3,4", help="Comma-separated seed list.")
 @click.option("--out", "out_path", default=None, type=click.Path())
-@click.option("--workers", default=1, type=int)
-def ablate(config_path, overrides_path, seeds, out_path, workers):
+def ablate(config_path, overrides_path, seeds, out_path):
     """One-at-a-time ablation arms, each evaluated over the seed list."""
-    doc = _load_json(config_path)
-    overrides = [tuple(item) for item in _load_json(overrides_path)]
-    seed_list = [int(s) for s in seeds.split(",") if s.strip()]
+    doc = _load_config(config_path)
+    overrides = _load_json(overrides_path)
+    if not isinstance(overrides, list) or not all(
+            isinstance(item, list) and len(item) == 3 and isinstance(item[1], str)
+            for item in overrides):
+        _fail(f"{overrides_path}: expected a list of [label, dotted.path, value] items")
     try:
-        rows = harness.run_ablation(doc, overrides, seed_list)
+        seed_list = [int(s) for s in seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        _fail(f"--seeds: {exc}")
+    try:
+        rows = harness.run_ablation(doc, [tuple(item) for item in overrides], seed_list)
+        if out_path:
+            harness.write_summaries(rows, out_path)
     except OptparityError as exc:
         _fail(exc)
-    if out_path:
-        harness.write_summaries(rows, out_path)
     text, _ = harness.report(rows)
     click.echo(text, nl=False)
 
@@ -132,13 +158,16 @@ def schedule():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def schedule_export(config_path, out_path):
     """Write the full step,lr curve as CSV."""
-    doc = _load_json(config_path)
+    doc = _load_config(config_path)
     spec_doc = doc.get("schedule", doc)
     try:
         spec = ScheduleSpec(**spec_doc)
     except (TypeError, ValueError) as exc:
         _fail(exc)
-    export_schedule(spec, out_path)
+    try:
+        export_schedule(spec, out_path)
+    except OptparityError as exc:
+        _fail(exc)
     click.echo(f"wrote {spec.total_steps + 1} rows to {out_path}")
 
 
@@ -155,8 +184,7 @@ def report(results_path, out_path):
     except OptparityError as exc:
         _fail(exc)
     if out_path:
-        with open(out_path, "w") as f:
-            f.write(csv_text)
+        _write_text(out_path, csv_text)
     click.echo(text, nl=False)
 
 

@@ -357,10 +357,16 @@ def read_summaries(path) -> list[tuple[str, SeedSummary]]:
         raise IoFailure(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise CorruptRecord(1, str(exc)) from exc
+    if not isinstance(doc, list):
+        raise ParseError(f"{path}: summaries must be a JSON list")
     rows = []
-    for d in doc:
-        label = d.pop("label")
-        rows.append((label, SeedSummary(**d)))
+    for i, d in enumerate(doc):
+        try:
+            d = dict(d)
+            label = d.pop("label")
+            rows.append((label, SeedSummary(**d)))
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ParseError(f"{path}: summary {i}: {type(exc).__name__}: {exc}") from exc
     return rows
 
 

@@ -96,7 +96,8 @@ class BnRunningStats:
     vars: list[np.ndarray] = field(default_factory=list)
 
     def copy(self) -> "BnRunningStats":
-        return BnRunningStats([m.copy() for m in self.means], [v.copy() for v in self.vars])
+        # the arrays are shared: a step replaces them and never writes in place
+        return BnRunningStats(list(self.means), list(self.vars))
 
     @classmethod
     def for_config(cls, config: MlpConfig) -> "BnRunningStats":
@@ -136,6 +137,19 @@ def init_mlp(config: MlpConfig, rng_seed: int | None = None) -> ParamStore:
     return build_param_store(groups)
 
 
+# Ghost BN walks the batch in blocks of whole virtual batches holding at most
+# this many float64 values (128 KB): one 64x256 sub-batch of the large-batch
+# workload. A block's temporaries then stay in cache however large the batch
+# is, while a small batch is one block and costs one numpy call per operation.
+BN_BLOCK_ELEMS = 16_384
+
+
+def _vb_blocks(n_sub, vbs, width):
+    """Slices of the virtual-batch axis, each a block of whole virtual batches."""
+    per_block = max(1, BN_BLOCK_ELEMS // (vbs * width))
+    return [slice(k, k + per_block) for k in range(0, n_sub, per_block)]
+
+
 def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
                running_mean, running_var, stats_decay):
     """Ghost batch normalization over consecutive sub-batches.
@@ -146,7 +160,7 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     Eval mode normalizes with the running statistics.
     Returns (y, cache, running_mean', running_var').
     """
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteInput("BN input contains NaN/Inf")
     n = x.shape[0]
     if mode == "eval":
@@ -155,27 +169,35 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
         return y, None, running_mean, running_var
     if n % virtual_batch_size != 0:
         raise IndivisibleBatch(f"{n} rows vs virtual batch {virtual_batch_size}")
-    n_sub = n // virtual_batch_size
-    y = np.empty_like(x)
-    xhat = np.empty_like(x)
-    inv_stds = np.empty((n_sub, x.shape[1]))
-    mean_acc = np.zeros(x.shape[1])
-    var_acc = np.zeros(x.shape[1])
-    for k in range(n_sub):
-        sl = slice(k * virtual_batch_size, (k + 1) * virtual_batch_size)
-        xs = x[sl]
-        mu = xs.mean(axis=0)
-        var = xs.var(axis=0)  # biased, divisor n
-        inv = 1.0 / np.sqrt(var + bn_epsilon)
-        xhat[sl] = (xs - mu) * inv
-        y[sl] = xhat[sl] * gamma + beta
-        inv_stds[k] = inv
-        mean_acc += mu
-        var_acc += var
+    vbs, c = virtual_batch_size, x.shape[1]
+    n_sub = n // vbs
+    y = np.empty((n, c))
+    xhat = np.empty((n, c))
+    x3, y3, xhat3 = (a.reshape(n_sub, vbs, c) for a in (x, y, xhat))
+    # Per-sub-batch means and variances after a zero row each, so that the
+    # running sums below add them to zero in sub-batch order, as a loop does.
+    sub_stats = np.zeros((2, n_sub + 1, c))
+    means, variances = sub_stats[0, 1:], sub_stats[1, 1:]
+    inv_stds = np.empty((n_sub, c))
+    for blk in _vb_blocks(n_sub, vbs, c):
+        xs, d, yb = x3[blk], xhat3[blk], y3[blk]
+        # np.mean's and np.var's own steps (sum, then divide by the count), so
+        # the results match theirs bit for bit, with x - mu computed once;
+        # yb holds the squares until y is written
+        mu = np.add.reduce(xs, axis=1, out=means[blk])
+        mu /= vbs
+        np.subtract(xs, mu[:, None], out=d)
+        var = np.add.reduce(np.square(d, out=yb), axis=1, out=variances[blk])
+        var /= vbs
+        inv = np.divide(1.0, np.sqrt(var + bn_epsilon), out=inv_stds[blk])
+        d *= inv[:, None]
+        np.multiply(d, gamma, out=yb)
+        yb += beta
+    mean_acc, var_acc = np.add.accumulate(sub_stats, axis=1)[:, -1]
     rho = stats_decay
     new_mean = rho * running_mean + (1.0 - rho) * mean_acc / n_sub
     new_var = rho * running_var + (1.0 - rho) * var_acc / n_sub
-    cache = {"xhat": xhat, "inv_stds": inv_stds, "vbs": virtual_batch_size,
+    cache = {"xhat": xhat, "inv_stds": inv_stds, "vbs": vbs,
              "gamma": np.asarray(gamma, dtype=np.float64)}
     return y, cache, new_mean, new_var
 
@@ -185,18 +207,25 @@ def bn_backward(dy, cache):
     xhat = cache["xhat"]
     gamma = cache["gamma"]
     vbs = cache["vbs"]
+    inv_stds = cache["inv_stds"]
     dgamma = (dy * xhat).sum(axis=0)
     dbeta = dy.sum(axis=0)
-    dx = np.empty_like(dy)
-    n_sub = dy.shape[0] // vbs
-    for k in range(n_sub):
-        sl = slice(k * vbs, (k + 1) * vbs)
-        dxhat = dy[sl] * gamma
-        xh = xhat[sl]
-        inv = cache["inv_stds"][k]
-        dx[sl] = (inv / vbs) * (
-            vbs * dxhat - dxhat.sum(axis=0) - xh * (dxhat * xh).sum(axis=0)
-        )
+    n, c = dy.shape
+    n_sub = n // vbs
+    dx = np.empty((n, c))
+    dy3, xhat3, dx3 = (a.reshape(n_sub, vbs, c) for a in (dy, xhat, dx))
+    for blk in _vb_blocks(n_sub, vbs, c):
+        xh, out = xhat3[blk], dx3[blk]
+        # (inv / vbs) * (vbs * dxhat - sum(dxhat) - xh * sum(dxhat * xh)),
+        # evaluated in this order, as the per-virtual-batch loop did
+        dxhat = dy3[blk] * gamma
+        sum_dxhat = np.add.reduce(dxhat, axis=1)
+        np.multiply(vbs, dxhat, out=out)
+        out -= sum_dxhat[:, None]
+        dxhat *= xh
+        np.multiply(xh, np.add.reduce(dxhat, axis=1)[:, None], out=dxhat)
+        out -= dxhat
+        out *= (inv_stds[blk] / vbs)[:, None]
     return dx, dgamma, dbeta
 
 

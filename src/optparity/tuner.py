@@ -28,6 +28,8 @@ class SearchDim:
     scaling: str = "linear"  # "linear" | "log"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidConfig(f"search dim name must be a dotted path, got {self.name!r}")
         if self.kind == "continuous":
             if not self.lo < self.hi:
                 raise InvalidConfig(f"{self.name}: lo must be < hi")
@@ -53,6 +55,7 @@ class TrialRecord:
     final_loss: float | None = None
     steps_run: int = 0
     diverged_step: int | None = None
+    error: str | None = None  # "<ExceptionType>: <message>" of an "error" trial
 
 
 @dataclass
@@ -145,8 +148,8 @@ def _run_trial_job(job) -> TrialRecord:
     try:
         parsed = harness.parse_config(cfg)
         result = harness.run_training(parsed)
-    except Exception:
-        return TrialRecord(i, assignment, seed, "error")
+    except Exception as exc:
+        return TrialRecord(i, assignment, seed, "error", error=f"{type(exc).__name__}: {exc}")
     if result.status == "diverged":
         return TrialRecord(i, assignment, seed, "diverged",
                            steps_run=result.steps_run,

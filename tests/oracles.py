@@ -3,7 +3,9 @@
 The scalar recurrences are written directly from the update-rule
 definitions using plain Python floats and `math`; each replays a full
 scalar trajectory and returns the list of parameter values after each
-step. `per_group_step` is the numpy per-group composite step.
+step. `per_group_step` is the numpy per-group composite step, and
+`ghost_bn_forward`/`ghost_bn_backward` are the per-virtual-batch loops of
+train-mode ghost batch normalization.
 """
 
 import math
@@ -211,3 +213,50 @@ def per_group_step(groups, routes, eta, t):
             grp["theta"], grp["g"], grp["v"], grp["m"], grp["s"], eta, cfg, grp["tag"], t)
         out.append({"theta": theta, "v": v, "m": m, "s": s})
     return out
+
+
+# ---------------------------------------------------------------------------
+# Ghost batch normalization, one virtual batch at a time
+# ---------------------------------------------------------------------------
+#
+# The train-mode loops the blocked model functions replaced. The blocked
+# versions must reproduce them bit for bit.
+
+def ghost_bn_forward(x, gamma, beta, eps, vbs, running_mean, running_var, rho):
+    """Returns (y, xhat, inv_stds, running_mean', running_var')."""
+    n_sub = x.shape[0] // vbs
+    y = np.empty_like(x)
+    xhat = np.empty_like(x)
+    inv_stds = np.empty((n_sub, x.shape[1]))
+    mean_acc = np.zeros(x.shape[1])
+    var_acc = np.zeros(x.shape[1])
+    for k in range(n_sub):
+        sl = slice(k * vbs, (k + 1) * vbs)
+        xs = x[sl]
+        mu = xs.mean(axis=0)
+        var = xs.var(axis=0)  # biased, divisor n
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat[sl] = (xs - mu) * inv
+        y[sl] = xhat[sl] * gamma + beta
+        inv_stds[k] = inv
+        mean_acc += mu
+        var_acc += var
+    new_mean = rho * running_mean + (1.0 - rho) * mean_acc / n_sub
+    new_var = rho * running_var + (1.0 - rho) * var_acc / n_sub
+    return y, xhat, inv_stds, new_mean, new_var
+
+
+def ghost_bn_backward(dy, xhat, inv_stds, gamma, vbs):
+    """Returns (dx, dgamma, dbeta)."""
+    dgamma = (dy * xhat).sum(axis=0)
+    dbeta = dy.sum(axis=0)
+    dx = np.empty_like(dy)
+    for k in range(dy.shape[0] // vbs):
+        sl = slice(k * vbs, (k + 1) * vbs)
+        dxhat = dy[sl] * gamma
+        xh = xhat[sl]
+        inv = inv_stds[k]
+        dx[sl] = (inv / vbs) * (
+            vbs * dxhat - dxhat.sum(axis=0) - xh * (dxhat * xh).sum(axis=0)
+        )
+    return dx, dgamma, dbeta

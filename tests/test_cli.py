@@ -93,13 +93,16 @@ def test_schedule_export(tmp_path, base_config):
 
 
 def _valid_inputs(tmp_path, base_config):
-    """A valid file for every JSON option of train, tune and ablate."""
+    """A valid file for every JSON option of train, tune, ablate and report."""
     paths = {"config": tmp_path / "config.json", "space": tmp_path / "space.json",
-             "overrides": tmp_path / "overrides.json"}
+             "overrides": tmp_path / "overrides.json", "results": tmp_path / "summary.json"}
     write_json(paths["config"], base_config)
     write_json(paths["space"], [{"name": "schedule.eta_peak", "kind": "continuous",
                                  "lo": 0.01, "hi": 1.0, "scaling": "log"}])
     write_json(paths["overrides"], [["BN init", "model.bn_gamma_init", 0.5]])
+    write_json(paths["results"], [{"label": "Base", "median": 0.9, "q1": 0.85, "q3": 0.95,
+                                   "min": 0.8, "max": 1.0, "target_fraction": 0.7,
+                                   "n_seeds": 5}])
     return paths
 
 
@@ -109,7 +112,18 @@ COMMANDS = {
                        "--out", str(p["config"].parent / "trials.jsonl"), "--trials", "1"],
     "ablate": lambda p: ["ablate", "--config", str(p["config"]),
                          "--overrides", str(p["overrides"]), "--seeds", "0"],
+    "report": lambda p: ["report", "--results", str(p["results"])],
+    "schedule export": lambda p: ["schedule", "export", "--config", str(p["config"]),
+                                  "--out", str(p["config"].parent / "lr.csv")],
 }
+
+
+def assert_one_error_line(result, needle):
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert needle in lines[0]
 
 
 @pytest.mark.parametrize("command,bad_file", [
@@ -125,15 +139,51 @@ def test_unreadable_json_exits_2_with_one_error_line(tmp_path, base_config, comm
     paths = _valid_inputs(tmp_path, base_config)
     paths[bad_file].write_bytes(content)
     result = CliRunner().invoke(main, COMMANDS[command](paths))
-    assert result.exit_code == 2, result.output
-    assert result.stdout == ""
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
-    assert str(paths[bad_file]) in lines[0]
+    assert_one_error_line(result, str(paths[bad_file]))
+
+
+@pytest.mark.parametrize("command,bad_file,doc,extra", [
+    ("tune", "space", [{"name": "schedule.eta_peak", "kind": "continuous", "bogus": 1}], []),
+    ("tune", "space", {"name": "schedule.eta_peak"}, []),
+    ("tune", "space", [{"name": 5, "kind": "continuous"}], []),
+    ("tune", "config", [1, 2], ["--seed", "3"]),
+    ("tune", "config", {"model": {}}, []),
+    ("ablate", "overrides", [["BN init", "model.bn_gamma_init"]], []),
+    ("ablate", "overrides", {"BN init": 0.5}, []),
+    ("ablate", None, None, ["--seeds", "a,b"]),
+    ("report", "results", {"label": "Base", "median": 0.9}, []),
+    ("schedule export", "config", [], []),
+], ids=["tune-space-unknown-key", "tune-space-object", "tune-space-name-not-text",
+        "tune-config-list", "tune-no-budget",
+        "ablate-two-element-override", "ablate-overrides-object", "ablate-seeds-not-int",
+        "report-results-object", "schedule-config-list"])
+def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command,
+                                                  bad_file, doc, extra):
+    paths = _valid_inputs(tmp_path, base_config)
+    if bad_file:
+        write_json(paths[bad_file], doc)
+    result = CliRunner().invoke(main, COMMANDS[command](paths) + extra)
+    assert_one_error_line(result, str(paths[bad_file]) if bad_file else "--seeds")
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "ablate", "report", "schedule export"])
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, base_config, command):
+    paths = _valid_inputs(tmp_path, base_config)
+    out = str(tmp_path / "missing_dir" / "out.json")
+    # click keeps the last --out given
+    result = CliRunner().invoke(main, COMMANDS[command](paths) + ["--out", out])
+    assert_one_error_line(result, out)
 
 
 def test_train_has_no_workers_option(tmp_path, base_config):
     paths = _valid_inputs(tmp_path, base_config)
     result = CliRunner().invoke(main, COMMANDS["train"](paths) + ["--workers", "2"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_ablate_has_no_workers_option(tmp_path, base_config):
+    paths = _valid_inputs(tmp_path, base_config)
+    result = CliRunner().invoke(main, COMMANDS["ablate"](paths) + ["--workers", "0"])
     assert result.exit_code == 2
     assert "No such option" in result.output

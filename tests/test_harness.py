@@ -176,6 +176,16 @@ class TestStudy:
         assert "completed" in statuses
         assert len(records) == 4
 
+    def test_errored_trial_records_why(self, base_config):
+        # batch 64 is not a multiple of virtual batch 7: parse_config rejects it
+        space = [SearchDim("model.virtual_batch_size", "discrete_set", values=[7, 32])]
+        records = tuner.run_study(space, base_config, 2, 50, "final_train_accuracy")
+        # Halton points 1 and 2 in base 2 are 0.5 and 0.25: 32, then 7
+        assert [r.status for r in records] == ["completed", "error"]
+        assert records[0].error is None
+        assert records[1].error == ("ValidationError: batch_size: "
+                                    "64 not divisible by virtual_batch_size 7")
+
     def test_unknown_search_path(self, base_config):
         space = [SearchDim("schedule.bogus", "continuous", 0.0, 1.0)]
         with pytest.raises(ConfigPathUnknown):
@@ -252,6 +262,31 @@ class TestPersistence:
         with pytest.raises(CorruptRecord) as exc:
             harness.read_results(path)
         assert exc.value.line_number == 4
+
+    def test_error_reason_round_trip(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        records = [TrialRecord(0, {}, 0, "error", error="ValidationError: batch_size: bad")]
+        harness.write_results(records, path)
+        assert harness.read_results(path) == records
+
+    def test_log_without_error_field_loads(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        path.write_text(json.dumps({"trial_index": 0, "assignment": {}, "seed": 0,
+                                    "status": "error", "steps_run": 0}) + "\n")
+        assert harness.read_results(path) == [TrialRecord(0, {}, 0, "error")]
+
+    @pytest.mark.parametrize("doc", [
+        {"label": "Base", "median": 1.0},
+        ["Base"],
+        [{"median": 0.9, "q1": 0.85, "q3": 0.95, "min": 0.8, "max": 1.0,
+          "target_fraction": 0.7, "n_seeds": 50}],
+        [{"label": "Base", "median": 0.9}],
+    ], ids=["object", "not-an-object", "no-label", "missing-field"])
+    def test_malformed_summaries_rejected(self, tmp_path, doc):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="summar"):
+            harness.read_summaries(path)
 
     def test_summaries_round_trip(self, tmp_path):
         rows = [("Base", SeedSummary(0.9, 0.85, 0.95, 0.8, 1.0, 0.7, 50))]

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from optparity.errors import IndivisibleBatch, InvalidConfig, ShapeMismatch, StaleCache
 from optparity.model import (
     Batch,
     BnRunningStats,
     MlpConfig,
     backward,
+    bn_backward,
     bn_forward,
     finite_difference_check,
     forward,
@@ -110,6 +113,57 @@ class TestBnForward:
                                 np.zeros(1), np.ones(1), 0.9)
         assert m[0] == pytest.approx(0.9 * 0.0 + 0.1 * 10.0)
         assert v[0] == pytest.approx(0.9 * 1.0 + 0.1 * 0.0)
+
+
+class TestBlockedGhostBnMatchesLoop:
+    """Train-mode bn_forward/bn_backward against the per-virtual-batch loops.
+
+    Blocks hold whole virtual batches and at most BN_BLOCK_ELEMS values, so
+    large draws span several blocks, some ending in a partial one, and a
+    virtual batch wider than the cap is a block of its own.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_sub=st.integers(1, 24), vbs=st.integers(1, 64), width=st.integers(1, 300),
+           columns=st.sampled_from(["normal", "offset", "integer", "constant"]),
+           eps=st.sampled_from([1e-5, 1e-3, 1e-300]), rho=st.sampled_from([0.0, 0.5, 0.9]),
+           seed=st.integers(0, 2**32 - 1))
+    # 16 full blocks (the large-batch shape); 3 blocks, the last one partial;
+    # virtual batches wider than the cap; 24 running-sum terms in one column
+    @example(n_sub=16, vbs=64, width=256, columns="normal", eps=1e-5, rho=0.9, seed=0)
+    @example(n_sub=5, vbs=64, width=128, columns="offset", eps=1e-5, rho=0.9, seed=1)
+    @example(n_sub=3, vbs=64, width=300, columns="normal", eps=1e-5, rho=0.0, seed=2)
+    @example(n_sub=24, vbs=40, width=1, columns="normal", eps=1e-5, rho=0.0, seed=3)
+    def test_bitwise(self, n_sub, vbs, width, columns, eps, rho, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_sub * vbs, width)
+        if columns == "constant":
+            x = np.broadcast_to(rng.normal(size=width), shape).copy()
+        elif columns == "integer":
+            x = rng.integers(-3, 4, size=shape).astype(np.float64)
+        else:
+            x = rng.normal(size=shape)
+            if columns == "offset":
+                x = 1e4 + rng.uniform(0.0, 10.0, size=width) * x
+        gamma = rng.normal(size=width)
+        gamma[rng.random(width) < 0.1] = 0.0
+        beta = rng.normal(size=width)
+        running_mean, running_var = rng.normal(size=width), rng.uniform(0.5, 2.0, width)
+        dy = rng.normal(size=shape)
+        x_in, dy_in = x.copy(), dy.copy()
+
+        y, cache, new_mean, new_var = bn_forward(x, gamma, beta, eps, vbs, "train",
+                                                 running_mean, running_var, rho)
+        want = oracles.ghost_bn_forward(x, gamma, beta, eps, vbs,
+                                        running_mean, running_var, rho)
+        for got, ref in zip((y, cache["xhat"], cache["inv_stds"], new_mean, new_var), want):
+            np.testing.assert_array_equal(got, ref)
+        got_back = bn_backward(dy, cache)
+        want_back = oracles.ghost_bn_backward(dy, want[1], want[2], gamma, vbs)
+        for got, ref in zip(got_back, want_back):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(x, x_in)
+        np.testing.assert_array_equal(dy, dy_in)
 
 
 class TestForward:
