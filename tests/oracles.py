@@ -260,3 +260,156 @@ def ghost_bn_backward(dy, xhat, inv_stds, gamma, vbs):
             vbs * dxhat - dxhat.sum(axis=0) - xh * (dxhat * xh).sum(axis=0)
         )
     return dx, dgamma, dbeta
+
+
+# ---------------------------------------------------------------------------
+# A whole training run, written out step by step
+# ---------------------------------------------------------------------------
+#
+# The run `optparity.harness.run_training` must reproduce bit for bit. It
+# shares only data generation, the parameter init and the schedule with the
+# package; the batch stream, the affine/ghost-BN/ReLU/loss passes, the
+# routed per-group step and every divergence check are written out here.
+# `config` is a parsed experiment config; the result is a dict with the
+# fields of optparity's TrainResult.
+
+class _Diverged(Exception):
+    pass
+
+
+def _finite_or_diverge(a):
+    if not np.isfinite(a).all():
+        raise _Diverged
+
+
+def _reference_forward(p, layers, running, x, labels, mc, mode):
+    """Returns (logits, loss, caches); `running` is updated in train mode."""
+    caches = []
+    bn_idx = 0
+    for i, (w, b, scale, shift) in enumerate(layers[:-1]):
+        z = x @ p[w] + p[b]
+        cache = {"x_in": x}
+        if scale is not None:
+            _finite_or_diverge(z)
+            mean, var = running[bn_idx]
+            if mode == "eval":
+                inv = 1.0 / np.sqrt(var + mc.bn_epsilon)
+                y = (z - mean) * inv * p[scale] + p[shift]
+            else:
+                y, xhat, inv_stds, mean, var = ghost_bn_forward(
+                    z, p[scale], p[shift], mc.bn_epsilon, mc.virtual_batch_size,
+                    mean, var, mc.bn_stats_decay)
+                running[bn_idx] = (mean, var)
+                cache["bn"] = (xhat, inv_stds)
+            bn_idx += 1
+        else:
+            y = z
+        cache["mask"] = y > 0.0
+        caches.append(cache)
+        x = np.maximum(y, 0.0)
+    w, b, _, _ = layers[-1]
+    logits = x @ p[w] + p[b]
+    _finite_or_diverge(logits)
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    k = logits.shape[1]
+    onehot = np.zeros((labels.shape[0], k))
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    targets = (1.0 - mc.label_smoothing) * onehot + mc.label_smoothing / k
+    loss = float(-(targets * log_p).sum(axis=1).mean())
+    caches.append({"x_in": x, "log_p": log_p, "targets": targets})
+    return logits, loss, caches
+
+
+def _reference_backward(p, layers, caches, mc):
+    top = caches[-1]
+    dlogits = (np.exp(top["log_p"]) - top["targets"]) / top["x_in"].shape[0]
+    grads = {}
+    w, b, _, _ = layers[-1]
+    grads[w] = top["x_in"].T @ dlogits
+    grads[b] = dlogits.sum(axis=0)
+    da = dlogits @ p[w].T
+    for (w, b, scale, shift), cache in zip(layers[-2::-1], caches[-2::-1]):
+        dy = da * cache["mask"]
+        if scale is not None:
+            xhat, inv_stds = cache["bn"]
+            dz, grads[scale], grads[shift] = ghost_bn_backward(
+                dy, xhat, inv_stds, p[scale], mc.virtual_batch_size)
+        else:
+            dz = dy
+        grads[w] = cache["x_in"].T @ dz
+        grads[b] = dz.sum(axis=0)
+        da = dz @ p[w].T
+    return grads
+
+
+def reference_run_training(config):
+    from optparity.model import gen_synthetic_dataset, init_mlp
+    from optparity.schedule import eval_schedule
+
+    mc, d = config.model, config.data
+    train, eval_set = gen_synthetic_dataset(d.classes, d.features, d.per_class,
+                                            d.spread, d.seed)
+    store = init_mlp(mc, rng_seed=mc.init_seed + config.base_seed)
+    tags = {g.name: g.tag for g in store}
+    p = {g.name: g.values.reshape(g.shape).copy() for g in store}
+    slots = {name: {key: np.zeros(a.size) for key in "vms"} for name, a in p.items()}
+    n_layers = len(mc.layer_widths) - 1
+    layers = [(f"w{i}", f"b{i}",
+               f"bn{i}_scale" if i < n_layers and mc.use_bn[i - 1] else None,
+               f"bn{i}_shift" if i < n_layers and mc.use_bn[i - 1] else None)
+              for i in range(1, n_layers + 1)]
+    running = [(np.zeros(mc.layer_widths[i + 1]), np.ones(mc.layer_widths[i + 1]))
+               for i, on in enumerate(mc.use_bn) if on]
+    rng = np.random.default_rng(config.base_seed)
+    buffer = np.empty(0, dtype=np.int64)
+    result = {"history": [], "status": "completed", "steps_run": 0,
+              "diverged_step": None, "final_train_accuracy": None,
+              "final_eval_accuracy": None, "final_loss": None}
+
+    for t in range(1, config.budget_steps + 1):
+        lr = eval_schedule(config.schedule, t)
+        while buffer.size < config.batch_size:
+            buffer = np.concatenate([buffer, rng.permutation(train.labels.shape[0])])
+        idx, buffer = buffer[:config.batch_size], buffer[config.batch_size:]
+        try:
+            with np.errstate(all="ignore"):
+                _, loss, caches = _reference_forward(
+                    p, layers, running, train.inputs[idx], train.labels[idx], mc, "train")
+                if not math.isfinite(loss):
+                    raise _Diverged
+                grads = _reference_backward(p, layers, caches, mc)
+                for g in grads.values():
+                    _finite_or_diverge(g)
+                names = list(p)
+                groups = [{"tag": tags[n], "theta": p[n].ravel(), "g": grads[n].ravel(),
+                           **slots[n]} for n in names]
+                try:
+                    new = per_group_step(groups, config.routing.routes, lr, t - 1)
+                except ZeroDivisionError:
+                    raise _Diverged from None
+            for name, out in zip(names, new):
+                _finite_or_diverge(out["theta"])
+                p[name] = out["theta"].reshape(p[name].shape)
+                slots[name] = {key: out[key] for key in "vms"}
+        except _Diverged:
+            result.update(status="diverged", diverged_step=t, steps_run=t - 1)
+            return result
+        result["steps_run"] = t
+        if t % config.eval_every == 0 or t == config.budget_steps:
+            train_logits, train_loss, _ = _reference_forward(
+                p, layers, running, train.inputs, train.labels, mc, "eval")
+            eval_logits, _, _ = _reference_forward(
+                p, layers, running, eval_set.inputs, eval_set.labels, mc, "eval")
+            result["history"].append({
+                "step": t,
+                "train_loss": train_loss,
+                "train_accuracy": float((train_logits.argmax(axis=1) == train.labels).mean()),
+                "eval_accuracy": float((eval_logits.argmax(axis=1) == eval_set.labels).mean()),
+                "lr": lr,
+            })
+
+    last = result["history"][-1]
+    result.update(final_train_accuracy=last["train_accuracy"],
+                  final_eval_accuracy=last["eval_accuracy"], final_loss=last["train_loss"])
+    return result

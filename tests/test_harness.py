@@ -1,16 +1,23 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
+from conftest import BASE_CONFIG
 from optparity import harness, tuner
 from optparity.errors import (
     ConfigPathUnknown,
     CorruptRecord,
     EmptyInput,
+    NonFiniteInput,
     ParseError,
     ValidationError,
 )
+from optparity.optim import KINDS
+from optparity.param_store import TAGS
 from optparity.schedule import ScheduleSpec, eval_schedule
 from optparity.tuner import SearchDim, SeedSummary, TrialRecord
 
@@ -146,6 +153,100 @@ class TestRunTraining:
         assert result.diverged_step == 60
         assert result.steps_run == 59
         assert [h["step"] for h in result.history] == [50]
+
+
+
+def _route_config(draw):
+    return {
+        "kind": draw(st.sampled_from(KINDS)),
+        "momentum": draw(st.sampled_from([0.0, 0.5, 0.9])),
+        "beta1": draw(st.sampled_from([0.5, 0.9])),
+        "beta2": draw(st.sampled_from([0.9, 0.999])),
+        "epsilon": draw(st.sampled_from([1e-8, 1e-3])),
+        "bias_correction": draw(st.booleans()),
+        "trust_coefficient": draw(st.sampled_from([1e-3, 0.1])),
+        "decay_mode": draw(st.sampled_from(["l2_into_gradient", "decoupled"])),
+        "decay": draw(st.sampled_from([0.0, 1e-4, 1e-2])),
+        "exclude_tags": sorted(draw(st.frozensets(st.sampled_from(TAGS)))),
+    }
+
+
+@st.composite
+def training_docs(draw):
+    """Small whole-run configs over every axis run_training branches on."""
+    hidden = draw(st.lists(st.integers(1, 32), min_size=1, max_size=3))
+    features, classes = draw(st.integers(1, 8)), draw(st.integers(2, 4))
+    batch = draw(st.integers(1, 32))
+    steps = draw(st.integers(1, 40))
+    routes = [{"tags": sorted(draw(st.frozensets(st.sampled_from(TAGS), min_size=1))),
+               "config": _route_config(draw)} for _ in range(draw(st.integers(0, 2)))]
+    routes.append({"tags": list(TAGS), "config": _route_config(draw)})
+    return {
+        "model": {
+            "layer_widths": [features, *hidden, classes],
+            "use_bn": [draw(st.booleans()) for _ in hidden],
+            "bn_stats_decay": draw(st.sampled_from([0.0, 0.9])),
+            "virtual_batch_size": draw(st.sampled_from(
+                [k for k in range(1, batch + 1) if batch % k == 0])),
+            "label_smoothing": draw(st.sampled_from([0.0, 0.1, 1.0])),
+            "init_seed": draw(st.integers(0, 3)),
+        },
+        "data": {"classes": classes, "features": features,
+                 "per_class": draw(st.integers(3, 20)),
+                 "spread": draw(st.sampled_from([0.5, 2.0])), "seed": draw(st.integers(0, 3))},
+        "optimizer": routes,
+        "schedule": {"family": draw(st.sampled_from(["constant", "cosine"])),
+                     "eta_peak": draw(st.sampled_from([1e-3, 0.1, 1.0, 1e4, 1e10])),
+                     "total_steps": steps},
+        "budget_steps": steps,
+        "batch_size": batch,
+        "eval_every": draw(st.integers(1, steps + 1)),
+        "base_seed": draw(st.integers(0, 3)),
+    }
+
+
+def _diverging(eta, use_bn=True, **optimizer):
+    doc = copy.deepcopy(BASE_CONFIG)
+    doc["schedule"] = {"family": "constant", "eta_peak": eta, "total_steps": 200}
+    doc["model"]["use_bn"] = use_bn
+    doc["optimizer"][0]["config"].update(optimizer)
+    return doc
+
+
+# the tests' base config at eta 1e6: non-finite logits at step 81
+DIVERGES_AT_LOGITS = _diverging(1e6)
+# without BN on the first layer, heavy-ball at eta 1e12: a NaN reaches the
+# second layer's BN input at step 18
+DIVERGES_AT_BN_INPUT = _diverging(1e12, [False, True], kind="heavy_ball")
+# LAMB with epsilon=0 meets a zero second moment at step 1: DivisionHazard
+DIVISION_HAZARD = _diverging(0.01, False, kind="lamb", epsilon=0.0, decay=0.0)
+
+
+class TestRunMatchesReference:
+    """run_training against oracles.reference_run_training, == on the TrainResult."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(training_docs())
+    @example(DIVERGES_AT_LOGITS)
+    @example(DIVERGES_AT_BN_INPUT)
+    @example(DIVISION_HAZARD)
+    def test_whole_run(self, doc):
+        config = harness.parse_config(doc)
+        try:
+            want = oracles.reference_run_training(config)
+        except oracles._Diverged:  # a non-finite value met at an eval point
+            with pytest.raises(NonFiniteInput):
+                harness.run_training(config)
+            return
+        assert harness.run_training(config) == harness.TrainResult(**want)
+
+    @pytest.mark.parametrize("doc,step", [(DIVERGES_AT_LOGITS, 81),
+                                          (DIVERGES_AT_BN_INPUT, 18),
+                                          (DIVISION_HAZARD, 1)],
+                             ids=["logits", "bn-input", "division-hazard"])
+    def test_examples_diverge_where_stated(self, doc, step):
+        result = harness.run_training(harness.parse_config(doc))
+        assert (result.status, result.diverged_step) == ("diverged", step)
 
 
 class TestStudy:
