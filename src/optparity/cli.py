@@ -65,7 +65,7 @@ def train(config_path, out_path, seed):
     try:
         config = harness.parse_config(doc)
     except (ParseError, ValidationError) as exc:
-        _fail(exc)
+        _fail(f"{config_path}: {exc}")
     result = harness.run_training(config)
     if out_path:
         _write_text(out_path, json.dumps(asdict(result), indent=2))
@@ -90,7 +90,8 @@ def train(config_path, out_path, seed):
 @click.option("--metric", default="final_eval_accuracy")
 @click.option("--offset", default=0, type=int)
 @click.option("--seed", default=None, type=int)
-@click.option("--workers", default=1, type=int)
+@click.option("--workers", default=1, type=int,
+              help="Worker processes, at least 1; at most the CPU count run.")
 def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed, workers):
     """Quasi-random search; appends trial records to a JSONL log."""
     doc = _load_config(config_path, seed)
@@ -108,6 +109,8 @@ def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed
         records = tuner.run_study(space, doc, trials, budget, metric,
                                   offset=offset, workers=workers)
         harness.write_results(records, out_path)
+    except (ParseError, ValidationError) as exc:  # no trial's config is valid
+        _fail(f"{config_path}: {exc}")
     except OptparityError as exc:
         _fail(exc)
     try:

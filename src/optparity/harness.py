@@ -13,6 +13,7 @@ import copy
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -37,7 +38,8 @@ from .model import (
     gen_synthetic_dataset,
     init_mlp,
 )
-from .optim import OptimizerConfig, OptimizerState, RoutingRule, composite_step
+from .optim import OptimizerConfig, OptimizerState, RoutingRule, apply_step
+from .optim import composite_step  # noqa: F401  perfbench/tracing.py wraps this name
 from .param_store import TAGS
 from .schedule import ScheduleSpec, eval_schedule
 from .tuner import SeedSummary, TrialRecord, multi_seed_eval
@@ -101,6 +103,26 @@ def _reject_unknown(section: dict, allowed: set, prefix: str):
             raise ValidationError(f"{prefix}{key}", "unknown key")
 
 
+def _typed(value, kind, path: str, what: str):
+    if not isinstance(value, kind):
+        raise ValidationError(path, f"must be {what}, got {value!r}")
+    return value
+
+
+def _integer(value, path: str) -> int:
+    """An int, or a float with an integral value; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(path, f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(path, f"must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(doc) -> ExperimentConfig:
     """Parse and validate a JSON config document (text or dict)."""
     if isinstance(doc, str):
@@ -114,6 +136,8 @@ def parse_config(doc) -> ExperimentConfig:
     for req in ("model", "data", "optimizer", "schedule", "budget_steps", "batch_size"):
         if req not in doc:
             raise ValidationError(req, "missing")
+    for key in ("model", "data", "schedule"):
+        _typed(doc[key], dict, key, "an object")
     _reject_unknown(doc["model"], _MODEL_KEYS, "model.")
     _reject_unknown(doc["data"], _DATA_KEYS, "data.")
     _reject_unknown(doc["schedule"], _SCHED_KEYS, "schedule.")
@@ -131,16 +155,18 @@ def parse_config(doc) -> ExperimentConfig:
         raise ValidationError("schedule", str(exc)) from exc
 
     routes = []
-    for i, route in enumerate(doc["optimizer"]):
+    for i, route in enumerate(_typed(doc["optimizer"], list, "optimizer", "a list")):
         prefix = f"optimizer.{i}."
+        _typed(route, dict, prefix[:-1], "an object")
         _reject_unknown(route, {"tags", "config"}, prefix)
-        tags = frozenset(route.get("tags", ()))
-        bad = tags - set(TAGS)
-        if bad or not tags:
-            raise ValidationError(prefix + "tags", f"invalid tag set {sorted(tags)}")
-        _reject_unknown(route.get("config", {}), _OPT_KEYS, prefix + "config.")
+        tags = _typed(route.get("tags", []), list, prefix + "tags", "a list")
+        if not tags or any(tag not in TAGS for tag in tags):
+            raise ValidationError(prefix + "tags", f"invalid tag set {sorted(map(str, tags))}")
+        tags = frozenset(tags)
+        config = _typed(route.get("config", {}), dict, prefix + "config", "an object")
+        _reject_unknown(config, _OPT_KEYS, prefix + "config.")
         try:
-            cfg = OptimizerConfig(**route["config"])
+            cfg = OptimizerConfig(**config)
         except Exception as exc:
             raise ValidationError(prefix + "config", str(exc)) from exc
         routes.append((tags, cfg))
@@ -148,8 +174,8 @@ def parse_config(doc) -> ExperimentConfig:
     if not routing.covers_all():
         raise ValidationError("optimizer", "routing does not cover all tags")
 
-    budget = int(doc["budget_steps"])
-    batch_size = int(doc["batch_size"])
+    budget = _integer(doc["budget_steps"], "budget_steps")
+    batch_size = _integer(doc["batch_size"], "batch_size")
     if budget <= 0:
         raise ValidationError("budget_steps", "must be > 0")
     if sched.total_steps != budget:
@@ -161,7 +187,7 @@ def parse_config(doc) -> ExperimentConfig:
             "batch_size",
             f"{batch_size} not divisible by virtual_batch_size {model.virtual_batch_size}",
         )
-    eval_every = int(doc.get("eval_every", 50))
+    eval_every = _integer(doc.get("eval_every", 50), "eval_every")
     if eval_every <= 0:
         raise ValidationError("eval_every", "must be > 0")
     return ExperimentConfig(
@@ -172,9 +198,9 @@ def parse_config(doc) -> ExperimentConfig:
         budget_steps=budget,
         batch_size=batch_size,
         eval_every=eval_every,
-        base_seed=int(doc.get("base_seed", 0)),
+        base_seed=_integer(doc.get("base_seed", 0), "base_seed"),
         target_metric=doc.get("target_metric", "final_eval_accuracy"),
-        target_value=float(doc.get("target_value", 0.0)),
+        target_value=_number(doc.get("target_value", 0.0), "target_value"),
     )
 
 
@@ -239,15 +265,18 @@ class _BatchStream:
 def run_training(config: ExperimentConfig) -> TrainResult:
     """The fixed pipeline: seeded data order, forward/backward, routed update.
 
-    Any NaN/Inf in the loss, gradients, or parameters marks the run
-    diverged; the history is truncated at the last clean eval point and
-    no non-finite value is recorded.
+    The run owns one store, one optimizer state and one gradient vector and
+    updates them in place. Any NaN/Inf in the loss, gradients, or parameters
+    marks the run diverged; the history is truncated at the last clean eval
+    point and no non-finite value is recorded.
     """
     d = config.data
     train, eval_set = gen_synthetic_dataset(
         d.classes, d.features, d.per_class, d.spread, d.seed
     )
     params = init_mlp(config.model, rng_seed=config.model.init_seed + config.base_seed)
+    theta = params.flat
+    grad = np.empty_like(theta)
     stats = BnRunningStats.for_config(config.model)
     opt_state = OptimizerState.for_store(params)
     stream = _BatchStream(train, config.batch_size, config.base_seed)
@@ -270,14 +299,14 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         try:
             # overflow on the way to divergence is classified explicitly
             with np.errstate(all="ignore"):
+                # `cache` keeps the last step's temporaries alive until this
+                # forward returns, so the allocator reuses their pages
                 _, loss, cache, stats = forward(params, stats, batch, config.model, "train")
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise NonFiniteInput("non-finite loss")
-                grads = backward(cache, params, config.model)
-                params, opt_state = composite_step(
-                    params, grads, config.routing, lr, opt_state
-                )
-            if not np.isfinite(params.flat).all():
+                backward(cache, params, config.model, out=grad)
+                apply_step(theta, grad, config.routing, lr, opt_state)
+            if not np.isfinite(theta).all():
                 raise NonFiniteInput("non-finite parameters")
         except (NonFiniteInput, DivisionHazard, FloatingPointError):
             result.status = "diverged"

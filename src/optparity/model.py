@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     StaleCache,
+    UnknownGroupName,
 )
 from .param_store import ParamGroup, ParamStore, build_param_store
 
@@ -234,10 +235,70 @@ def _log_softmax(logits):
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
+def target_table(n_classes, tau):
+    """Row k is the smoothed target of label k: (1-tau)*onehot(k) + tau/K."""
+    return (1.0 - tau) * np.eye(n_classes) + tau / n_classes
+
+
 def smoothed_targets(labels, n_classes, tau):
-    onehot = np.zeros((labels.shape[0], n_classes))
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return (1.0 - tau) * onehot + tau / n_classes
+    return target_table(n_classes, tau)[labels]
+
+
+class LayerPlan:
+    """What forward and backward need of one store under one model config.
+
+    `layers` holds, per affine layer, its weight matrix, bias and (for a
+    hidden layer with BN) BN scale and shift as views into the store's
+    `flat`, which a store never replaces; `targets` is the smoothed-target
+    table. `grad_views(out)` gives the same groups' views into a gradient
+    vector laid out like `flat`.
+    """
+
+    def __init__(self, params: ParamStore, config: MlpConfig):
+        self.config = config
+        segments = {seg.name: seg for seg in params.segments}
+        n_layers = len(config.layer_widths) - 1
+        self._segments = []
+        for i in range(1, n_layers + 1):
+            names = [f"w{i}", f"b{i}"]
+            if i < n_layers and config.use_bn[i - 1]:
+                names += [f"bn{i}_scale", f"bn{i}_shift"]
+            try:
+                self._segments.append([segments[name] for name in names])
+            except KeyError as exc:
+                raise UnknownGroupName(exc.args[0]) from None
+        covered = sum(seg.stop - seg.start for segs in self._segments for seg in segs)
+        if covered != params.flat.size:
+            raise ShapeMismatch(f"store holds {params.flat.size} parameters, "
+                                f"the model {covered}")
+        self.layers = self._views(params.flat)
+        self.targets = target_table(config.n_classes, config.label_smoothing)
+        self._out = None
+
+    def _views(self, vec: np.ndarray) -> list[tuple]:
+        """Per layer (weight, bias, BN scale or None, BN shift or None) over `vec`."""
+        views = []
+        for segs in self._segments:
+            layer = [vec[seg.start:seg.stop].reshape(seg.shape) for seg in segs]
+            views.append(tuple(layer + [None] * (4 - len(layer))))
+        return views
+
+    def grad_views(self, out: np.ndarray):
+        """(per-layer views, {group name: flat view}) into `out`."""
+        if out is not self._out:
+            self._layer_grads = self._views(out)
+            self._named_grads = {seg.name: out[seg.start:seg.stop]
+                                 for segs in self._segments for seg in segs}
+            self._out = out
+        return self._layer_grads, self._named_grads
+
+
+def layer_plan(params: ParamStore, config: MlpConfig) -> LayerPlan:
+    """The store's plan for `config`, built on first use and kept with the store."""
+    plan = params.layer_plan
+    if plan is None or plan.config is not config:
+        plan = params.layer_plan = LayerPlan(params, config)
+    return plan
 
 
 def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
@@ -252,42 +313,37 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
         raise ShapeMismatch(
             f"batch has {batch.inputs.shape[1]} features, model expects {widths[0]}"
         )
-    if np.any(batch.labels >= config.n_classes):
+    if (batch.labels >= config.n_classes).any():
         raise InvalidConfig("label out of range")
+    plan = layer_plan(params, config)
     x = batch.inputs
     new_stats = stats.copy()
     layer_caches = []
     bn_idx = 0
-    for i in range(len(widths) - 2):
-        w = params[f"w{i + 1}"].as_matrix()
-        b = params[f"b{i + 1}"].values
-        z = x @ w + b
-        lc = {"x_in": x, "layer": i}
-        if config.use_bn[i]:
-            gamma = params[f"bn{i + 1}_scale"].values
-            beta = params[f"bn{i + 1}_shift"].values
-            y, bn_cache, new_stats.means[bn_idx], new_stats.vars[bn_idx] = bn_forward(
+    for w, b, gamma, beta in plan.layers[:-1]:
+        z = np.matmul(x, w)
+        z += b
+        bn_cache = None
+        if gamma is not None:
+            z, bn_cache, new_stats.means[bn_idx], new_stats.vars[bn_idx] = bn_forward(
                 z, gamma, beta, config.bn_epsilon, config.virtual_batch_size, mode,
                 new_stats.means[bn_idx], new_stats.vars[bn_idx], config.bn_stats_decay,
             )
-            lc["bn"] = bn_cache
             bn_idx += 1
-        else:
-            y = z
-        a = np.maximum(y, 0.0)
-        lc["relu_mask"] = y > 0.0
-        layer_caches.append(lc)
-        x = a
-    w = params[f"w{len(widths) - 1}"].as_matrix()
-    b = params[f"b{len(widths) - 1}"].values
-    logits = x @ w + b
-    if not np.all(np.isfinite(logits)):
+        relu_mask = z > 0.0
+        layer_caches.append((x, bn_cache, relu_mask))
+        x = np.maximum(z, 0.0)
+    w, b, _, _ = plan.layers[-1]
+    logits = np.matmul(x, w)
+    logits += b
+    if not np.isfinite(logits).all():
         raise NonFiniteInput("non-finite logits")
     log_p = _log_softmax(logits)
-    targets = smoothed_targets(batch.labels, config.n_classes, config.label_smoothing)
+    targets = plan.targets[batch.labels]
     loss = float(-(targets * log_p).sum(axis=1).mean())
     cache = {
         "mode": mode,
+        "plan": plan,
         "layers": layer_caches,
         "last_input": x,
         "log_p": log_p,
@@ -297,34 +353,37 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     return logits, loss, cache, new_stats
 
 
-def backward(cache, params: ParamStore, config: MlpConfig) -> dict[str, np.ndarray]:
-    """Exact gradients of the smoothed loss for every group, flat vectors."""
+def backward(cache, params: ParamStore, config: MlpConfig,
+             out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Exact gradients of the smoothed loss for every group.
+
+    Each group's gradient is written into its slice of `out`, a vector laid
+    out like the store's `flat` (allocated when not given); returns the
+    flat views of those slices by group name.
+    """
     if cache.get("mode") != "train":
         raise StaleCache("backward needs a train-mode forward cache")
-    widths = config.layer_widths
+    plan = cache["plan"]
+    if out is None:
+        out = np.empty(params.flat.size)
+    layer_grads, named = plan.grad_views(out)
     n = cache["batch_size"]
-    probs = np.exp(cache["log_p"])
-    dlogits = (probs - cache["targets"]) / n
-    grads: dict[str, np.ndarray] = {}
-    last = len(widths) - 1
-    x = cache["last_input"]
-    grads[f"w{last}"] = (x.T @ dlogits).ravel()
-    grads[f"b{last}"] = dlogits.sum(axis=0)
-    da = dlogits @ params[f"w{last}"].as_matrix().T
-    for lc in reversed(cache["layers"]):
-        i = lc["layer"]
-        dy = da * lc["relu_mask"]
-        if "bn" in lc:
-            dz, dgamma, dbeta = bn_backward(dy, lc["bn"])
-            grads[f"bn{i + 1}_scale"] = dgamma
-            grads[f"bn{i + 1}_shift"] = dbeta
-        else:
-            dz = dy
-        x_in = lc["x_in"]
-        grads[f"w{i + 1}"] = (x_in.T @ dz).ravel()
-        grads[f"b{i + 1}"] = dz.sum(axis=0)
-        da = dz @ params[f"w{i + 1}"].as_matrix().T
-    return grads
+    dlogits = np.exp(cache["log_p"])
+    dlogits -= cache["targets"]
+    dlogits /= n
+    gw, gb, _, _ = layer_grads[-1]
+    np.matmul(cache["last_input"].T, dlogits, out=gw)
+    np.add.reduce(dlogits, axis=0, out=gb)
+    dz = dlogits
+    for k in range(len(plan.layers) - 2, -1, -1):
+        x_in, bn_cache, relu_mask = cache["layers"][k]
+        gw, gb, gscale, gshift = layer_grads[k]
+        dz = (dz @ plan.layers[k + 1][0].T) * relu_mask
+        if bn_cache is not None:
+            dz, gscale[...], gshift[...] = bn_backward(dz, bn_cache)
+        np.matmul(x_in.T, dz, out=gw)
+        np.add.reduce(dz, axis=0, out=gb)
+    return named
 
 
 def _loss_highprec(values: dict[str, np.ndarray], batch: Batch, config: MlpConfig):

@@ -13,7 +13,9 @@ composite step. Because the store's flat vector is ordered by tag, the
 groups one rule covers form a contiguous slice (one per run of adjacent
 tags), and each rule updates its whole slice with one fused call: per-
 element decay where exclusions differ, per-group LARS/LAMB trust ratios.
-The composite step is copy-on-write: it returns a new store and state.
+`apply_step` updates a flat parameter vector and the optimizer state in
+place; `composite_step` is its copy-on-write form over a store and a
+gradient dict, returning a new store and state.
 
 The public ``*_update`` functions apply the same fused rules to a single
 group and return new arrays, leaving their inputs untouched.
@@ -95,7 +97,6 @@ class OptimizerState:
         self.v, self.m, self.s, self.t = v, m, s, t
         self.segments = segments
         self._plan = plan
-        self._slots = None
 
     @classmethod
     def for_store(cls, store: ParamStore) -> "OptimizerState":
@@ -104,13 +105,17 @@ class OptimizerState:
 
     @property
     def slots(self) -> dict[str, GroupState]:
-        if self._slots is None:
-            self._slots = {
-                seg.name: GroupState(self.v[seg.start:seg.stop], self.m[seg.start:seg.stop],
-                                     self.s[seg.start:seg.stop], self.t)
-                for seg in self.segments
-            }
-        return self._slots
+        return {
+            seg.name: GroupState(self.v[seg.start:seg.stop], self.m[seg.start:seg.stop],
+                                 self.s[seg.start:seg.stop], self.t)
+            for seg in self.segments
+        }
+
+    def plan_for(self, routing: "RoutingRule") -> "_Plan":
+        """The parts `routing` makes of this state's layout, built once per routing."""
+        if self._plan is None or self._plan.routing is not routing:
+            self._plan = _Plan(routing, tuple(sorted(self.segments, key=lambda s: s.start)))
+        return self._plan
 
 
 @dataclass
@@ -150,8 +155,9 @@ class _Part:
 
     def __init__(self, config: OptimizerConfig, segs: list[Segment]):
         self.config = config
-        self.start, self.stop = segs[0].start, segs[-1].stop
-        self.bounds = [(seg.start - self.start, seg.stop - self.start) for seg in segs]
+        start = segs[0].start
+        self.slice = slice(start, segs[-1].stop)
+        self.bounds = [(seg.start - start, seg.stop - start) for seg in segs]
         self.sizes = np.array([seg.stop - seg.start for seg in segs])
         self.included = [seg.tag not in config.exclude_tags for seg in segs]
         decay = _per_element([config.decay if on else 0.0 for on in self.included],
@@ -179,9 +185,6 @@ class _Plan:
         self.writes_v = bool(kinds & {"heavy_ball", "nesterov", "lars"})
         self.writes_ms = bool(kinds & {"adam", "lamb"})
         self.grad_shapes = [(seg.stop - seg.start,) for seg in flat_order]
-
-    def fits(self, routing: RoutingRule, store: ParamStore) -> bool:
-        return routing is self.routing and store.flat_order is self.flat_order
 
 
 def _check(g: np.ndarray, theta: np.ndarray):
@@ -334,17 +337,32 @@ def lamb_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig
 
 
 def _flat_gradient(grads: dict[str, np.ndarray], plan: _Plan) -> np.ndarray:
-    """The gradients concatenated in flat order, checked for length and finiteness."""
+    """The gradients concatenated in flat order, each checked for length."""
     parts = [grads[seg.name] for seg in plan.flat_order]
     shapes = [p.shape for p in parts]
     if shapes != plan.grad_shapes:
         for seg, shape, want in zip(plan.flat_order, shapes, plan.grad_shapes):
             if shape != want:
                 raise LengthMismatch(f"gradient of {seg.name!r}: {shape} vs {want}")
-    g = np.concatenate(parts, dtype=np.float64)
-    if not np.isfinite(g).all():
-        raise NonFiniteInput("gradient contains NaN/Inf")
-    return g
+    return np.concatenate(parts, dtype=np.float64)
+
+
+def apply_step(theta: np.ndarray, g: np.ndarray, routing: RoutingRule, eta: float,
+               state: OptimizerState) -> None:
+    """Update every group via its routed rule with a shared learning rate, in place.
+
+    `theta` is a store's flat vector and `g` its gradient in the same layout;
+    `theta` and the slots of `state` are updated in place. The global step
+    counter advances exactly once; every rule sees the pre-step count so
+    Adam bias correction stays aligned. A raised error leaves them part-way.
+    """
+    _check(g, theta)
+    plan = state.plan_for(routing)
+    v, m, s, t = state.v, state.m, state.s, state.t
+    for part in plan.parts:
+        sl = part.slice
+        _UPDATE_FNS[part.config.kind](theta[sl], g[sl], v[sl], m[sl], s[sl], eta, part, t)
+    state.t = t + 1
 
 
 def composite_step(
@@ -354,22 +372,16 @@ def composite_step(
     eta: float,
     state: OptimizerState,
 ) -> tuple[ParamStore, OptimizerState]:
-    """Update every group via its routed rule with a shared learning rate.
+    """`apply_step` on copies: returns a new store and state.
 
-    The global step counter advances exactly once; every rule sees the
-    pre-step count so Adam bias correction stays aligned. Neither `store`
-    nor `state` is modified.
+    `grads` maps every group name to its flat gradient. Neither `store`
+    nor `state` is modified; slot vectors no routed rule writes are shared.
     """
-    plan = state._plan
-    if plan is None or not plan.fits(routing, store):
-        plan = _Plan(routing, store.flat_order)
+    plan = state.plan_for(routing)
     g = _flat_gradient(grads, plan)
     new_store = store.copy()
-    theta = new_store.flat
     v = state.v.copy() if plan.writes_v else state.v
     m, s = (state.m.copy(), state.s.copy()) if plan.writes_ms else (state.m, state.s)
-    for part in plan.parts:
-        sl = slice(part.start, part.stop)
-        _UPDATE_FNS[part.config.kind](theta[sl], g[sl], v[sl], m[sl], s[sl], eta, part,
-                                      state.t)
-    return new_store, OptimizerState(v, m, s, state.t + 1, store.segments, plan)
+    new_state = OptimizerState(v, m, s, state.t, state.segments, plan)
+    apply_step(new_store.flat, g, routing, eta, new_state)
+    return new_store, new_state

@@ -71,7 +71,9 @@ class ParamStore:
     """Groups in model order over one tag-ordered flat vector.
 
     `segments` lists the groups in model order and `flat_order` the same
-    segments by offset; both are shared, unchanged, by every copy.
+    segments by offset; both are shared, unchanged, by every copy. A store
+    never replaces its `flat`, so views into it stay valid: `layer_plan`
+    holds the model's (see `model.layer_plan`), and a copy starts without.
     """
 
     def __init__(self, groups: list[ParamGroup] = ()):
@@ -96,6 +98,7 @@ class ParamStore:
 
     def _adopt(self, flat: np.ndarray) -> None:
         self.flat = flat
+        self.layer_plan = None
         self.groups = [ParamGroup._view(seg, flat) for seg in self.segments]
         self._index = {g.name: g for g in self.groups}
 

@@ -9,11 +9,21 @@ selection; trial budgets elsewhere refer to feasible trials.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidUnit, NoCompletedTrials, TooManyDims
+from .errors import (
+    InvalidConfig,
+    InvalidUnit,
+    NoCompletedTrials,
+    ParseError,
+    TooManyDims,
+    ValidationError,
+)
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
@@ -112,14 +122,20 @@ def run_study(space, base_config: dict, n_trials: int, budget_steps: int,
     `base_config` is the JSON-shaped experiment config dict; each trial
     patches it at the dotted search-dimension paths, plus the step budget
     (budget_steps and schedule.total_steps kept in sync) and a per-trial
-    seed base_seed + trial_index. Diverged trials are recorded and the
-    study continues.
+    seed base_seed + trial_index. Every trial's config is parsed before
+    any trial runs: one that fails is recorded as an error, and if every
+    one fails the first trial's error is raised, since no trial can run.
+    Diverged trials are recorded and the study continues. At most
+    `os.cpu_count()` worker processes run trials; records do not depend
+    on the worker count.
     """
     if n_trials < 1:
         raise InvalidConfig("n_trials must be >= 1")
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     from . import harness  # local import to avoid the module cycle
 
-    jobs = []
+    jobs, errors, records = [], [], []
     base_seed = int(base_config.get("base_seed", 0))
     for i in range(n_trials):
         assignment = sample_trial(space, i, offset)
@@ -129,27 +145,37 @@ def run_study(space, base_config: dict, n_trials: int, budget_steps: int,
         harness.patch_config(cfg, "budget_steps", budget_steps)
         harness.patch_config(cfg, "schedule.total_steps", budget_steps)
         harness.patch_config(cfg, "base_seed", base_seed + i)
-        jobs.append((i, assignment, base_seed + i, cfg))
+        try:
+            jobs.append((i, assignment, base_seed + i, harness.parse_config(cfg)))
+            records.append(None)
+        except (ParseError, ValidationError) as exc:
+            errors.append(exc)
+            records.append(_error_record(i, assignment, base_seed + i, exc))
+    if not jobs:
+        raise errors[0]
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial_job, jobs))
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            ran = iter(list(pool.map(_run_trial_job, jobs)))
     else:
-        results = [_run_trial_job(job) for job in jobs]
-    return results
+        ran = iter([_run_trial_job(job) for job in jobs])
+    return [rec if rec is not None else next(ran) for rec in records]
+
+
+def _error_record(i, assignment, seed, exc) -> TrialRecord:
+    return TrialRecord(i, assignment, seed, "error", error=f"{type(exc).__name__}: {exc}")
 
 
 def _run_trial_job(job) -> TrialRecord:
     from . import harness
 
-    i, assignment, seed, cfg = job
+    i, assignment, seed, config = job
     try:
-        parsed = harness.parse_config(cfg)
-        result = harness.run_training(parsed)
+        result = harness.run_training(config)
     except Exception as exc:
-        return TrialRecord(i, assignment, seed, "error", error=f"{type(exc).__name__}: {exc}")
+        return _error_record(i, assignment, seed, exc)
     if result.status == "diverged":
         return TrialRecord(i, assignment, seed, "diverged",
                            steps_run=result.steps_run,

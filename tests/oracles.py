@@ -1,11 +1,13 @@
-"""Independent reference implementations, with no imports from the package.
+"""Independent reference implementations.
 
 The scalar recurrences are written directly from the update-rule
 definitions using plain Python floats and `math`; each replays a full
 scalar trajectory and returns the list of parameter values after each
 step. `per_group_step` is the numpy per-group composite step, and
 `ghost_bn_forward`/`ghost_bn_backward` are the per-virtual-batch loops of
-train-mode ghost batch normalization.
+train-mode ghost batch normalization. `reference_run_training` is a whole
+training run built from those; it alone imports from the package (data
+generation, the parameter init and the schedule).
 """
 
 import math

@@ -142,6 +142,11 @@ def test_unreadable_json_exits_2_with_one_error_line(tmp_path, base_config, comm
     assert_one_error_line(result, str(paths[bad_file]))
 
 
+def _base_with(**fields):
+    """The base config with top-level fields replaced."""
+    return lambda base: {**base, **fields}
+
+
 @pytest.mark.parametrize("command,bad_file,doc,extra", [
     ("tune", "space", [{"name": "schedule.eta_peak", "kind": "continuous", "bogus": 1}], []),
     ("tune", "space", {"name": "schedule.eta_peak"}, []),
@@ -153,13 +158,26 @@ def test_unreadable_json_exits_2_with_one_error_line(tmp_path, base_config, comm
     ("ablate", None, None, ["--seeds", "a,b"]),
     ("report", "results", {"label": "Base", "median": 0.9}, []),
     ("schedule export", "config", [], []),
+    ("train", "config", _base_with(budget_steps="abc"), []),
+    ("train", "config", _base_with(base_seed="x"), []),
+    ("train", "config", _base_with(target_value="hi"), []),
+    ("train", "config", _base_with(optimizer=5), []),
+    ("train", "config", _base_with(optimizer=[5]), []),
+    ("train", "config", _base_with(model=5), []),
+    ("train", "config", _base_with(batch_size=True), []),
+    ("train", "config", _base_with(eval_every=2.7), []),
 ], ids=["tune-space-unknown-key", "tune-space-object", "tune-space-name-not-text",
         "tune-config-list", "tune-no-budget",
         "ablate-two-element-override", "ablate-overrides-object", "ablate-seeds-not-int",
-        "report-results-object", "schedule-config-list"])
+        "report-results-object", "schedule-config-list",
+        "train-budget-text", "train-seed-text", "train-target-text", "train-optimizer-number",
+        "train-route-number", "train-model-number", "train-batch-bool",
+        "train-eval-every-fraction"])
 def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command,
                                                   bad_file, doc, extra):
     paths = _valid_inputs(tmp_path, base_config)
+    if callable(doc):
+        doc = doc(base_config)
     if bad_file:
         write_json(paths[bad_file], doc)
     result = CliRunner().invoke(main, COMMANDS[command](paths) + extra)
@@ -187,3 +205,19 @@ def test_ablate_has_no_workers_option(tmp_path, base_config):
     result = CliRunner().invoke(main, COMMANDS["ablate"](paths) + ["--workers", "0"])
     assert result.exit_code == 2
     assert "No such option" in result.output
+
+
+def test_tune_invalid_base_config_exits_2_and_writes_no_log(tmp_path, base_config):
+    base_config["model"]["bogus"] = 1
+    paths = _valid_inputs(tmp_path, base_config)
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths) + ["--trials", "2"])
+    assert_one_error_line(result, f"{paths['config']}: model.bogus: unknown key")
+    assert not (tmp_path / "trials.jsonl").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_tune_workers_below_one_exits_2(tmp_path, base_config, workers):
+    paths = _valid_inputs(tmp_path, base_config)
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths) + ["--workers", workers])
+    assert_one_error_line(result, "workers must be >= 1")
+    assert not (tmp_path / "trials.jsonl").exists()

@@ -12,6 +12,7 @@ from optparity.errors import (
     ConfigPathUnknown,
     CorruptRecord,
     EmptyInput,
+    InvalidConfig,
     NonFiniteInput,
     ParseError,
     ValidationError,
@@ -140,11 +141,11 @@ class TestRunTraining:
         real_backward = harness.backward
         calls = []
 
-        def poisoned(cache, params, config):
-            grads = real_backward(cache, params, config)
+        def poisoned(cache, params, config, out=None):
+            grads = real_backward(cache, params, config, out=out)
             calls.append(1)
             if len(calls) == 60:
-                grads["b2"] = grads["b2"] * np.nan
+                grads["b2"][:] = np.nan  # a view of the flat gradient
             return grads
 
         monkeypatch.setattr(harness, "backward", poisoned)
@@ -225,7 +226,7 @@ DIVISION_HAZARD = _diverging(0.01, False, kind="lamb", epsilon=0.0, decay=0.0)
 class TestRunMatchesReference:
     """run_training against oracles.reference_run_training, == on the TrainResult."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(training_docs())
     @example(DIVERGES_AT_LOGITS)
     @example(DIVERGES_AT_BN_INPUT)
@@ -286,6 +287,49 @@ class TestStudy:
         assert records[0].error is None
         assert records[1].error == ("ValidationError: batch_size: "
                                     "64 not divisible by virtual_batch_size 7")
+
+    def test_invalid_base_config_fails_before_any_run(self, base_config, monkeypatch):
+        base_config["model"]["bogus"] = 1
+        monkeypatch.setattr(harness, "run_training", pytest.fail)
+        with pytest.raises(ValidationError, match="model.bogus: unknown key"):
+            tuner.run_study(self.SPACE, base_config, 3, 50, "final_train_accuracy")
+
+    def test_one_and_two_workers_give_identical_records(self, base_config, monkeypatch):
+        space = [SearchDim("schedule.eta_peak", "discrete_set", values=[1e30, 0.1, 0.3])]
+        monkeypatch.setattr(tuner.os, "cpu_count", lambda: 2)
+        one = tuner.run_study(space, base_config, 3, 30, "final_train_accuracy", workers=1)
+        two = tuner.run_study(space, base_config, 3, 30, "final_train_accuracy", workers=2)
+        assert [r.status for r in one] == ["completed", "diverged", "completed"]
+        assert one == two
+
+    def test_workers_capped_at_cpu_count(self, base_config, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(tuner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(tuner.os, "cpu_count", lambda: 3)
+        records = tuner.run_study(self.SPACE, base_config, 2, 10, "final_train_accuracy",
+                                  workers=64)
+        assert started == [3]
+        assert [r.trial_index for r in records] == [0, 1]
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, base_config, workers):
+        with pytest.raises(InvalidConfig, match="workers"):
+            tuner.run_study(self.SPACE, base_config, 1, 10, "final_train_accuracy",
+                            workers=workers)
 
     def test_unknown_search_path(self, base_config):
         space = [SearchDim("schedule.bogus", "continuous", 0.0, 1.0)]
