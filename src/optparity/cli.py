@@ -91,7 +91,7 @@ def train(config_path, out_path, seed):
 @click.option("--offset", default=0, type=int)
 @click.option("--seed", default=None, type=int)
 @click.option("--workers", default=1, type=int,
-              help="Worker processes, at least 1; at most the CPU count run.")
+              help="Worker processes (>= 1); at most os.cpu_count() run.")
 def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed, workers):
     """Quasi-random search; appends trial records to a JSONL log."""
     doc = _load_config(config_path, seed)

@@ -97,6 +97,7 @@ class OptimizerState:
         self.v, self.m, self.s, self.t = v, m, s, t
         self.segments = segments
         self._plan = plan
+        self._slots = (None, {})
 
     @classmethod
     def for_store(cls, store: ParamStore) -> "OptimizerState":
@@ -105,11 +106,14 @@ class OptimizerState:
 
     @property
     def slots(self) -> dict[str, GroupState]:
-        return {
-            seg.name: GroupState(self.v[seg.start:seg.stop], self.m[seg.start:seg.stop],
-                                 self.s[seg.start:seg.stop], self.t)
-            for seg in self.segments
-        }
+        """Per-group views of the slot vectors, rebuilt when the step count moves."""
+        if self._slots[0] != self.t:
+            self._slots = (self.t, {
+                seg.name: GroupState(self.v[seg.start:seg.stop], self.m[seg.start:seg.stop],
+                                     self.s[seg.start:seg.stop], self.t)
+                for seg in self.segments
+            })
+        return self._slots[1]
 
     def plan_for(self, routing: "RoutingRule") -> "_Plan":
         """The parts `routing` makes of this state's layout, built once per routing."""

@@ -9,9 +9,7 @@ selection; trial budgets elsewhere refer to feasible trials.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +154,9 @@ def run_study(space, base_config: dict, n_trials: int, budget_steps: int,
 
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
+        import multiprocessing  # here, so that a sequential study never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             ran = iter(list(pool.map(_run_trial_job, jobs)))

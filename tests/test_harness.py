@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import json
 
@@ -318,7 +319,7 @@ class TestStudy:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(tuner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(tuner.os, "cpu_count", lambda: 3)
         records = tuner.run_study(self.SPACE, base_config, 2, 10, "final_train_accuracy",
                                   workers=64)
