@@ -34,18 +34,18 @@ from .model import (
 )
 from .tuner import (
     SearchDim,
-    SeedSummary,
-    TrialRecord,
     halton_point,
     map_unit,
-    multi_seed_eval,
     run_study,
     sample_trial,
     select_best,
 )
 from .harness import (
     ExperimentConfig,
+    SeedSummary,
     TrainResult,
+    TrialRecord,
+    multi_seed_eval,
     parse_config,
     patch_config,
     read_results,

@@ -1,4 +1,4 @@
-"""Experiment configuration, the training loop, ablations, and persistence.
+"""Experiment configuration, the training loop, the job runner, and persistence.
 
 The JSON config document mirrors the module boundaries: `model`, `data`,
 `optimizer` (an ordered routing list), `schedule`, and the run-level
@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     ConfigPathUnknown,
     CorruptRecord,
     EmptyInput,
+    InvalidConfig,
     IoFailure,
     NonFiniteInput,
     DivisionHazard,
@@ -42,7 +44,6 @@ from .optim import OptimizerConfig, OptimizerState, RoutingRule, apply_step
 from .optim import composite_step  # noqa: F401  perfbench/tracing.py wraps this name
 from .param_store import TAGS
 from .schedule import ScheduleSpec, eval_schedule
-from .tuner import SeedSummary, TrialRecord, multi_seed_eval
 
 _MODEL_KEYS = {
     "layer_widths", "use_bn", "bn_gamma_init", "bn_epsilon", "bn_stats_decay",
@@ -324,21 +325,153 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     return result
 
 
+@dataclass
+class Job:
+    """One run of a batch: its parsed config, or why the config did not parse."""
+    config: ExperimentConfig | None = None
+    error: ParseError | ValidationError | None = None
+
+
+def expand_jobs(base: dict, assignments: list[dict]) -> list[Job]:
+    """A Job per assignment of dotted path -> value on a copy of `base`, every
+    config parsed before any job runs; one that fails is kept as its error."""
+    jobs = []
+    for assignment in assignments:
+        doc = deep_copy_config(base)
+        for path, value in assignment.items():
+            patch_config(doc, path, value)
+        try:
+            jobs.append(Job(parse_config(doc)))
+        except (ParseError, ValidationError) as exc:
+            jobs.append(Job(error=exc))
+    return jobs
+
+
+def run_jobs(jobs: list[Job], workers: int = 1) -> list:
+    """Each job's TrainResult, parse error or run's exception, in job order.
+    At most `os.cpu_count()` spawned processes run, and the results do not
+    depend on their number."""
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
+    configs = [job.config for job in jobs if job.error is None]
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing  # here, so that a sequential run never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            ran = iter(list(pool.map(_run_job, configs)))
+    else:
+        ran = iter([_run_job(config) for config in configs])
+    return [job.error or next(ran) for job in jobs]
+
+
+def _run_job(config: ExperimentConfig):
+    try:
+        return run_training(config)  # looked up per call, so that it can be wrapped
+    except Exception as exc:  # one failed run must not stop the others
+        return exc
+
+
+def _arm_summaries(base: dict, arms: list[dict], seeds: list[int], target=None,
+                   metric=None, mode: str = "max") -> list[SeedSummary]:
+    """Each arm (patches on `base`) once per seed, arm-major, summarized; the
+    first invalid config raises before any run. `target` and `metric` default
+    to the first arm's. A diverged seed counts as -inf (+inf for min)."""
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise InvalidConfig("seeds must be non-empty and distinct")
+    jobs = expand_jobs(base, [{**arm, "base_seed": seed} for arm in arms for seed in seeds])
+    for job in jobs:
+        if job.error is not None:
+            raise job.error
+    target = jobs[0].config.target_value if target is None else target
+    metric = metric or jobs[0].config.target_metric
+    fallback = -math.inf if mode == "max" else math.inf
+    values = []
+    for result in run_jobs(jobs):
+        if isinstance(result, Exception):
+            raise result
+        values.append(fallback if result.status == "diverged" else getattr(result, metric))
+    n = len(seeds)
+    return [summarize(values[i:i + n], target, mode) for i in range(0, len(values), n)]
+
+
+def multi_seed_eval(config: dict, seeds: list[int], target: float,
+                    metric: str = "final_eval_accuracy", mode: str = "max") -> SeedSummary:
+    """Train once per seed and summarize the metric's order statistics."""
+    return _arm_summaries(config, [{}], seeds, target, metric, mode)[0]
+
+
 def run_ablation(base_config: dict, overrides: list[tuple[str, str, object]],
                  seeds: list[int]) -> list[tuple[str, SeedSummary]]:
-    """Base plus one-at-a-time single-field overrides, each multi-seed."""
-    # validate every path before any training run
-    for label, path, value in overrides:
-        probe = deep_copy_config(base_config)
-        patch_config(probe, path, value)
-    parsed = parse_config(deep_copy_config(base_config))
-    target, metric = parsed.target_value, parsed.target_metric
-    rows = [("Base", multi_seed_eval(base_config, seeds, target, metric))]
-    for label, path, value in overrides:
-        cfg = deep_copy_config(base_config)
-        patch_config(cfg, path, value)
-        rows.append((label, multi_seed_eval(cfg, seeds, target, metric)))
-    return rows
+    """Base plus one-at-a-time single-field overrides, each multi-seed and
+    summarized by the Base config's target value and metric."""
+    arms = [{}] + [{path: value} for _, path, value in overrides]
+    labels = ["Base"] + [label for label, _, _ in overrides]
+    return list(zip(labels, _arm_summaries(base_config, arms, seeds)))
+
+
+@dataclass
+class TrialRecord:
+    trial_index: int
+    assignment: dict
+    seed: int
+    status: str  # "completed" | "diverged" | "error"
+    final_train_accuracy: float | None = None
+    final_eval_accuracy: float | None = None
+    final_loss: float | None = None
+    steps_run: int = 0
+    diverged_step: int | None = None
+    error: str | None = None  # "<ExceptionType>: <message>" of an "error" trial
+
+
+@dataclass
+class SeedSummary:
+    median: float
+    q1: float
+    q3: float
+    min: float
+    max: float
+    target_fraction: float
+    n_seeds: int
+
+
+def _percentile(xs: np.ndarray, q: float) -> float:
+    """np.percentile(xs, q, method="linear") on sorted `xs`, except at infinities.
+
+    numpy interpolates a diverged seed's -inf (or +inf) and a neighbour to
+    nan, even at weight 0. Here a percentile that falls on or beside an
+    infinite value is that value, so min <= q1 <= median <= q3 <= max holds.
+    Finite neighbours interpolate exactly as numpy's lerp does.
+    """
+    pos = (xs.size - 1) * (q / 100.0)
+    i = math.floor(pos)
+    t = pos - i
+    a, b = float(xs[i]), float(xs[min(i + 1, xs.size - 1)])
+    if t == 0.0 or a == b:
+        return a
+    if math.isinf(a) or math.isinf(b):
+        return a if math.isinf(a) else b
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
+def summarize(values: list[float], target: float, mode: str = "max") -> SeedSummary:
+    arr = np.sort(np.asarray(values, dtype=np.float64))
+    if mode == "max":
+        frac = float((arr >= target).mean())
+    else:
+        frac = float((arr <= target).mean())
+    return SeedSummary(
+        median=float(np.median(arr)),
+        q1=_percentile(arr, 25),
+        q3=_percentile(arr, 75),
+        min=float(arr.min()),
+        max=float(arr.max()),
+        target_fraction=frac,
+        n_seeds=len(values),
+    )
 
 
 def write_results(records: list[TrialRecord], path) -> None:

@@ -21,7 +21,8 @@ from optparity.errors import (
 from optparity.optim import KINDS
 from optparity.param_store import TAGS
 from optparity.schedule import ScheduleSpec, eval_schedule
-from optparity.tuner import SearchDim, SeedSummary, TrialRecord
+from optparity.harness import SeedSummary, TrialRecord
+from optparity.tuner import SearchDim
 
 
 class TestParseConfig:
@@ -297,7 +298,7 @@ class TestStudy:
 
     def test_one_and_two_workers_give_identical_records(self, base_config, monkeypatch):
         space = [SearchDim("schedule.eta_peak", "discrete_set", values=[1e30, 0.1, 0.3])]
-        monkeypatch.setattr(tuner.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         one = tuner.run_study(space, base_config, 3, 30, "final_train_accuracy", workers=1)
         two = tuner.run_study(space, base_config, 3, 30, "final_train_accuracy", workers=2)
         assert [r.status for r in one] == ["completed", "diverged", "completed"]
@@ -320,7 +321,7 @@ class TestStudy:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(tuner.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         records = tuner.run_study(self.SPACE, base_config, 2, 10, "final_train_accuracy",
                                   workers=64)
         assert started == [3]
