@@ -94,6 +94,10 @@ def train(config_path, out_path, seed):
               help="Worker processes (>= 1); at most os.cpu_count() run.")
 def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed, workers):
     """Quasi-random search; appends trial records to a JSONL log."""
+    try:
+        harness.check_metric(metric, "--metric")
+    except ValidationError as exc:
+        _fail(exc)
     doc = _load_config(config_path, seed)
     space_doc = _load_json(space_path)
     try:
@@ -144,6 +148,8 @@ def ablate(config_path, overrides_path, seeds, out_path):
         rows = harness.run_ablation(doc, [tuple(item) for item in overrides], seed_list)
         if out_path:
             harness.write_summaries(rows, out_path)
+    except (ParseError, ValidationError) as exc:  # the config or one of its arms is invalid
+        _fail(f"{config_path}: {exc}")
     except OptparityError as exc:
         _fail(exc)
     text, _ = harness.report(rows)

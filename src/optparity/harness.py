@@ -15,7 +15,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -45,23 +45,12 @@ from .optim import composite_step  # noqa: F401  perfbench/tracing.py wraps this
 from .param_store import TAGS
 from .schedule import ScheduleSpec, eval_schedule
 
-_MODEL_KEYS = {
-    "layer_widths", "use_bn", "bn_gamma_init", "bn_epsilon", "bn_stats_decay",
-    "virtual_batch_size", "label_smoothing", "init_seed",
-}
-_DATA_KEYS = {"classes", "features", "per_class", "spread", "seed"}
-_OPT_KEYS = {
-    "kind", "momentum", "beta1", "beta2", "epsilon", "bias_correction",
-    "trust_coefficient", "decay_mode", "decay", "exclude_tags",
-}
-_SCHED_KEYS = {
-    "family", "eta_init", "eta_peak", "eta_final", "p_warmup", "p_decay",
-    "t_warmup", "total_steps",
-}
 _TOP_KEYS = {
     "model", "data", "optimizer", "schedule", "budget_steps", "batch_size",
     "eval_every", "base_seed", "target_metric", "target_value",
 }
+# the TrainResult fields a study selects on and a summary reduces
+RESULT_METRICS = ("final_train_accuracy", "final_eval_accuracy", "final_loss")
 
 
 @dataclass
@@ -104,6 +93,15 @@ def _reject_unknown(section: dict, allowed: set, prefix: str):
             raise ValidationError(f"{prefix}{key}", "unknown key")
 
 
+def _section(doc: dict, cls, path: str):
+    """The dataclass `cls` built from the object at `path`; unknown keys rejected."""
+    _reject_unknown(doc, {f.name for f in fields(cls)}, path + ".")
+    try:
+        return cls(**doc)
+    except Exception as exc:
+        raise ValidationError(path, str(exc)) from exc
+
+
 def _typed(value, kind, path: str, what: str):
     if not isinstance(value, kind):
         raise ValidationError(path, f"must be {what}, got {value!r}")
@@ -124,6 +122,35 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def check_metric(name, path: str) -> str:
+    """`name` if it names one of RESULT_METRICS; a ValidationError at `path` if not."""
+    if name not in RESULT_METRICS:
+        raise ValidationError(path, f"must be one of {', '.join(RESULT_METRICS)}, got {name!r}")
+    return name
+
+
+def _data(data: DataConfig, model: MlpConfig) -> DataConfig:
+    """The data section with typed fields, in range and fitting the model."""
+    for name in ("classes", "features", "per_class", "seed"):
+        setattr(data, name, _integer(getattr(data, name), f"data.{name}"))
+    data.spread = _number(data.spread, "data.spread")
+    widths = model.layer_widths
+    if data.features != widths[0]:
+        raise ValidationError("data.features",
+                              f"{data.features} != model.layer_widths[0] {widths[0]}")
+    if not 2 <= data.classes <= widths[-1]:
+        raise ValidationError("data.classes", f"must be in [2, model.layer_widths[-1] "
+                                              f"{widths[-1]}], got {data.classes}")
+    if data.classes * data.per_class < 5:
+        raise ValidationError("data.per_class", "classes * per_class must be >= 5, "
+                                                "or the eval split (one fifth) is empty")
+    if not (math.isfinite(data.spread) and data.spread > 0):
+        raise ValidationError("data.spread", f"must be finite and > 0, got {data.spread}")
+    if data.seed < 0:
+        raise ValidationError("data.seed", f"must be >= 0, got {data.seed}")
+    return data
+
+
 def parse_config(doc) -> ExperimentConfig:
     """Parse and validate a JSON config document (text or dict)."""
     if isinstance(doc, str):
@@ -139,21 +166,9 @@ def parse_config(doc) -> ExperimentConfig:
             raise ValidationError(req, "missing")
     for key in ("model", "data", "schedule"):
         _typed(doc[key], dict, key, "an object")
-    _reject_unknown(doc["model"], _MODEL_KEYS, "model.")
-    _reject_unknown(doc["data"], _DATA_KEYS, "data.")
-    _reject_unknown(doc["schedule"], _SCHED_KEYS, "schedule.")
-    try:
-        model = MlpConfig(**doc["model"])
-    except Exception as exc:
-        raise ValidationError("model", str(exc)) from exc
-    try:
-        data = DataConfig(**doc["data"])
-    except Exception as exc:
-        raise ValidationError("data", str(exc)) from exc
-    try:
-        sched = ScheduleSpec(**doc["schedule"])
-    except Exception as exc:
-        raise ValidationError("schedule", str(exc)) from exc
+    model = _section(doc["model"], MlpConfig, "model")
+    data = _data(_section(doc["data"], DataConfig, "data"), model)
+    sched = _section(doc["schedule"], ScheduleSpec, "schedule")
 
     routes = []
     for i, route in enumerate(_typed(doc["optimizer"], list, "optimizer", "a list")):
@@ -165,12 +180,7 @@ def parse_config(doc) -> ExperimentConfig:
             raise ValidationError(prefix + "tags", f"invalid tag set {sorted(map(str, tags))}")
         tags = frozenset(tags)
         config = _typed(route.get("config", {}), dict, prefix + "config", "an object")
-        _reject_unknown(config, _OPT_KEYS, prefix + "config.")
-        try:
-            cfg = OptimizerConfig(**config)
-        except Exception as exc:
-            raise ValidationError(prefix + "config", str(exc)) from exc
-        routes.append((tags, cfg))
+        routes.append((tags, _section(config, OptimizerConfig, prefix + "config")))
     routing = RoutingRule(routes)
     if not routing.covers_all():
         raise ValidationError("optimizer", "routing does not cover all tags")
@@ -200,7 +210,8 @@ def parse_config(doc) -> ExperimentConfig:
         batch_size=batch_size,
         eval_every=eval_every,
         base_seed=_integer(doc.get("base_seed", 0), "base_seed"),
-        target_metric=doc.get("target_metric", "final_eval_accuracy"),
+        target_metric=check_metric(doc.get("target_metric", "final_eval_accuracy"),
+                                   "target_metric"),
         target_value=_number(doc.get("target_value", 0.0), "target_value"),
     )
 
@@ -267,9 +278,10 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     """The fixed pipeline: seeded data order, forward/backward, routed update.
 
     The run owns one store, one optimizer state and one gradient vector and
-    updates them in place. Any NaN/Inf in the loss, gradients, or parameters
-    marks the run diverged; the history is truncated at the last clean eval
-    point and no non-finite value is recorded.
+    updates them in place. Any NaN/Inf in the loss, gradients, or parameters,
+    or at a BN input or the logits of a step's or an eval point's forward pass,
+    marks the run diverged at that step; the history is truncated at the last
+    clean eval point and no non-finite value is recorded.
     """
     d = config.data
     train, eval_set = gen_synthetic_dataset(
@@ -307,16 +319,16 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                     raise NonFiniteInput("non-finite loss")
                 backward(cache, params, config.model, out=grad)
                 apply_step(theta, grad, config.routing, lr, opt_state)
-            if not np.isfinite(theta).all():
-                raise NonFiniteInput("non-finite parameters")
+                if not np.isfinite(theta).all():
+                    raise NonFiniteInput("non-finite parameters")
+                if t % config.eval_every == 0 or t == config.budget_steps:
+                    evaluate(t, lr)
         except (NonFiniteInput, DivisionHazard, FloatingPointError):
             result.status = "diverged"
             result.diverged_step = t
             result.steps_run = t - 1
             return result
         result.steps_run = t
-        if t % config.eval_every == 0 or t == config.budget_steps:
-            evaluate(t, lr)
 
     last = result.history[-1]
     result.final_train_accuracy = last["train_accuracy"]
@@ -339,7 +351,10 @@ def expand_jobs(base: dict, assignments: list[dict]) -> list[Job]:
     for assignment in assignments:
         doc = deep_copy_config(base)
         for path, value in assignment.items():
-            patch_config(doc, path, value)
+            if path == "base_seed":  # a config may leave it out: it defaults to 0
+                doc[path] = value
+            else:
+                patch_config(doc, path, value)
         try:
             jobs.append(Job(parse_config(doc)))
         except (ParseError, ValidationError) as exc:
@@ -386,7 +401,7 @@ def _arm_summaries(base: dict, arms: list[dict], seeds: list[int], target=None,
         if job.error is not None:
             raise job.error
     target = jobs[0].config.target_value if target is None else target
-    metric = metric or jobs[0].config.target_metric
+    metric = check_metric(metric or jobs[0].config.target_metric, "metric")
     fallback = -math.inf if mode == "max" else math.inf
     values = []
     for result in run_jobs(jobs):

@@ -390,26 +390,28 @@ def reference_run_training(config):
                     new = per_group_step(groups, config.routing.routes, lr, t - 1)
                 except ZeroDivisionError:
                     raise _Diverged from None
-            for name, out in zip(names, new):
-                _finite_or_diverge(out["theta"])
-                p[name] = out["theta"].reshape(p[name].shape)
-                slots[name] = {key: out[key] for key in "vms"}
+                for name, out in zip(names, new):
+                    _finite_or_diverge(out["theta"])
+                    p[name] = out["theta"].reshape(p[name].shape)
+                    slots[name] = {key: out[key] for key in "vms"}
+                if t % config.eval_every == 0 or t == config.budget_steps:
+                    train_logits, train_loss, _ = _reference_forward(
+                        p, layers, running, train.inputs, train.labels, mc, "eval")
+                    eval_logits, _, _ = _reference_forward(
+                        p, layers, running, eval_set.inputs, eval_set.labels, mc, "eval")
+                    result["history"].append({
+                        "step": t,
+                        "train_loss": train_loss,
+                        "train_accuracy": float(
+                            (train_logits.argmax(axis=1) == train.labels).mean()),
+                        "eval_accuracy": float(
+                            (eval_logits.argmax(axis=1) == eval_set.labels).mean()),
+                        "lr": lr,
+                    })
         except _Diverged:
             result.update(status="diverged", diverged_step=t, steps_run=t - 1)
             return result
         result["steps_run"] = t
-        if t % config.eval_every == 0 or t == config.budget_steps:
-            train_logits, train_loss, _ = _reference_forward(
-                p, layers, running, train.inputs, train.labels, mc, "eval")
-            eval_logits, _, _ = _reference_forward(
-                p, layers, running, eval_set.inputs, eval_set.labels, mc, "eval")
-            result["history"].append({
-                "step": t,
-                "train_loss": train_loss,
-                "train_accuracy": float((train_logits.argmax(axis=1) == train.labels).mean()),
-                "eval_accuracy": float((eval_logits.argmax(axis=1) == eval_set.labels).mean()),
-                "lr": lr,
-            })
 
     last = result["history"][-1]
     result.update(final_train_accuracy=last["train_accuracy"],

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import optparity
 from optparity.cli import main
 
 
@@ -147,6 +152,11 @@ def _base_with(**fields):
     return lambda base: {**base, **fields}
 
 
+def _data_with(**fields):
+    """The base config with fields of its data section replaced."""
+    return lambda base: {**base, "data": {**base["data"], **fields}}
+
+
 @pytest.mark.parametrize("command,bad_file,doc,extra", [
     ("tune", "space", [{"name": "schedule.eta_peak", "kind": "continuous", "bogus": 1}], []),
     ("tune", "space", {"name": "schedule.eta_peak"}, []),
@@ -166,13 +176,24 @@ def _base_with(**fields):
     ("train", "config", _base_with(model=5), []),
     ("train", "config", _base_with(batch_size=True), []),
     ("train", "config", _base_with(eval_every=2.7), []),
+    ("tune", None, None, ["--metric", "bogus"]),
+    ("ablate", "config", _base_with(target_metric="bogus"), []),
+    ("train", "config", _data_with(classes="x"), []),
+    ("train", "config", _data_with(classes=1), []),
+    ("train", "config", _data_with(spread=0), []),
+    ("train", "config", _data_with(features=3), []),
+    ("train", "config", _data_with(classes=3), []),
+    ("train", "config", _data_with(per_class=2), []),
 ], ids=["tune-space-unknown-key", "tune-space-object", "tune-space-name-not-text",
         "tune-config-list", "tune-no-budget",
         "ablate-two-element-override", "ablate-overrides-object", "ablate-seeds-not-int",
         "report-results-object", "schedule-config-list",
         "train-budget-text", "train-seed-text", "train-target-text", "train-optimizer-number",
         "train-route-number", "train-model-number", "train-batch-bool",
-        "train-eval-every-fraction"])
+        "train-eval-every-fraction", "tune-unknown-metric", "ablate-unknown-target-metric",
+        "train-data-classes-text", "train-data-one-class", "train-data-zero-spread",
+        "train-data-features-not-input-width", "train-data-classes-above-outputs",
+        "train-data-empty-eval-split"])
 def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command,
                                                   bad_file, doc, extra):
     paths = _valid_inputs(tmp_path, base_config)
@@ -181,7 +202,8 @@ def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command
     if bad_file:
         write_json(paths[bad_file], doc)
     result = CliRunner().invoke(main, COMMANDS[command](paths) + extra)
-    assert_one_error_line(result, str(paths[bad_file]) if bad_file else "--seeds")
+    assert_one_error_line(result, str(paths[bad_file]) if bad_file else extra[0])
+    assert not (tmp_path / "trials.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "tune", "ablate", "report", "schedule export"])
@@ -207,6 +229,24 @@ def test_ablate_has_no_workers_option(tmp_path, base_config):
     assert "No such option" in result.output
 
 
+@pytest.mark.parametrize("command,out_name", [("tune", "trials.jsonl"),
+                                              ("ablate", "summary.json")])
+def test_seedless_config_runs_as_seed_0(tmp_path, base_config, command, out_name):
+    """base_seed is optional in a config; tune and ablate read it as 0."""
+    seedless = {k: v for k, v in base_config.items() if k != "base_seed"}
+    outputs = []
+    for i, doc in enumerate((base_config, seedless)):
+        (tmp_path / str(i)).mkdir()
+        paths = _valid_inputs(tmp_path / str(i), doc)
+        out = tmp_path / str(i) / out_name
+        args = COMMANDS[command](paths) + ["--out", str(out)]
+        result = CliRunner().invoke(main, args + (["--trials", "2", "--budget", "20"]
+                                                  if command == "tune" else []))
+        assert result.exit_code == 0, result.output
+        outputs.append((result.stdout, out.read_text()))
+    assert outputs[0] == outputs[1]
+
+
 def test_tune_invalid_base_config_exits_2_and_writes_no_log(tmp_path, base_config):
     base_config["model"]["bogus"] = 1
     paths = _valid_inputs(tmp_path, base_config)
@@ -221,3 +261,16 @@ def test_tune_workers_below_one_exits_2(tmp_path, base_config, workers):
     result = CliRunner().invoke(main, COMMANDS["tune"](paths) + ["--workers", workers])
     assert_one_error_line(result, "workers must be >= 1")
     assert not (tmp_path / "trials.jsonl").exists()
+
+
+def test_import_loads_no_process_pool():
+    """The pool modules load only when a run uses more than one worker."""
+    code = ("import sys, optparity, optparity.cli; print([m for m in "
+            "('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    src = str(Path(optparity.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

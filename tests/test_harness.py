@@ -14,7 +14,6 @@ from optparity.errors import (
     CorruptRecord,
     EmptyInput,
     InvalidConfig,
-    NonFiniteInput,
     ParseError,
     ValidationError,
 )
@@ -223,6 +222,16 @@ DIVERGES_AT_LOGITS = _diverging(1e6)
 DIVERGES_AT_BN_INPUT = _diverging(1e12, [False, True], kind="heavy_ball")
 # LAMB with epsilon=0 meets a zero second moment at step 1: DivisionHazard
 DIVISION_HAZARD = _diverging(0.01, False, kind="lamb", epsilon=0.0, decay=0.0)
+# step 10 is clean, but the forward pass of its eval point meets non-finite
+# logits: the run diverges at step 10 with the history of steps 1-9
+DIVERGES_AT_EVAL_POINT = {
+    "model": {"layer_widths": [3, 12, 5, 3], "use_bn": [False, True],
+              "bn_stats_decay": 0.0, "virtual_batch_size": 7},
+    "data": {"classes": 3, "features": 3, "per_class": 3, "spread": 0.5, "seed": 0},
+    "optimizer": [{"tags": list(TAGS), "config": {"kind": "nesterov", "momentum": 0.5}}],
+    "schedule": {"family": "constant", "eta_peak": 1e10, "total_steps": 10},
+    "budget_steps": 10, "batch_size": 7, "eval_every": 1,
+}
 
 
 class TestRunMatchesReference:
@@ -233,23 +242,22 @@ class TestRunMatchesReference:
     @example(DIVERGES_AT_LOGITS)
     @example(DIVERGES_AT_BN_INPUT)
     @example(DIVISION_HAZARD)
+    @example(DIVERGES_AT_EVAL_POINT)
     def test_whole_run(self, doc):
         config = harness.parse_config(doc)
-        try:
-            want = oracles.reference_run_training(config)
-        except oracles._Diverged:  # a non-finite value met at an eval point
-            with pytest.raises(NonFiniteInput):
-                harness.run_training(config)
-            return
+        want = oracles.reference_run_training(config)
         assert harness.run_training(config) == harness.TrainResult(**want)
 
     @pytest.mark.parametrize("doc,step", [(DIVERGES_AT_LOGITS, 81),
                                           (DIVERGES_AT_BN_INPUT, 18),
-                                          (DIVISION_HAZARD, 1)],
-                             ids=["logits", "bn-input", "division-hazard"])
+                                          (DIVISION_HAZARD, 1),
+                                          (DIVERGES_AT_EVAL_POINT, 10)],
+                             ids=["logits", "bn-input", "division-hazard", "eval-point"])
     def test_examples_diverge_where_stated(self, doc, step):
         result = harness.run_training(harness.parse_config(doc))
         assert (result.status, result.diverged_step) == ("diverged", step)
+        assert result.steps_run == step - 1
+        assert all(h["step"] < step for h in result.history)
 
 
 class TestStudy:
@@ -295,6 +303,11 @@ class TestStudy:
         monkeypatch.setattr(harness, "run_training", pytest.fail)
         with pytest.raises(ValidationError, match="model.bogus: unknown key"):
             tuner.run_study(self.SPACE, base_config, 3, 50, "final_train_accuracy")
+
+    def test_unknown_metric_fails_before_any_run(self, base_config, monkeypatch):
+        monkeypatch.setattr(harness, "run_training", lambda config: pytest.fail("a run began"))
+        with pytest.raises(ValidationError, match="target_metric: must be one of"):
+            tuner.run_study(self.SPACE, base_config, 2, 10, "final_accuracy")
 
     def test_one_and_two_workers_give_identical_records(self, base_config, monkeypatch):
         space = [SearchDim("schedule.eta_peak", "discrete_set", values=[1e30, 0.1, 0.3])]
@@ -346,6 +359,11 @@ class TestMultiSeedEval:
         assert s.n_seeds == 3
         assert s.min <= s.median <= s.max
 
+    def test_unknown_metric_fails_before_any_run(self, base_config, monkeypatch):
+        monkeypatch.setattr(harness, "run_training", lambda config: pytest.fail("a run began"))
+        with pytest.raises(ValidationError, match="metric: must be one of"):
+            tuner.multi_seed_eval(base_config, [0, 1], 0.9, "final_accuracy")
+
     def test_duplicate_seeds_rejected(self, base_config):
         with pytest.raises(Exception):
             tuner.multi_seed_eval(base_config, [0, 0], target=0.9)
@@ -370,9 +388,14 @@ class TestAblation:
         rows = harness.run_ablation(base_config, [], [0])
         assert len(rows) == 1 and rows[0][0] == "Base"
 
-    def test_bad_path_fails_before_any_run(self, base_config):
-        with pytest.raises(ConfigPathUnknown):
-            harness.run_ablation(base_config, [("x", "model.bogus", 1)], [0])
+    def test_bad_path_fails_before_any_run(self, base_config, monkeypatch):
+        monkeypatch.setattr(harness, "run_training", lambda config: pytest.fail("a run began"))
+        # an unknown path, and an arm that patches cleanly but does not parse
+        # (batch 64 is not a multiple of virtual batch 7)
+        for override, error in [(("x", "model.bogus", 1), ConfigPathUnknown),
+                                (("VBS 7", "model.virtual_batch_size", 7), ValidationError)]:
+            with pytest.raises(error):
+                harness.run_ablation(base_config, [override], [0])
 
 
 class TestPersistence:
