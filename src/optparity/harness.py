@@ -122,10 +122,16 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def seed_of(doc: dict) -> int:
+    """A config document's base_seed: an integer, 0 when it is left out."""
+    return _integer(doc.get("base_seed", 0), "base_seed")
+
+
 def check_metric(name, path: str) -> str:
     """`name` if it names one of RESULT_METRICS; a ValidationError at `path` if not."""
     if name not in RESULT_METRICS:
-        raise ValidationError(path, f"must be one of {', '.join(RESULT_METRICS)}, got {name!r}")
+        raise ValidationError(path,
+                              f"must be one of {', '.join(RESULT_METRICS)}, got {name!r}")
     return name
 
 
@@ -209,7 +215,7 @@ def parse_config(doc) -> ExperimentConfig:
         budget_steps=budget,
         batch_size=batch_size,
         eval_every=eval_every,
-        base_seed=_integer(doc.get("base_seed", 0), "base_seed"),
+        base_seed=seed_of(doc),
         target_metric=check_metric(doc.get("target_metric", "final_eval_accuracy"),
                                    "target_metric"),
         target_value=_number(doc.get("target_value", 0.0), "target_value"),

@@ -96,7 +96,7 @@ def run_study(space, base_config: dict, n_trials: int, budget_steps: int,
     if n_trials < 1:
         raise InvalidConfig("n_trials must be >= 1")
     harness.check_metric(target_metric, "target_metric")
-    base_seed = int(base_config.get("base_seed", 0))
+    base_seed = harness.seed_of(base_config)
     assignments = [sample_trial(space, i, offset) for i in range(n_trials)]
     jobs = harness.expand_jobs(base_config, [
         {**assignment, "budget_steps": budget_steps, "schedule.total_steps": budget_steps,

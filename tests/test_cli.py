@@ -177,6 +177,8 @@ def _data_with(**fields):
     ("train", "config", _base_with(batch_size=True), []),
     ("train", "config", _base_with(eval_every=2.7), []),
     ("tune", None, None, ["--metric", "bogus"]),
+    ("tune", "config", _base_with(base_seed="x"), []),
+    ("tune", "config", _base_with(base_seed=2.5), []),
     ("ablate", "config", _base_with(target_metric="bogus"), []),
     ("train", "config", _data_with(classes="x"), []),
     ("train", "config", _data_with(classes=1), []),
@@ -190,7 +192,8 @@ def _data_with(**fields):
         "report-results-object", "schedule-config-list",
         "train-budget-text", "train-seed-text", "train-target-text", "train-optimizer-number",
         "train-route-number", "train-model-number", "train-batch-bool",
-        "train-eval-every-fraction", "tune-unknown-metric", "ablate-unknown-target-metric",
+        "train-eval-every-fraction", "tune-unknown-metric", "tune-seed-text",
+        "tune-seed-fraction", "ablate-unknown-target-metric",
         "train-data-classes-text", "train-data-one-class", "train-data-zero-spread",
         "train-data-features-not-input-width", "train-data-classes-above-outputs",
         "train-data-empty-eval-split"])
