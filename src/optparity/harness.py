@@ -122,9 +122,67 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _finite(value, path: str) -> float:
+    value = _number(value, path)
+    if not math.isfinite(value):
+        raise ValidationError(path, f"must be finite, got {value}")
+    return value
+
+
+def _seed(value, path: str) -> int:
+    seed = _integer(value, path)
+    if seed < 0:
+        raise ValidationError(path, f"must be >= 0, got {seed}")
+    return seed
+
+
+def _typed_fields(doc: dict, path: str, ints=(), floats=()) -> dict:
+    """A copy of the section `doc` with its `ints` read through _integer and
+    its `floats` through _finite, where present."""
+    doc = dict(doc)
+    for names, read in ((ints, _integer), (floats, _finite)):
+        for name in names:
+            if name in doc:
+                doc[name] = read(doc[name], f"{path}.{name}")
+    return doc
+
+
+def _model(doc: dict) -> MlpConfig:
+    """The model section with typed fields; MlpConfig checks their ranges."""
+    doc = _typed_fields(doc, "model", ints=("virtual_batch_size", "init_seed"),
+                        floats=("bn_epsilon", "bn_stats_decay", "label_smoothing"))
+    if "layer_widths" in doc:
+        widths = _typed(doc["layer_widths"], list, "model.layer_widths", "a list")
+        doc["layer_widths"] = [_integer(w, f"model.layer_widths.{i}")
+                               for i, w in enumerate(widths)]
+    use_bn = doc.get("use_bn", False)
+    if not (isinstance(use_bn, bool) or isinstance(use_bn, list)
+            and all(isinstance(on, bool) for on in use_bn)):
+        raise ValidationError("model.use_bn", f"must be a bool or a list of bools, "
+                                              f"got {use_bn!r}")
+    gammas = doc.get("bn_gamma_init", 1.0)
+    if isinstance(gammas, list):
+        doc["bn_gamma_init"] = [_finite(g, f"model.bn_gamma_init.{i}")
+                                for i, g in enumerate(gammas)]
+    else:
+        doc["bn_gamma_init"] = _finite(gammas, "model.bn_gamma_init")
+    model = _section(doc, MlpConfig, "model")
+    _seed(model.init_seed, "model.init_seed")
+    return model
+
+
+def _optimizer(doc: dict, path: str) -> OptimizerConfig:
+    """One route's optimizer config with typed fields."""
+    doc = _typed_fields(doc, path, floats=("momentum", "beta1", "beta2", "epsilon",
+                                           "trust_coefficient", "decay"))
+    if "bias_correction" in doc:
+        _typed(doc["bias_correction"], bool, path + ".bias_correction", "a bool")
+    return _section(doc, OptimizerConfig, path)
+
+
 def seed_of(doc: dict) -> int:
-    """A config document's base_seed: an integer, 0 when it is left out."""
-    return _integer(doc.get("base_seed", 0), "base_seed")
+    """A config document's base_seed: an integer >= 0, 0 when it is left out."""
+    return _seed(doc.get("base_seed", 0), "base_seed")
 
 
 def check_metric(name, path: str) -> str:
@@ -137,8 +195,9 @@ def check_metric(name, path: str) -> str:
 
 def _data(data: DataConfig, model: MlpConfig) -> DataConfig:
     """The data section with typed fields, in range and fitting the model."""
-    for name in ("classes", "features", "per_class", "seed"):
+    for name in ("classes", "features", "per_class"):
         setattr(data, name, _integer(getattr(data, name), f"data.{name}"))
+    data.seed = _seed(data.seed, "data.seed")
     data.spread = _number(data.spread, "data.spread")
     widths = model.layer_widths
     if data.features != widths[0]:
@@ -152,8 +211,6 @@ def _data(data: DataConfig, model: MlpConfig) -> DataConfig:
                                                 "or the eval split (one fifth) is empty")
     if not (math.isfinite(data.spread) and data.spread > 0):
         raise ValidationError("data.spread", f"must be finite and > 0, got {data.spread}")
-    if data.seed < 0:
-        raise ValidationError("data.seed", f"must be >= 0, got {data.seed}")
     return data
 
 
@@ -172,9 +229,13 @@ def parse_config(doc) -> ExperimentConfig:
             raise ValidationError(req, "missing")
     for key in ("model", "data", "schedule"):
         _typed(doc[key], dict, key, "an object")
-    model = _section(doc["model"], MlpConfig, "model")
+    model = _model(doc["model"])
     data = _data(_section(doc["data"], DataConfig, "data"), model)
-    sched = _section(doc["schedule"], ScheduleSpec, "schedule")
+    sched = _section(_typed_fields(doc["schedule"], "schedule",
+                                   ints=("total_steps", "t_warmup"),
+                                   floats=("eta_peak", "eta_init", "eta_final",
+                                           "p_warmup", "p_decay")),
+                     ScheduleSpec, "schedule")
 
     routes = []
     for i, route in enumerate(_typed(doc["optimizer"], list, "optimizer", "a list")):
@@ -186,7 +247,7 @@ def parse_config(doc) -> ExperimentConfig:
             raise ValidationError(prefix + "tags", f"invalid tag set {sorted(map(str, tags))}")
         tags = frozenset(tags)
         config = _typed(route.get("config", {}), dict, prefix + "config", "an object")
-        routes.append((tags, _section(config, OptimizerConfig, prefix + "config")))
+        routes.append((tags, _optimizer(config, prefix + "config")))
     routing = RoutingRule(routes)
     if not routing.covers_all():
         raise ValidationError("optimizer", "routing does not cover all tags")
@@ -264,20 +325,30 @@ def _patch(node, parts, value, full_path):
 
 
 class _BatchStream:
-    """Seeded shuffled full passes over the training set, batch-size chunks."""
+    """Seeded shuffled full passes over the training set, batch-size chunks.
+
+    Every batch is the same `Batch`, refilled in place and not validated
+    again: its rows come from `train`, which was validated when it was built.
+    """
 
     def __init__(self, train: Batch, batch_size: int, seed: int):
         self.train = train
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
         self.buffer = np.empty(0, dtype=np.int64)
+        self.batch = object.__new__(Batch)
+        self.batch.inputs = np.empty((batch_size, train.inputs.shape[1]))
+        self.batch.labels = np.empty(batch_size, dtype=np.int64)
 
     def next_batch(self) -> Batch:
         while self.buffer.size < self.batch_size:
             perm = self.rng.permutation(len(self.train))
             self.buffer = np.concatenate([self.buffer, perm])
         idx, self.buffer = self.buffer[: self.batch_size], self.buffer[self.batch_size:]
-        return Batch(self.train.inputs[idx], self.train.labels[idx])
+        # every index is in range, and mode="clip" lets take write `out` unbuffered
+        np.take(self.train.inputs, idx, axis=0, out=self.batch.inputs, mode="clip")
+        np.take(self.train.labels, idx, out=self.batch.labels, mode="clip")
+        return self.batch
 
 
 def run_training(config: ExperimentConfig) -> TrainResult:
@@ -318,8 +389,6 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         try:
             # overflow on the way to divergence is classified explicitly
             with np.errstate(all="ignore"):
-                # `cache` keeps the last step's temporaries alive until this
-                # forward returns, so the allocator reuses their pages
                 _, loss, cache, stats = forward(params, stats, batch, config.model, "train")
                 if not math.isfinite(loss):
                     raise NonFiniteInput("non-finite loss")
@@ -396,16 +465,23 @@ def _run_job(config: ExperimentConfig):
 
 
 def _arm_summaries(base: dict, arms: list[dict], seeds: list[int], target=None,
-                   metric=None, mode: str = "max") -> list[SeedSummary]:
+                   metric=None, mode: str = "max", labels=None) -> list[SeedSummary]:
     """Each arm (patches on `base`) once per seed, arm-major, summarized; the
-    first invalid config raises before any run. `target` and `metric` default
-    to the first arm's. A diverged seed counts as -inf (+inf for min)."""
+    first invalid config raises before any run, naming the arm by its label
+    and patches when `labels` are given and the arm has patches. `target`
+    and `metric` default to the first arm's. A diverged seed counts as -inf
+    (+inf for min)."""
     if not seeds or len(set(seeds)) != len(seeds):
         raise InvalidConfig("seeds must be non-empty and distinct")
     jobs = expand_jobs(base, [{**arm, "base_seed": seed} for arm in arms for seed in seeds])
-    for job in jobs:
+    for i, job in enumerate(jobs):
         if job.error is not None:
-            raise job.error
+            arm = arms[i // len(seeds)]
+            if labels is None or not arm:
+                raise job.error
+            patches = ", ".join(f"{path} = {value!r}" for path, value in arm.items())
+            raise ValidationError(f"arm {labels[i // len(seeds)]!r} ({patches})",
+                                  str(job.error)) from job.error
     target = jobs[0].config.target_value if target is None else target
     metric = check_metric(metric or jobs[0].config.target_metric, "metric")
     fallback = -math.inf if mode == "max" else math.inf
@@ -430,7 +506,7 @@ def run_ablation(base_config: dict, overrides: list[tuple[str, str, object]],
     summarized by the Base config's target value and metric."""
     arms = [{}] + [{path: value} for _, path, value in overrides]
     labels = ["Base"] + [label for label, _, _ in overrides]
-    return list(zip(labels, _arm_summaries(base_config, arms, seeds)))
+    return list(zip(labels, _arm_summaries(base_config, arms, seeds, labels=labels)))
 
 
 @dataclass

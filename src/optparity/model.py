@@ -10,7 +10,7 @@ verified coordinate-wise against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,26 +89,47 @@ class Batch:
         return self.inputs.shape[0]
 
 
-@dataclass
 class BnRunningStats:
-    """Per-BN-layer exponential moving averages used at eval time."""
+    """Per-BN-layer exponential moving averages used at eval time.
 
-    means: list[np.ndarray] = field(default_factory=list)
-    vars: list[np.ndarray] = field(default_factory=list)
+    Every BN layer's statistics sit side by side, in model order, in one
+    (2, W) array `values`: means in row 0, variances in row 1. `means` and
+    `vars` are per-layer views of it. A train step makes a new array and
+    never writes into one, so stats objects may share theirs.
+    """
 
-    def copy(self) -> "BnRunningStats":
-        # the arrays are shared: a step replaces them and never writes in place
-        return BnRunningStats(list(self.means), list(self.vars))
+    def __init__(self, values: np.ndarray, layers: tuple[slice, ...]):
+        self.values = values
+        self.layers = layers
+
+    @property
+    def means(self) -> list[np.ndarray]:
+        return [self.values[0, layer] for layer in self.layers]
+
+    @property
+    def vars(self) -> list[np.ndarray]:
+        return [self.values[1, layer] for layer in self.layers]
+
+    def updated(self, sums: np.ndarray, n_sub: int, rho: float) -> "BnRunningStats":
+        """The statistics after a train batch of `n_sub` virtual batches whose
+        means and variances sum to `sums`, laid out like `values`."""
+        return BnRunningStats(_running_update(self.values, sums, n_sub, rho), self.layers)
 
     @classmethod
     def for_config(cls, config: MlpConfig) -> "BnRunningStats":
-        means, vars_ = [], []
+        layers, start = [], 0
         for i, on in enumerate(config.use_bn):
             if on:
-                w = config.layer_widths[i + 1]
-                means.append(np.zeros(w))
-                vars_.append(np.ones(w))
-        return cls(means, vars_)
+                layers.append(slice(start, start + config.layer_widths[i + 1]))
+                start = layers[-1].stop
+        values = np.zeros((2, start))
+        values[1] = 1.0
+        return cls(values, tuple(layers))
+
+
+def _running_update(old, sums, n_sub, rho):
+    """rho * old + (1 - rho) * sums / n_sub, for any number of BN layers at once."""
+    return rho * old + (1.0 - rho) * sums / n_sub
 
 
 def init_mlp(config: MlpConfig, rng_seed: int | None = None) -> ParamStore:
@@ -151,8 +172,40 @@ def _vb_blocks(n_sub, vbs, width):
     return [slice(k, k + per_block) for k in range(0, n_sub, per_block)]
 
 
+def _ghost_bn_cache(y, gamma, vbs, stat_rows, dx=None):
+    """A train-mode BN cache over the (n, c) buffer `y`, with its block views.
+
+    bn_forward normalizes `y` in place through the cache: it writes x-hat and
+    the per-virtual-batch inverse standard deviations into the cache's own
+    buffers and each virtual batch's mean and variance into `stat_rows`, a
+    (2, n // vbs, c) view. Given the (n, c) buffer `dx`, the cache also holds
+    the block views through which bn_backward writes dx over dy there.
+    """
+    n, c = y.shape
+    n_sub = n // vbs
+    xhat = np.empty((n, c))
+    inv_stds = np.empty((n_sub, c))
+    y3, xhat3 = y.reshape(n_sub, vbs, c), xhat.reshape(n_sub, vbs, c)
+    blocks = []
+    for blk in _vb_blocks(n_sub, vbs, c):
+        mu, var, inv = stat_rows[0, blk], stat_rows[1, blk], inv_stds[blk]
+        blocks.append((y3[blk], xhat3[blk], mu, mu[:, None], var, inv, inv[:, None]))
+    cache = {"xhat": xhat, "inv_stds": inv_stds, "vbs": vbs, "gamma": gamma,
+             "blocks": blocks, "dx": dx}
+    if dx is not None:
+        cache["dx_blocks"] = _dx_blocks(dx, xhat, inv_stds, vbs)
+    return cache
+
+
+def _dx_blocks(dx, xhat, inv_stds, vbs):
+    n, c = dx.shape
+    n_sub = n // vbs
+    dx3, xhat3 = dx.reshape(n_sub, vbs, c), xhat.reshape(n_sub, vbs, c)
+    return [(dx3[blk], xhat3[blk], inv_stds[blk]) for blk in _vb_blocks(n_sub, vbs, c)]
+
+
 def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
-               running_mean, running_var, stats_decay):
+               running_mean, running_var, stats_decay, cache=None):
     """Ghost batch normalization over consecutive sub-batches.
 
     Train mode normalizes each sub-batch with its own biased statistics
@@ -160,6 +213,11 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     running <- rho * running + (1 - rho) * batch.
     Eval mode normalizes with the running statistics.
     Returns (y, cache, running_mean', running_var').
+
+    Given a train-mode `cache` built over `x` (see `_ghost_bn_cache`), the
+    call reuses it: y is written over `x` and the running statistics are
+    returned as given, since the caller updates every layer's at once from
+    the sums the cache's stat rows hold.
     """
     if not np.isfinite(x).all():
         raise NonFiniteInput("BN input contains NaN/Inf")
@@ -170,63 +228,72 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
         return y, None, running_mean, running_var
     if n % virtual_batch_size != 0:
         raise IndivisibleBatch(f"{n} rows vs virtual batch {virtual_batch_size}")
-    vbs, c = virtual_batch_size, x.shape[1]
-    n_sub = n // vbs
-    y = np.empty((n, c))
-    xhat = np.empty((n, c))
-    x3, y3, xhat3 = (a.reshape(n_sub, vbs, c) for a in (x, y, xhat))
+    if cache is not None:
+        _normalize(cache["blocks"], gamma, beta, bn_epsilon, virtual_batch_size)
+        return x, cache, running_mean, running_var
+    n_sub = n // virtual_batch_size
+    y = np.array(x, dtype=np.float64)
     # Per-sub-batch means and variances after a zero row each, so that the
     # running sums below add them to zero in sub-batch order, as a loop does.
-    sub_stats = np.zeros((2, n_sub + 1, c))
-    means, variances = sub_stats[0, 1:], sub_stats[1, 1:]
-    inv_stds = np.empty((n_sub, c))
-    for blk in _vb_blocks(n_sub, vbs, c):
-        xs, d, yb = x3[blk], xhat3[blk], y3[blk]
-        # np.mean's and np.var's own steps (sum, then divide by the count), so
-        # the results match theirs bit for bit, with x - mu computed once;
-        # yb holds the squares until y is written
-        mu = np.add.reduce(xs, axis=1, out=means[blk])
-        mu /= vbs
-        np.subtract(xs, mu[:, None], out=d)
-        var = np.add.reduce(np.square(d, out=yb), axis=1, out=variances[blk])
-        var /= vbs
-        inv = np.divide(1.0, np.sqrt(var + bn_epsilon), out=inv_stds[blk])
-        d *= inv[:, None]
-        np.multiply(d, gamma, out=yb)
-        yb += beta
-    mean_acc, var_acc = np.add.accumulate(sub_stats, axis=1)[:, -1]
-    rho = stats_decay
-    new_mean = rho * running_mean + (1.0 - rho) * mean_acc / n_sub
-    new_var = rho * running_var + (1.0 - rho) * var_acc / n_sub
-    cache = {"xhat": xhat, "inv_stds": inv_stds, "vbs": vbs,
-             "gamma": np.asarray(gamma, dtype=np.float64)}
+    sub_stats = np.zeros((2, n_sub + 1, x.shape[1]))
+    cache = _ghost_bn_cache(y, np.asarray(gamma, dtype=np.float64), virtual_batch_size,
+                            sub_stats[:, 1:])
+    _normalize(cache["blocks"], gamma, beta, bn_epsilon, virtual_batch_size)
+    sums = np.add.accumulate(sub_stats, axis=1)[:, -1]
+    new_mean, new_var = _running_update(np.stack([running_mean, running_var]), sums,
+                                        n_sub, stats_decay)
     return y, cache, new_mean, new_var
 
 
-def bn_backward(dy, cache):
-    """Gradient through ghost BN; returns (dx, dgamma, dbeta)."""
-    xhat = cache["xhat"]
-    gamma = cache["gamma"]
-    vbs = cache["vbs"]
-    inv_stds = cache["inv_stds"]
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
-    n, c = dy.shape
-    n_sub = n // vbs
-    dx = np.empty((n, c))
-    dy3, xhat3, dx3 = (a.reshape(n_sub, vbs, c) for a in (dy, xhat, dx))
-    for blk in _vb_blocks(n_sub, vbs, c):
-        xh, out = xhat3[blk], dx3[blk]
+def _normalize(blocks, gamma, beta, bn_epsilon, vbs):
+    """Train-mode ghost BN in place over the block views of `_ghost_bn_cache`."""
+    for ys, d, mu, mu_col, var, inv, inv_col in blocks:
+        # np.mean's and np.var's own steps (sum, then divide by the count), so
+        # the results match theirs bit for bit, with x - mu computed once;
+        # ys holds x, then the squares, then y
+        np.add.reduce(ys, axis=1, out=mu)
+        mu /= vbs
+        np.subtract(ys, mu_col, out=d)
+        np.add.reduce(np.square(d, out=ys), axis=1, out=var)
+        var /= vbs
+        np.add(var, bn_epsilon, out=inv)
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        d *= inv_col
+        np.multiply(d, gamma, out=ys)
+        ys += beta
+
+
+def bn_backward(dy, cache, out=None):
+    """Gradient through ghost BN; returns (dx, dgamma, dbeta).
+
+    `out`, if given, is the (dx, dgamma, dbeta) arrays to write; dx may be
+    `dy` itself, which is then overwritten once dgamma and dbeta are summed.
+    """
+    xhat, gamma, vbs = cache["xhat"], cache["gamma"], cache["vbs"]
+    dx, dgamma, dbeta = out if out is not None else (None, None, None)
+    dgamma = np.add.reduce(dy * xhat, axis=0, out=dgamma)
+    dbeta = np.add.reduce(dy, axis=0, out=dbeta)
+    if dx is None:
+        dx = dy.copy()
+    elif dx is not dy:
+        np.copyto(dx, dy)
+    if dx is cache["dx"]:
+        blocks = cache["dx_blocks"]
+    else:
+        blocks = _dx_blocks(dx, xhat, cache["inv_stds"], vbs)
+    for d, xh, inv in blocks:
         # (inv / vbs) * (vbs * dxhat - sum(dxhat) - xh * sum(dxhat * xh)),
-        # evaluated in this order, as the per-virtual-batch loop did
-        dxhat = dy3[blk] * gamma
+        # evaluated in this order, as the per-virtual-batch loop did; d holds
+        # dy until dxhat is taken from it
+        dxhat = d * gamma
         sum_dxhat = np.add.reduce(dxhat, axis=1)
-        np.multiply(vbs, dxhat, out=out)
-        out -= sum_dxhat[:, None]
+        np.multiply(vbs, dxhat, out=d)
+        d -= sum_dxhat[:, None]
         dxhat *= xh
         np.multiply(xh, np.add.reduce(dxhat, axis=1)[:, None], out=dxhat)
-        out -= dxhat
-        out *= (inv_stds[blk] / vbs)[:, None]
+        d -= dxhat
+        d *= (inv / vbs)[:, None]
     return dx, dgamma, dbeta
 
 
@@ -251,7 +318,8 @@ class LayerPlan:
     hidden layer with BN) BN scale and shift as views into the store's
     `flat`, which a store never replaces; `targets` is the smoothed-target
     table. `grad_views(out)` gives the same groups' views into a gradient
-    vector laid out like `flat`.
+    vector laid out like `flat`, and `workspace(n)` the train-mode buffers
+    for batches of n rows.
     """
 
     def __init__(self, params: ParamStore, config: MlpConfig):
@@ -274,6 +342,7 @@ class LayerPlan:
         self.layers = self._views(params.flat)
         self.targets = target_table(config.n_classes, config.label_smoothing)
         self._out = None
+        self._workspaces = {}
 
     def _views(self, vec: np.ndarray) -> list[tuple]:
         """Per layer (weight, bias, BN scale or None, BN shift or None) over `vec`."""
@@ -292,6 +361,53 @@ class LayerPlan:
             self._out = out
         return self._layer_grads, self._named_grads
 
+    def workspace(self, n: int) -> "TrainWorkspace":
+        """The train-mode buffers for batches of `n` rows, built on first use."""
+        work = self._workspaces.get(n)
+        if work is None:
+            work = self._workspaces[n] = TrainWorkspace(self, n)
+        return work
+
+
+class TrainWorkspace:
+    """The buffers every train forward and backward of one plan at one batch
+    size reuse; each train forward overwrites them.
+
+    `hidden` holds per hidden layer (act, mask, dz, BN cache or None): the
+    affine output, over which BN writes y and the ReLU its output, which the
+    next layer reads; the ReLU mask; and the gradient at the affine output,
+    over which BN's backward writes dx. A BN cache holds x-hat, the inverse
+    standard deviations and the block views (`_ghost_bn_cache`). `sub_stats`
+    holds every BN layer's per-virtual-batch means and variances after a zero
+    row, side by side as in `BnRunningStats.values`. `stamp` counts the train
+    forwards that have written the workspace, so that a cache can tell it is
+    stale.
+    """
+
+    def __init__(self, plan: LayerPlan, n: int):
+        vbs = plan.config.virtual_batch_size
+        hidden = plan.layers[:-1]
+        bn_width = sum(w.shape[1] for w, _, gamma, _ in hidden if gamma is not None)
+        self.stamp = 0
+        self.n_sub = self.sub_stats = self.stat_sums = None
+        if bn_width:
+            if n % vbs != 0:
+                raise IndivisibleBatch(f"{n} rows vs virtual batch {vbs}")
+            self.n_sub = n // vbs
+            self.sub_stats = np.zeros((2, self.n_sub + 1, bn_width))
+            self.stat_sums = np.empty_like(self.sub_stats)
+        self.hidden = []
+        start = 0
+        for w, _, gamma, _ in hidden:
+            c = w.shape[1]
+            act, dz = np.empty((n, c)), np.empty((n, c))
+            bn_cache = None
+            if gamma is not None:
+                rows = self.sub_stats[:, 1:, start:start + c]
+                bn_cache = _ghost_bn_cache(act, gamma, vbs, rows, dx=dz)
+                start += c
+            self.hidden.append((act, np.empty((n, c), dtype=bool), dz, bn_cache))
+
 
 def layer_plan(params: ParamStore, config: MlpConfig) -> LayerPlan:
     """The store's plan for `config`, built on first use and kept with the store."""
@@ -307,6 +423,11 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
 
     Hidden layers: affine -> BN (if enabled) -> ReLU. The loss is the
     mean cross-entropy against (1-tau)*onehot + tau/K targets.
+
+    A train-mode pass runs in the plan's workspace for the batch size, so its
+    cache holds views of it and goes stale at the next train forward on the
+    same store and batch size; the logits are a new array. An eval-mode pass
+    allocates its own arrays.
     """
     widths = config.layer_widths
     if batch.inputs.shape[1] != widths[0]:
@@ -317,22 +438,35 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
         raise InvalidConfig("label out of range")
     plan = layer_plan(params, config)
     x = batch.inputs
-    new_stats = stats.copy()
-    layer_caches = []
-    bn_idx = 0
-    for w, b, gamma, beta in plan.layers[:-1]:
-        z = np.matmul(x, w)
-        z += b
-        bn_cache = None
-        if gamma is not None:
-            z, bn_cache, new_stats.means[bn_idx], new_stats.vars[bn_idx] = bn_forward(
-                z, gamma, beta, config.bn_epsilon, config.virtual_batch_size, mode,
-                new_stats.means[bn_idx], new_stats.vars[bn_idx], config.bn_stats_decay,
-            )
-            bn_idx += 1
-        relu_mask = z > 0.0
-        layer_caches.append((x, bn_cache, relu_mask))
-        x = np.maximum(z, 0.0)
+    new_stats = stats
+    if mode == "eval":
+        running = zip(stats.means, stats.vars)
+        for w, b, gamma, beta in plan.layers[:-1]:
+            z = np.matmul(x, w)
+            z += b
+            if gamma is not None:
+                z, _, _, _ = bn_forward(z, gamma, beta, config.bn_epsilon,
+                                        config.virtual_batch_size, mode, *next(running),
+                                        config.bn_stats_decay)
+            x = np.maximum(z, 0.0)
+        cache = {"mode": mode}
+    else:
+        work = plan.workspace(len(batch))
+        work.stamp += 1
+        for (w, b, gamma, beta), (act, mask, _, bn_cache) in zip(plan.layers, work.hidden):
+            np.matmul(x, w, out=act)
+            act += b
+            if gamma is not None:
+                bn_forward(act, gamma, beta, config.bn_epsilon, config.virtual_batch_size,
+                           mode, None, None, config.bn_stats_decay, cache=bn_cache)
+            np.greater(act, 0.0, out=mask)
+            np.maximum(act, 0.0, out=act)
+            x = act
+        if work.sub_stats is not None:
+            sums = np.add.accumulate(work.sub_stats, axis=1, out=work.stat_sums)[:, -1]
+            new_stats = stats.updated(sums, work.n_sub, config.bn_stats_decay)
+        cache = {"mode": mode, "plan": plan, "work": work, "stamp": work.stamp,
+                 "inputs": batch.inputs}
     w, b, _, _ = plan.layers[-1]
     logits = np.matmul(x, w)
     logits += b
@@ -341,15 +475,7 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     log_p = _log_softmax(logits)
     targets = plan.targets[batch.labels]
     loss = float(-(targets * log_p).sum(axis=1).mean())
-    cache = {
-        "mode": mode,
-        "plan": plan,
-        "layers": layer_caches,
-        "last_input": x,
-        "log_p": log_p,
-        "targets": targets,
-        "batch_size": len(batch),
-    }
+    cache.update(last_input=x, log_p=log_p, targets=targets)
     return logits, loss, cache, new_stats
 
 
@@ -359,30 +485,36 @@ def backward(cache, params: ParamStore, config: MlpConfig,
 
     Each group's gradient is written into its slice of `out`, a vector laid
     out like the store's `flat` (allocated when not given); returns the
-    flat views of those slices by group name.
+    flat views of those slices by group name. `cache` must come from the
+    latest train forward on this store at its batch size.
     """
     if cache.get("mode") != "train":
         raise StaleCache("backward needs a train-mode forward cache")
+    work = cache["work"]
+    if cache["stamp"] != work.stamp:
+        raise StaleCache("a later train forward at this batch size overwrote the cache")
     plan = cache["plan"]
     if out is None:
         out = np.empty(params.flat.size)
     layer_grads, named = plan.grad_views(out)
-    n = cache["batch_size"]
     dlogits = np.exp(cache["log_p"])
     dlogits -= cache["targets"]
-    dlogits /= n
+    dlogits /= len(dlogits)
     gw, gb, _, _ = layer_grads[-1]
     np.matmul(cache["last_input"].T, dlogits, out=gw)
     np.add.reduce(dlogits, axis=0, out=gb)
     dz = dlogits
-    for k in range(len(plan.layers) - 2, -1, -1):
-        x_in, bn_cache, relu_mask = cache["layers"][k]
+    for k in range(len(work.hidden) - 1, -1, -1):
+        _, mask, dx, bn_cache = work.hidden[k]
         gw, gb, gscale, gshift = layer_grads[k]
-        dz = (dz @ plan.layers[k + 1][0].T) * relu_mask
+        np.matmul(dz, plan.layers[k + 1][0].T, out=dx)
+        dx *= mask
         if bn_cache is not None:
-            dz, gscale[...], gshift[...] = bn_backward(dz, bn_cache)
-        np.matmul(x_in.T, dz, out=gw)
-        np.add.reduce(dz, axis=0, out=gb)
+            bn_backward(dx, bn_cache, out=(dx, gscale, gshift))
+        x_in = work.hidden[k - 1][0] if k else cache["inputs"]
+        np.matmul(x_in.T, dx, out=gw)
+        np.add.reduce(dx, axis=0, out=gb)
+        dz = dx
     return named
 
 

@@ -157,6 +157,19 @@ def _data_with(**fields):
     return lambda base: {**base, "data": {**base["data"], **fields}}
 
 
+def _section_with(section, **fields):
+    """The base config with fields of one of its sections replaced."""
+    return lambda base: {**base, section: {**base[section], **fields}}
+
+
+def _route_with(**fields):
+    """The base config with fields of its first route's optimizer config replaced."""
+    def patched(base):
+        route = base["optimizer"][0]
+        return {**base, "optimizer": [{**route, "config": {**route["config"], **fields}}]}
+    return patched
+
+
 @pytest.mark.parametrize("command,bad_file,doc,extra", [
     ("tune", "space", [{"name": "schedule.eta_peak", "kind": "continuous", "bogus": 1}], []),
     ("tune", "space", {"name": "schedule.eta_peak"}, []),
@@ -186,6 +199,22 @@ def _data_with(**fields):
     ("train", "config", _data_with(features=3), []),
     ("train", "config", _data_with(classes=3), []),
     ("train", "config", _data_with(per_class=2), []),
+    ("train", "config", _base_with(), ["--seed", "-1"]),
+    ("tune", "config", _base_with(), ["--seed", "-1"]),
+    ("ablate", "config", _base_with(), ["--seeds", "-1"]),
+    ("train", "config", _section_with("model", init_seed=-5), []),
+    ("train", "config", _section_with("model", virtual_batch_size=8.5), []),
+    ("train", "config", _section_with("model", virtual_batch_size=True), []),
+    ("train", "config", _section_with("model", layer_widths=[2, 16.5, 16, 2]), []),
+    ("train", "config", _section_with("model", use_bn=[1, 0]), []),
+    ("train", "config", _section_with("model", use_bn="yes"), []),
+    ("train", "config", _section_with("schedule", t_warmup=2.5), []),
+    ("train", "config", _section_with("schedule", total_steps=True), []),
+    ("train", "config", _route_with(decay=float("nan")), []),
+    ("train", "config", _route_with(momentum=float("inf")), []),
+    ("train", "config", _section_with("model", bn_epsilon=float("inf")), []),
+    ("train", "config", _section_with("model", bn_gamma_init=[float("nan"), 1.0]), []),
+    ("train", "config", _section_with("schedule", p_decay=float("nan")), []),
 ], ids=["tune-space-unknown-key", "tune-space-object", "tune-space-name-not-text",
         "tune-config-list", "tune-no-budget",
         "ablate-two-element-override", "ablate-overrides-object", "ablate-seeds-not-int",
@@ -196,7 +225,13 @@ def _data_with(**fields):
         "tune-seed-fraction", "ablate-unknown-target-metric",
         "train-data-classes-text", "train-data-one-class", "train-data-zero-spread",
         "train-data-features-not-input-width", "train-data-classes-above-outputs",
-        "train-data-empty-eval-split"])
+        "train-data-empty-eval-split",
+        "train-seed-negative", "tune-seed-negative", "ablate-seeds-negative",
+        "train-init-seed-negative", "train-vbs-fraction", "train-vbs-bool",
+        "train-width-fraction", "train-use-bn-ints", "train-use-bn-text",
+        "train-warmup-fraction", "train-total-steps-bool", "train-decay-nan",
+        "train-momentum-inf", "train-bn-epsilon-inf", "train-gamma-init-nan",
+        "train-p-decay-nan"])
 def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command,
                                                   bad_file, doc, extra):
     paths = _valid_inputs(tmp_path, base_config)
@@ -207,6 +242,16 @@ def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command
     result = CliRunner().invoke(main, COMMANDS[command](paths) + extra)
     assert_one_error_line(result, str(paths[bad_file]) if bad_file else extra[0])
     assert not (tmp_path / "trials.jsonl").exists()
+
+
+def test_invalid_ablation_arm_is_named_in_the_error(tmp_path, base_config):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["overrides"], [["BN init", "model.bn_gamma_init", 0.5],
+                                    ["vbs", "model.virtual_batch_size", 7]])
+    result = CliRunner().invoke(main, COMMANDS["ablate"](paths))
+    assert_one_error_line(result, f"{paths['config']}: arm 'vbs' "
+                                  "(model.virtual_batch_size = 7): batch_size: 64 not "
+                                  "divisible by virtual_batch_size 7")
 
 
 @pytest.mark.parametrize("command", ["train", "tune", "ablate", "report", "schedule export"])

@@ -74,6 +74,37 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             harness.parse_config("{not json")
 
+    def test_integral_floats_read_as_ints(self, base_config):
+        want = harness.parse_config(copy.deepcopy(base_config))
+        base_config["model"]["layer_widths"] = [2.0, 16.0, 16, 2]
+        base_config["model"]["virtual_batch_size"] = 32.0
+        base_config["model"]["init_seed"] = 0.0
+        base_config["schedule"]["total_steps"] = 200.0
+        got = harness.parse_config(base_config)
+        assert got == want
+        assert all(type(w) is int for w in got.model.layer_widths)
+        assert type(got.model.virtual_batch_size) is int
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "init_seed", -1),
+        ("model", "label_smoothing", float("nan")),
+        ("model", "bn_gamma_init", float("-inf")),
+        ("model", "use_bn", [True, 1]),
+        ("schedule", "eta_peak", float("inf")),
+        ("optimizer", "beta2", float("nan")),
+        ("optimizer", "bias_correction", "false"),
+    ])
+    def test_bad_field_names_its_path(self, base_config, section, key, value):
+        if section == "optimizer":
+            base_config["optimizer"][0]["config"][key] = value
+            path = f"optimizer.0.config.{key}"
+        else:
+            base_config[section][key] = value
+            path = f"{section}.{key}"
+        with pytest.raises(ValidationError) as exc:
+            harness.parse_config(base_config)
+        assert exc.value.path == path
+
 
 class TestPatchConfig:
     def test_scalar_patch(self, base_config):

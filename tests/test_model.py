@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from optparity.errors import IndivisibleBatch, InvalidConfig, ShapeMismatch, StaleCache
+from optparity.errors import (
+    IndivisibleBatch,
+    InvalidConfig,
+    NonFiniteInput,
+    ShapeMismatch,
+    StaleCache,
+)
 from optparity.model import (
     Batch,
     BnRunningStats,
@@ -236,6 +242,78 @@ class TestBackward:
                                  mode="eval")
         with pytest.raises(StaleCache):
             backward(cache, store, cfg)
+
+
+class TestTrainWorkspace:
+    """A train forward runs in its store's workspace for the batch size."""
+
+    def _step(self, store, cfg, batch):
+        stats = BnRunningStats.for_config(cfg)
+        logits, loss, cache, new_stats = forward(store, stats, batch, cfg)
+        return logits, loss, new_stats.values, backward(cache, store, cfg)
+
+    def _assert_same(self, got, want):
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        np.testing.assert_array_equal(got[2], want[2])
+        for name in want[3]:
+            np.testing.assert_array_equal(got[3][name], want[3][name])
+
+    def test_next_train_forward_reuses_buffers_and_stales_cache(self):
+        cfg = small_config(layer_widths=[2, 16, 8, 2])
+        store = init_mlp(cfg)
+        stats = BnRunningStats.for_config(cfg)
+        logits1, _, first, _ = forward(store, stats, random_batch(cfg, 16, seed=1), cfg)
+        logits2, _, second, _ = forward(store, stats, random_batch(cfg, 16, seed=2), cfg)
+        assert np.shares_memory(first["last_input"], second["last_input"])
+        assert not np.shares_memory(logits1, logits2)
+        with pytest.raises(StaleCache):
+            backward(first, store, cfg)
+        grads = backward(second, store, cfg)
+        assert not any(np.shares_memory(g, second["last_input"]) for g in grads.values())
+
+    def test_eval_forward_leaves_train_cache_valid(self):
+        cfg = small_config(layer_widths=[2, 16, 8, 2])
+        batch = random_batch(cfg, 16, seed=3)
+        want = self._step(init_mlp(cfg), cfg, batch)
+        store = init_mlp(cfg)
+        stats = BnRunningStats.for_config(cfg)
+        logits, loss, cache, new_stats = forward(store, stats, batch, cfg)
+        forward(store, new_stats, random_batch(cfg, 16, seed=4), cfg, mode="eval")
+        forward(store, new_stats, random_batch(cfg, 24, seed=5), cfg, mode="eval")
+        self._assert_same((logits, loss, new_stats.values, backward(cache, store, cfg)),
+                          want)
+
+    def test_batch_sizes_each_match_a_fresh_store(self):
+        cfg = small_config(layer_widths=[2, 16, 8, 2])
+        store = init_mlp(cfg)
+        for n, seed in ((16, 6), (32, 7), (16, 8), (8, 9)):
+            batch = random_batch(cfg, n, seed=seed)
+            self._assert_same(self._step(store, cfg, batch),
+                              self._step(init_mlp(cfg), cfg, batch))
+
+    def test_forward_after_non_finite_input_matches_fresh_store(self):
+        cfg = small_config(layer_widths=[2, 16, 8, 2])
+        store = init_mlp(cfg)
+        batch = random_batch(cfg, 16, seed=11)
+        # the second BN layer's input overflows once the first has run
+        w2 = store["w2"].values
+        kept = w2.copy()
+        w2[:] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteInput, match="BN input"):
+            forward(store, BnRunningStats.for_config(cfg), batch, cfg)
+        w2[:] = kept
+        self._assert_same(self._step(store, cfg, batch),
+                          self._step(init_mlp(cfg), cfg, batch))
+
+    def test_running_stats_are_per_layer_views(self):
+        cfg = small_config(layer_widths=[2, 16, 8, 2])
+        stats = BnRunningStats.for_config(cfg)
+        _, _, _, new_stats = forward(init_mlp(cfg), stats, random_batch(cfg, 16), cfg)
+        assert new_stats.values.shape == (2, 24)
+        assert [m.shape for m in new_stats.means] == [(16,), (8,)]
+        assert all(np.shares_memory(v, new_stats.values) for v in new_stats.vars)
+        np.testing.assert_array_equal(stats.values, [[0.0] * 24, [1.0] * 24])
 
 
 class TestFiniteDifference:
