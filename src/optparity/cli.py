@@ -14,7 +14,7 @@ import click
 
 from . import harness, tuner
 from .errors import OptparityError, ParseError, ValidationError
-from .schedule import ScheduleSpec, export_schedule
+from .schedule import export_schedule
 
 
 def _load_json(path):
@@ -168,11 +168,10 @@ def schedule():
 def schedule_export(config_path, out_path):
     """Write the full step,lr curve as CSV."""
     doc = _load_config(config_path)
-    spec_doc = doc.get("schedule", doc)
     try:
-        spec = ScheduleSpec(**spec_doc)
-    except (TypeError, ValueError) as exc:
-        _fail(exc)
+        spec = harness.parse_schedule(doc.get("schedule", doc))
+    except ValidationError as exc:
+        _fail(f"{config_path}: {exc}")
     try:
         export_schedule(spec, out_path)
     except OptparityError as exc:

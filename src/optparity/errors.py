@@ -61,10 +61,6 @@ class TooManyDims(OptparityError):
     pass
 
 
-class ConfigPathUnknown(OptparityError):
-    pass
-
-
 class NoCompletedTrials(OptparityError):
     pass
 
@@ -79,6 +75,13 @@ class ValidationError(OptparityError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+class ConfigPathUnknown(ValidationError):
+    """A dotted path that addresses no field of the config document."""
+
+    def __init__(self, path: str):
+        super().__init__(path, "unknown config path")
 
 
 class CorruptRecord(OptparityError):

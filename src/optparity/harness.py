@@ -180,6 +180,14 @@ def _optimizer(doc: dict, path: str) -> OptimizerConfig:
     return _section(doc, OptimizerConfig, path)
 
 
+def parse_schedule(doc) -> ScheduleSpec:
+    """The schedule section `doc`: an object with typed fields and no unknown key."""
+    doc = _typed_fields(_typed(doc, dict, "schedule", "an object"), "schedule",
+                        ints=("total_steps", "t_warmup"),
+                        floats=("eta_peak", "eta_init", "eta_final", "p_warmup", "p_decay"))
+    return _section(doc, ScheduleSpec, "schedule")
+
+
 def seed_of(doc: dict) -> int:
     """A config document's base_seed: an integer >= 0, 0 when it is left out."""
     return _seed(doc.get("base_seed", 0), "base_seed")
@@ -227,15 +235,11 @@ def parse_config(doc) -> ExperimentConfig:
     for req in ("model", "data", "optimizer", "schedule", "budget_steps", "batch_size"):
         if req not in doc:
             raise ValidationError(req, "missing")
-    for key in ("model", "data", "schedule"):
+    for key in ("model", "data"):
         _typed(doc[key], dict, key, "an object")
     model = _model(doc["model"])
     data = _data(_section(doc["data"], DataConfig, "data"), model)
-    sched = _section(_typed_fields(doc["schedule"], "schedule",
-                                   ints=("total_steps", "t_warmup"),
-                                   floats=("eta_peak", "eta_init", "eta_final",
-                                           "p_warmup", "p_decay")),
-                     ScheduleSpec, "schedule")
+    sched = parse_schedule(doc["schedule"])
 
     routes = []
     for i, route in enumerate(_typed(doc["optimizer"], list, "optimizer", "a list")):
@@ -421,16 +425,17 @@ class Job:
 
 def expand_jobs(base: dict, assignments: list[dict]) -> list[Job]:
     """A Job per assignment of dotted path -> value on a copy of `base`, every
-    config parsed before any job runs; one that fails is kept as its error."""
+    config parsed before any job runs; one whose path is unknown or whose
+    config does not parse is kept as its error."""
     jobs = []
     for assignment in assignments:
         doc = deep_copy_config(base)
-        for path, value in assignment.items():
-            if path == "base_seed":  # a config may leave it out: it defaults to 0
-                doc[path] = value
-            else:
-                patch_config(doc, path, value)
         try:
+            for path, value in assignment.items():
+                if path == "base_seed":  # a config may leave it out: it defaults to 0
+                    doc[path] = value
+                else:
+                    patch_config(doc, path, value)
             jobs.append(Job(parse_config(doc)))
         except (ParseError, ValidationError) as exc:
             jobs.append(Job(error=exc))

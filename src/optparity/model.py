@@ -219,12 +219,11 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     returned as given, since the caller updates every layer's at once from
     the sums the cache's stat rows hold.
     """
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("BN input contains NaN/Inf")
+    _check_bn_input(x)
     n = x.shape[0]
     if mode == "eval":
-        inv = 1.0 / np.sqrt(running_var + bn_epsilon)
-        y = (x - running_mean) * inv * gamma + beta
+        y = _bn_eval(np.array(x, dtype=np.float64), gamma, beta, running_mean, running_var,
+                     bn_epsilon)
         return y, None, running_mean, running_var
     if n % virtual_batch_size != 0:
         raise IndivisibleBatch(f"{n} rows vs virtual batch {virtual_batch_size}")
@@ -243,6 +242,21 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     new_mean, new_var = _running_update(np.stack([running_mean, running_var]), sums,
                                         n_sub, stats_decay)
     return y, cache, new_mean, new_var
+
+
+def _check_bn_input(x):
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("BN input contains NaN/Inf")
+
+
+def _bn_eval(z, gamma, beta, running_mean, running_var, bn_epsilon):
+    """Eval-mode BN written over `z`: (z - mean) * inv * gamma + beta, in that order."""
+    inv = 1.0 / np.sqrt(running_var + bn_epsilon)
+    z -= running_mean
+    z *= inv
+    z *= gamma
+    z += beta
+    return z
 
 
 def _normalize(blocks, gamma, beta, bn_epsilon, vbs):
@@ -318,8 +332,8 @@ class LayerPlan:
     hidden layer with BN) BN scale and shift as views into the store's
     `flat`, which a store never replaces; `targets` is the smoothed-target
     table. `grad_views(out)` gives the same groups' views into a gradient
-    vector laid out like `flat`, and `workspace(n)` the train-mode buffers
-    for batches of n rows.
+    vector laid out like `flat`, `workspace(n)` the train-mode buffers for
+    batches of n rows, and `eval_buffers(n)` the eval-mode activations.
     """
 
     def __init__(self, params: ParamStore, config: MlpConfig):
@@ -343,6 +357,8 @@ class LayerPlan:
         self.targets = target_table(config.n_classes, config.label_smoothing)
         self._out = None
         self._workspaces = {}
+        self._eval = []
+        self._eval_rows = 0
 
     def _views(self, vec: np.ndarray) -> list[tuple]:
         """Per layer (weight, bias, BN scale or None, BN shift or None) over `vec`."""
@@ -367,6 +383,16 @@ class LayerPlan:
         if work is None:
             work = self._workspaces[n] = TrainWorkspace(self, n)
         return work
+
+    def eval_buffers(self, n: int) -> list[np.ndarray]:
+        """Per hidden layer an (n, width) activation buffer for eval-mode passes:
+        the first n rows of buffers sized for the largest eval set so far, so
+        that every eval forward on the store shares them."""
+        if n > self._eval_rows:
+            self._eval = []  # let the smaller buffers go before the new ones exist
+            self._eval = [np.empty((n, w.shape[1])) for w, _, _, _ in self.layers[:-1]]
+            self._eval_rows = n
+        return [buf[:n] for buf in self._eval]
 
 
 class TrainWorkspace:
@@ -426,8 +452,10 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
 
     A train-mode pass runs in the plan's workspace for the batch size, so its
     cache holds views of it and goes stale at the next train forward on the
-    same store and batch size; the logits are a new array. An eval-mode pass
-    allocates its own arrays.
+    same store and batch size. An eval-mode pass writes its activations into
+    the plan's eval buffers, which the next eval forward on the store
+    overwrites; its cache holds no view of them. The logits are a new array
+    in both modes.
     """
     widths = config.layer_widths
     if batch.inputs.shape[1] != widths[0]:
@@ -441,14 +469,14 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     new_stats = stats
     if mode == "eval":
         running = zip(stats.means, stats.vars)
-        for w, b, gamma, beta in plan.layers[:-1]:
-            z = np.matmul(x, w)
+        for (w, b, gamma, beta), z in zip(plan.layers, plan.eval_buffers(len(batch))):
+            np.matmul(x, w, out=z)
             z += b
             if gamma is not None:
-                z, _, _, _ = bn_forward(z, gamma, beta, config.bn_epsilon,
-                                        config.virtual_batch_size, mode, *next(running),
-                                        config.bn_stats_decay)
-            x = np.maximum(z, 0.0)
+                _check_bn_input(z)
+                _bn_eval(z, gamma, beta, *next(running), config.bn_epsilon)
+            np.maximum(z, 0.0, out=z)
+            x = z
         cache = {"mode": mode}
     else:
         work = plan.workspace(len(batch))
@@ -466,7 +494,7 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
             sums = np.add.accumulate(work.sub_stats, axis=1, out=work.stat_sums)[:, -1]
             new_stats = stats.updated(sums, work.n_sub, config.bn_stats_decay)
         cache = {"mode": mode, "plan": plan, "work": work, "stamp": work.stamp,
-                 "inputs": batch.inputs}
+                 "inputs": batch.inputs, "last_input": x}
     w, b, _, _ = plan.layers[-1]
     logits = np.matmul(x, w)
     logits += b
@@ -475,7 +503,7 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     log_p = _log_softmax(logits)
     targets = plan.targets[batch.labels]
     loss = float(-(targets * log_p).sum(axis=1).mean())
-    cache.update(last_input=x, log_p=log_p, targets=targets)
+    cache.update(log_p=log_p, targets=targets)
     return logits, loss, cache, new_stats
 
 

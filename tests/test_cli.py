@@ -254,6 +254,65 @@ def test_invalid_ablation_arm_is_named_in_the_error(tmp_path, base_config):
                                   "divisible by virtual_batch_size 7")
 
 
+def test_unknown_ablation_path_names_the_arm_and_the_path(tmp_path, base_config):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["overrides"], [["bad", "model.nonexistent", 1]])
+    result = CliRunner().invoke(main, COMMANDS["ablate"](paths))
+    assert_one_error_line(result, f"{paths['config']}: arm 'bad' (model.nonexistent = 1): "
+                                  "model.nonexistent: unknown config path")
+
+
+def test_unknown_search_path_names_the_config_and_the_path(tmp_path, base_config):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["space"], [{"name": "model.nonexistent", "kind": "continuous"}])
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths))
+    assert_one_error_line(result, f"{paths['config']}: model.nonexistent: "
+                                  "unknown config path")
+    assert not (tmp_path / "trials.jsonl").exists()
+
+
+SPEC = {"family": "poly_warmup_decay", "eta_peak": 1.0, "total_steps": 10, "t_warmup": 2}
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["bare-spec", "config"])
+@pytest.mark.parametrize("fields,needle", [
+    ({"t_warmup": 2.5}, "schedule.t_warmup: must be an integer, got 2.5"),
+    ({"p_decay": float("nan")}, "schedule.p_decay: must be finite, got nan"),
+    ({"total_steps": True}, "schedule.total_steps: must be an integer, got True"),
+    ({"bogus": 1}, "schedule.bogus: unknown key"),
+], ids=["warmup-fraction", "p-decay-nan", "total-steps-bool", "unknown-key"])
+def test_schedule_export_checks_the_spec_as_train_does(tmp_path, base_config, nested,
+                                                       fields, needle):
+    spec = {**SPEC, **fields}
+    cfg_path, csv_path = tmp_path / "spec.json", tmp_path / "lr.csv"
+    write_json(cfg_path, {**base_config, "schedule": spec} if nested else spec)
+    result = CliRunner().invoke(main, ["schedule", "export", "--config", str(cfg_path),
+                                       "--out", str(csv_path)])
+    assert_one_error_line(result, f"{cfg_path}: {needle}")
+    assert not csv_path.exists()
+
+
+def test_schedule_export_rejects_a_section_that_is_not_an_object(tmp_path, base_config):
+    cfg_path, csv_path = tmp_path / "spec.json", tmp_path / "lr.csv"
+    write_json(cfg_path, {**base_config, "schedule": 5})
+    result = CliRunner().invoke(main, ["schedule", "export", "--config", str(cfg_path),
+                                       "--out", str(csv_path)])
+    assert_one_error_line(result, f"{cfg_path}: schedule: must be an object, got 5")
+    assert not csv_path.exists()
+
+
+def test_schedule_export_of_a_bare_spec(tmp_path):
+    cfg_path, csv_path = tmp_path / "spec.json", tmp_path / "lr.csv"
+    write_json(cfg_path, {**SPEC, "total_steps": 10.0, "p_decay": 2})
+    result = CliRunner().invoke(main, ["schedule", "export", "--config", str(cfg_path),
+                                       "--out", str(csv_path)])
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [int(step) for step, _ in rows] == list(range(11))
+    assert [float(lr) for _, lr in rows[:3]] == [0.0, 0.5, 1.0]
+    assert float(rows[6][1]) == 0.25 and float(rows[10][1]) == 0.0
+
+
 @pytest.mark.parametrize("command", ["train", "tune", "ablate", "report", "schedule export"])
 def test_unwritable_out_exits_2_with_one_error_line(tmp_path, base_config, command):
     paths = _valid_inputs(tmp_path, base_config)

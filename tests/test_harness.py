@@ -128,6 +128,13 @@ class TestPatchConfig:
         with pytest.raises(ConfigPathUnknown):
             harness.patch_config(base_config, "optimizer.9.config.decay", 1)
 
+    def test_unknown_path_is_its_jobs_error(self, base_config):
+        jobs = harness.expand_jobs(base_config, [{"model.nonexistent": 1},
+                                                 {"schedule.eta_peak": 0.1}])
+        assert jobs[0].config is None and isinstance(jobs[0].error, ValidationError)
+        assert str(jobs[0].error) == "model.nonexistent: unknown config path"
+        assert jobs[1].error is None and jobs[1].config.schedule.eta_peak == 0.1
+
 
 class TestRunTraining:
     def test_converges_on_separable_blobs(self, base_config):
@@ -422,10 +429,13 @@ class TestAblation:
     def test_bad_path_fails_before_any_run(self, base_config, monkeypatch):
         monkeypatch.setattr(harness, "run_training", lambda config: pytest.fail("a run began"))
         # an unknown path, and an arm that patches cleanly but does not parse
-        # (batch 64 is not a multiple of virtual batch 7)
-        for override, error in [(("x", "model.bogus", 1), ConfigPathUnknown),
-                                (("VBS 7", "model.virtual_batch_size", 7), ValidationError)]:
-            with pytest.raises(error):
+        # (batch 64 is not a multiple of virtual batch 7); both name the arm
+        for override, match in [
+                (("x", "model.bogus", 1),
+                 "arm 'x' .*: model.bogus: unknown config path"),
+                (("VBS 7", "model.virtual_batch_size", 7),
+                 "arm 'VBS 7' .*: batch_size: 64 not divisible")]:
+            with pytest.raises(ValidationError, match=match):
                 harness.run_ablation(base_config, [override], [0])
 
 

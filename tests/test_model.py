@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from optparity.model import (
     forward,
     gen_synthetic_dataset,
     init_mlp,
+    layer_plan,
     smoothed_targets,
 )
 
@@ -314,6 +316,72 @@ class TestTrainWorkspace:
         assert [m.shape for m in new_stats.means] == [(16,), (8,)]
         assert all(np.shares_memory(v, new_stats.values) for v in new_stats.vars)
         np.testing.assert_array_equal(stats.values, [[0.0] * 24, [1.0] * 24])
+
+
+class TestEvalBuffers:
+    """An eval forward runs in its store's eval buffers, sized for the largest
+    eval set so far."""
+
+    def _trained_stats(self, store, cfg):
+        _, _, _, stats = forward(store, BnRunningStats.for_config(cfg),
+                                 random_batch(cfg, 16, seed=20), cfg)
+        return stats
+
+    @pytest.mark.parametrize("use_bn", [True, False])
+    def test_row_counts_each_match_a_fresh_store(self, use_bn):
+        cfg = small_config(layer_widths=[2, 16, 8, 2], use_bn=use_bn)
+        store = init_mlp(cfg)
+        stats = self._trained_stats(store, cfg)
+        for n, seed in ((24, 21), (8, 22), (40, 23)):
+            batch = random_batch(cfg, n, seed=seed)
+            logits, loss, _, _ = forward(store, stats, batch, cfg, mode="eval")
+            want_logits, want_loss, _, _ = forward(init_mlp(cfg), stats, batch, cfg,
+                                                   mode="eval")
+            np.testing.assert_array_equal(logits, want_logits)
+            assert loss == want_loss
+
+    def test_next_eval_forward_leaves_logits_and_inputs_alone(self):
+        cfg = small_config(layer_widths=[2, 16, 8, 2])
+        store = init_mlp(cfg)
+        stats = self._trained_stats(store, cfg)
+        first, second = random_batch(cfg, 24, seed=24), random_batch(cfg, 24, seed=25)
+        inputs = first.inputs.copy()
+        logits, _, cache, _ = forward(store, stats, first, cfg, mode="eval")
+        kept = logits.copy()
+        forward(store, stats, second, cfg, mode="eval")
+        np.testing.assert_array_equal(logits, kept)
+        np.testing.assert_array_equal(first.inputs, inputs)
+        buffers = layer_plan(store, cfg).eval_buffers(24)
+        assert not any(np.shares_memory(value, buf) for value in cache.values()
+                       if isinstance(value, np.ndarray) for buf in buffers)
+
+    def test_standalone_bn_forward_leaves_its_input_alone(self):
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(12, 4))
+        gamma, beta = rng.normal(size=4), rng.normal(size=4)
+        mean, var = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+        kept = x.copy()
+        y, cache, _, _ = bn_forward(x, gamma, beta, 1e-5, 4, "eval", mean, var, 0.9)
+        np.testing.assert_array_equal(x, kept)
+        assert cache is None and not np.shares_memory(y, x)
+        np.testing.assert_array_equal(y, (kept - mean) * (1.0 / np.sqrt(var + 1e-5))
+                                      * gamma + beta)
+
+    def test_second_forward_allocates_less_than_one_activation(self):
+        cfg = MlpConfig(layer_widths=[16, 256, 256, 10], use_bn=True, virtual_batch_size=64)
+        store = init_mlp(cfg)
+        stats = BnRunningStats.for_config(cfg)
+        n = 1024
+        batch = random_batch(cfg, n, seed=27)
+        want, _, _, _ = forward(store, stats, batch, cfg, mode="eval")
+        tracemalloc.start()
+        try:
+            logits, _, _, _ = forward(store, stats, batch, cfg, mode="eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(logits, want)
+        assert peak < n * 256 * 8
 
 
 class TestFiniteDifference:
