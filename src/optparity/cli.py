@@ -14,7 +14,7 @@ import click
 
 from . import harness, tuner
 from .errors import OptparityError, ParseError, ValidationError
-from .schedule import export_schedule
+from .schedule import ScheduleSpec, export_schedule
 
 
 def _load_json(path):
@@ -99,16 +99,12 @@ def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed
     except ValidationError as exc:
         _fail(exc)
     doc = _load_config(config_path, seed)
-    space_doc = _load_json(space_path)
     try:
-        space = [tuner.SearchDim(**d) for d in space_doc]
-    except (TypeError, OptparityError) as exc:  # TypeError: not a list of objects, bad key
+        space = harness.read_as(_load_json(space_path), list[tuner.SearchDim], "space")
+    except ValidationError as exc:
         _fail(f"{space_path}: {exc}")
     if budget is None:
-        try:
-            budget = int(doc["budget_steps"])
-        except (KeyError, TypeError, ValueError):
-            _fail(f"{config_path}: budget_steps: missing or not an integer")
+        budget = doc.get("budget_steps")  # run_study reads it as an integer
     try:
         records = tuner.run_study(space, doc, trials, budget, metric,
                                   offset=offset, workers=workers)
@@ -169,7 +165,7 @@ def schedule_export(config_path, out_path):
     """Write the full step,lr curve as CSV."""
     doc = _load_config(config_path)
     try:
-        spec = harness.parse_schedule(doc.get("schedule", doc))
+        spec = harness.read_as(doc.get("schedule", doc), ScheduleSpec, "schedule")
     except ValidationError as exc:
         _fail(f"{config_path}: {exc}")
     try:

@@ -1,21 +1,24 @@
 """Experiment configuration, the training loop, the job runner, and persistence.
 
-The JSON config document mirrors the module boundaries: `model`, `data`,
-`optimizer` (an ordered routing list), `schedule`, and the run-level
-scalars. Unknown keys are rejected with the dotted path of the offender,
-and cross-field rules (step budget vs schedule length, batch vs virtual
-batch divisibility, routing coverage) are validated up front.
+Every JSON input (configs, search spaces, summaries, trial logs) is read by
+`read_as` against the dataclass declarations: each key by its field's type,
+an unknown or missing key named by its dotted path, each range by the
+dataclass's own `__post_init__`. `parse_config` adds the cross-field rules
+(step budget vs schedule length, batch vs virtual batch, routing coverage).
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import functools
 import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .errors import (
     IoFailure,
     NonFiniteInput,
     DivisionHazard,
+    OptparityError,
     ParseError,
     ValidationError,
 )
@@ -45,10 +49,6 @@ from .optim import composite_step  # noqa: F401  perfbench/tracing.py wraps this
 from .param_store import TAGS
 from .schedule import ScheduleSpec, eval_schedule
 
-_TOP_KEYS = {
-    "model", "data", "optimizer", "schedule", "budget_steps", "batch_size",
-    "eval_every", "base_seed", "target_metric", "target_value",
-}
 # the TrainResult fields a study selects on and a summary reduces
 RESULT_METRICS = ("final_train_accuracy", "final_eval_accuracy", "final_loss")
 
@@ -61,12 +61,34 @@ class DataConfig:
     spread: float
     seed: int
 
+    def __post_init__(self):
+        if self.classes < 2 or self.features < 1:
+            raise InvalidConfig(f"classes must be >= 2 and features >= 1, "
+                                f"got {self.classes} and {self.features}")
+        if self.classes * self.per_class < 5:
+            raise InvalidConfig("classes * per_class must be >= 5, "
+                                "or the eval split (one fifth) is empty")
+        if not self.spread > 0:
+            raise InvalidConfig(f"spread must be > 0, got {self.spread}")
+
+
+@dataclass
+class Route:
+    """One item of a config's `optimizer` list: a tag set and its rule."""
+    tags: frozenset[str]
+    config: OptimizerConfig = field(default_factory=OptimizerConfig)
+
+    def __post_init__(self):
+        if not self.tags or not self.tags <= set(TAGS):
+            raise InvalidConfig(f"invalid tag set {sorted(self.tags)}")
+
 
 @dataclass
 class ExperimentConfig:
+    """The config document's fields, and `routing`: the rule its routes make."""
     model: MlpConfig
     data: DataConfig
-    routing: RoutingRule
+    optimizer: list[Route]
     schedule: ScheduleSpec
     budget_steps: int
     batch_size: int
@@ -74,6 +96,10 @@ class ExperimentConfig:
     base_seed: int = 0
     target_metric: str = "final_eval_accuracy"
     target_value: float = 0.0
+    routing: RoutingRule = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.routing = RoutingRule([(route.tags, route.config) for route in self.optimizer])
 
 
 @dataclass
@@ -87,19 +113,34 @@ class TrainResult:
     final_loss: float | None = None
 
 
-def _reject_unknown(section: dict, allowed: set, prefix: str):
-    for key in section:
-        if key not in allowed:
-            raise ValidationError(f"{prefix}{key}", "unknown key")
+@dataclass
+class TrialRecord:
+    trial_index: int
+    assignment: dict
+    seed: int
+    status: str  # "completed" | "diverged" | "error"
+    final_train_accuracy: float | None = None
+    final_eval_accuracy: float | None = None
+    final_loss: float | None = None
+    steps_run: int = 0
+    diverged_step: int | None = None
+    error: str | None = None  # "<ExceptionType>: <message>" of an "error" trial
 
 
-def _section(doc: dict, cls, path: str):
-    """The dataclass `cls` built from the object at `path`; unknown keys rejected."""
-    _reject_unknown(doc, {f.name for f in fields(cls)}, path + ".")
-    try:
-        return cls(**doc)
-    except Exception as exc:
-        raise ValidationError(path, str(exc)) from exc
+# An order statistic over seeds, where a diverged seed counts as -inf (+inf
+# when minimizing): the one kind of float field that may be infinite.
+OrderStat = typing.NewType("OrderStat", float)
+
+
+@dataclass
+class SeedSummary:
+    median: OrderStat
+    q1: OrderStat
+    q3: OrderStat
+    min: OrderStat
+    max: OrderStat
+    target_fraction: float
+    n_seeds: int
 
 
 def _typed(value, kind, path: str, what: str):
@@ -117,9 +158,13 @@ def _integer(value, path: str) -> int:
 
 
 def _number(value, path: str) -> float:
+    """An int or float, never a bool, as a float; an int past float range is +-inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _finite(value, path: str) -> float:
@@ -129,6 +174,16 @@ def _finite(value, path: str) -> float:
     return value
 
 
+def _order_stat(value, path: str) -> float:
+    value = _number(value, path)
+    if math.isnan(value):
+        raise ValidationError(path, "must be a number or +-inf, got nan")
+    return value
+
+
+_READERS = {int: _integer, float: _finite, OrderStat: _order_stat}
+
+
 def _seed(value, path: str) -> int:
     seed = _integer(value, path)
     if seed < 0:
@@ -136,56 +191,84 @@ def _seed(value, path: str) -> int:
     return seed
 
 
-def _typed_fields(doc: dict, path: str, ints=(), floats=()) -> dict:
-    """A copy of the section `doc` with its `ints` read through _integer and
-    its `floats` through _finite, where present."""
-    doc = dict(doc)
-    for names, read in ((ints, _integer), (floats, _finite)):
-        for name in names:
-            if name in doc:
-                doc[name] = read(doc[name], f"{path}.{name}")
-    return doc
+# how an error message names each declared type that is not a list or union
+_KINDS = {bool: "a bool", str: "a string", dict: "an object", list: "a list",
+          type(None): "null", int: "an integer", float: "a finite number",
+          OrderStat: "a number"}
 
 
-def _model(doc: dict) -> MlpConfig:
-    """The model section with typed fields; MlpConfig checks their ranges."""
-    doc = _typed_fields(doc, "model", ints=("virtual_batch_size", "init_seed"),
-                        floats=("bn_epsilon", "bn_stats_decay", "label_smoothing"))
-    if "layer_widths" in doc:
-        widths = _typed(doc["layer_widths"], list, "model.layer_widths", "a list")
-        doc["layer_widths"] = [_integer(w, f"model.layer_widths.{i}")
-                               for i, w in enumerate(widths)]
-    use_bn = doc.get("use_bn", False)
-    if not (isinstance(use_bn, bool) or isinstance(use_bn, list)
-            and all(isinstance(on, bool) for on in use_bn)):
-        raise ValidationError("model.use_bn", f"must be a bool or a list of bools, "
-                                              f"got {use_bn!r}")
-    gammas = doc.get("bn_gamma_init", 1.0)
-    if isinstance(gammas, list):
-        doc["bn_gamma_init"] = [_finite(g, f"model.bn_gamma_init.{i}")
-                                for i, g in enumerate(gammas)]
-    else:
-        doc["bn_gamma_init"] = _finite(gammas, "model.bn_gamma_init")
-    model = _section(doc, MlpConfig, "model")
-    _seed(model.init_seed, "model.init_seed")
-    return model
+def _what(hint) -> str:
+    if typing.get_origin(hint) in (list, frozenset):
+        return f"a list of {_what(typing.get_args(hint)[0]).split(' ', 1)[1]}s"
+    return _KINDS[hint]
 
 
-def _optimizer(doc: dict, path: str) -> OptimizerConfig:
-    """One route's optimizer config with typed fields."""
-    doc = _typed_fields(doc, path, floats=("momentum", "beta1", "beta2", "epsilon",
-                                           "trust_coefficient", "decay"))
-    if "bias_correction" in doc:
-        _typed(doc["bias_correction"], bool, path + ".bias_correction", "a bool")
-    return _section(doc, OptimizerConfig, path)
+def read_as(value, hint, path: str):
+    """The decoded JSON `value` at the dotted `path` read as the declared type
+    `hint`, or a ValidationError at the path: int through _integer, float
+    through _finite, OrderStat through _order_stat; bool, str, dict, None and a
+    bare list as they are; list[X] and frozenset[X] from a JSON list, item i at
+    `path.i`; a union as its first alternative that fits; a dataclass through
+    _section."""
+    return _reader(hint)(value, path)
 
 
-def parse_schedule(doc) -> ScheduleSpec:
-    """The schedule section `doc`: an object with typed fields and no unknown key."""
-    doc = _typed_fields(_typed(doc, dict, "schedule", "an object"), "schedule",
-                        ints=("total_steps", "t_warmup"),
-                        floats=("eta_peak", "eta_init", "eta_final", "p_warmup", "p_decay"))
-    return _section(doc, ScheduleSpec, "schedule")
+@functools.cache
+def _reader(hint):
+    """read_as for one declared type, built once per type."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        # only the alternatives of the value's shape, list or not, can fit it
+        options = [(_reader(a), a is list or typing.get_origin(a) in (list, frozenset))
+                   for a in args]
+
+        def read_union(value, path):
+            for read, takes_list in options:
+                if takes_list == isinstance(value, list):
+                    try:
+                        return read(value, path)
+                    except ValidationError:
+                        pass
+            raise ValidationError(path, f"must be {' or '.join(map(_what, args))}, "
+                                        f"got {value!r}")
+        return read_union
+    if origin in (list, frozenset):
+        read_item = _reader(args[0])
+        return lambda value, path: origin([read_item(v, f"{path}.{i}") for i, v
+                                           in enumerate(_typed(value, list, path, "a list"))])
+    if is_dataclass(hint):
+        return lambda value, path: _section(value, hint, path)
+    return _READERS.get(hint) or (lambda value, path: _typed(value, hint, path, _KINDS[hint]))
+
+
+@functools.cache
+def _declared(cls) -> tuple[dict, tuple]:
+    """The reader of each init field of the dataclass `cls` by name, and the
+    names of the fields that have no default, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return ({f.name: _reader(hints[f.name]) for f in fields(cls) if f.init},
+            tuple(f.name for f in fields(cls)
+                  if f.default is MISSING and f.default_factory is MISSING and f.init))
+
+
+def _section(doc, cls, path: str):
+    """The dataclass `cls` built from the JSON object `doc` at `path` ("" for
+    a whole document): each key read as its field's declared type, an unknown
+    or missing key rejected, and a failed range check of `cls` raised at `path`."""
+    readers, required = _declared(cls)
+    prefix = f"{path}." if path else ""
+    values = {}
+    for key, value in _typed(doc, dict, path, "an object").items():
+        if key not in readers:
+            raise ValidationError(prefix + key, "unknown key")
+        values[key] = readers[key](value, prefix + key)
+    for name in required:
+        if name not in values:
+            raise ValidationError(prefix + name, "missing")
+    try:
+        return cls(**values)
+    except (ValueError, OptparityError) as exc:  # what the range checks raise
+        raise ValidationError(path, str(exc)) from exc
 
 
 def seed_of(doc: dict) -> int:
@@ -201,90 +284,45 @@ def check_metric(name, path: str) -> str:
     return name
 
 
-def _data(data: DataConfig, model: MlpConfig) -> DataConfig:
-    """The data section with typed fields, in range and fitting the model."""
-    for name in ("classes", "features", "per_class"):
-        setattr(data, name, _integer(getattr(data, name), f"data.{name}"))
-    data.seed = _seed(data.seed, "data.seed")
-    data.spread = _number(data.spread, "data.spread")
-    widths = model.layer_widths
-    if data.features != widths[0]:
-        raise ValidationError("data.features",
-                              f"{data.features} != model.layer_widths[0] {widths[0]}")
-    if not 2 <= data.classes <= widths[-1]:
-        raise ValidationError("data.classes", f"must be in [2, model.layer_widths[-1] "
-                                              f"{widths[-1]}], got {data.classes}")
-    if data.classes * data.per_class < 5:
-        raise ValidationError("data.per_class", "classes * per_class must be >= 5, "
-                                                "or the eval split (one fifth) is empty")
-    if not (math.isfinite(data.spread) and data.spread > 0):
-        raise ValidationError("data.spread", f"must be finite and > 0, got {data.spread}")
-    return data
-
-
 def parse_config(doc) -> ExperimentConfig:
     """Parse and validate a JSON config document (text or dict)."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer of too many digits
             raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "")
-    for req in ("model", "data", "optimizer", "schedule", "budget_steps", "batch_size"):
-        if req not in doc:
-            raise ValidationError(req, "missing")
-    for key in ("model", "data"):
-        _typed(doc[key], dict, key, "an object")
-    model = _model(doc["model"])
-    data = _data(_section(doc["data"], DataConfig, "data"), model)
-    sched = parse_schedule(doc["schedule"])
-
-    routes = []
-    for i, route in enumerate(_typed(doc["optimizer"], list, "optimizer", "a list")):
-        prefix = f"optimizer.{i}."
-        _typed(route, dict, prefix[:-1], "an object")
-        _reject_unknown(route, {"tags", "config"}, prefix)
-        tags = _typed(route.get("tags", []), list, prefix + "tags", "a list")
-        if not tags or any(tag not in TAGS for tag in tags):
-            raise ValidationError(prefix + "tags", f"invalid tag set {sorted(map(str, tags))}")
-        tags = frozenset(tags)
-        config = _typed(route.get("config", {}), dict, prefix + "config", "an object")
-        routes.append((tags, _optimizer(config, prefix + "config")))
-    routing = RoutingRule(routes)
-    if not routing.covers_all():
+    config = _section(doc, ExperimentConfig, "")
+    model, data, budget = config.model, config.data, config.budget_steps
+    if not config.routing.covers_all():
         raise ValidationError("optimizer", "routing does not cover all tags")
-
-    budget = _integer(doc["budget_steps"], "budget_steps")
-    batch_size = _integer(doc["batch_size"], "batch_size")
+    for path, seed in (("base_seed", config.base_seed), ("model.init_seed", model.init_seed),
+                       ("data.seed", data.seed)):
+        _seed(seed, path)
+    widths = model.layer_widths
+    if data.features != widths[0]:
+        raise ValidationError("data.features",
+                              f"{data.features} != model.layer_widths[0] {widths[0]}")
+    if data.classes > widths[-1]:
+        raise ValidationError("data.classes", f"must be <= model.layer_widths[-1] "
+                                              f"{widths[-1]}, got {data.classes}")
     if budget <= 0:
         raise ValidationError("budget_steps", "must be > 0")
-    if sched.total_steps != budget:
+    if config.schedule.total_steps != budget:
         raise ValidationError(
-            "schedule.total_steps", f"{sched.total_steps} != budget_steps {budget}"
+            "schedule.total_steps", f"{config.schedule.total_steps} != budget_steps {budget}"
         )
-    if batch_size <= 0 or batch_size % model.virtual_batch_size != 0:
+    if config.batch_size <= 0 or config.batch_size % model.virtual_batch_size != 0:
         raise ValidationError(
             "batch_size",
-            f"{batch_size} not divisible by virtual_batch_size {model.virtual_batch_size}",
+            f"{config.batch_size} not divisible by virtual_batch_size "
+            f"{model.virtual_batch_size}",
         )
-    eval_every = _integer(doc.get("eval_every", 50), "eval_every")
-    if eval_every <= 0:
+    if config.eval_every <= 0:
         raise ValidationError("eval_every", "must be > 0")
-    return ExperimentConfig(
-        model=model,
-        data=data,
-        routing=routing,
-        schedule=sched,
-        budget_steps=budget,
-        batch_size=batch_size,
-        eval_every=eval_every,
-        base_seed=seed_of(doc),
-        target_metric=check_metric(doc.get("target_metric", "final_eval_accuracy"),
-                                   "target_metric"),
-        target_value=_number(doc.get("target_value", 0.0), "target_value"),
-    )
+    check_metric(config.target_metric, "target_metric")
+    return config
 
 
 def deep_copy_config(doc: dict) -> dict:
@@ -514,31 +552,6 @@ def run_ablation(base_config: dict, overrides: list[tuple[str, str, object]],
     return list(zip(labels, _arm_summaries(base_config, arms, seeds, labels=labels)))
 
 
-@dataclass
-class TrialRecord:
-    trial_index: int
-    assignment: dict
-    seed: int
-    status: str  # "completed" | "diverged" | "error"
-    final_train_accuracy: float | None = None
-    final_eval_accuracy: float | None = None
-    final_loss: float | None = None
-    steps_run: int = 0
-    diverged_step: int | None = None
-    error: str | None = None  # "<ExceptionType>: <message>" of an "error" trial
-
-
-@dataclass
-class SeedSummary:
-    median: float
-    q1: float
-    q3: float
-    min: float
-    max: float
-    target_fraction: float
-    n_seeds: int
-
-
 def _percentile(xs: np.ndarray, q: float) -> float:
     """np.percentile(xs, q, method="linear") on sorted `xs`, except at infinities.
 
@@ -597,9 +610,8 @@ def read_results(path) -> list[TrialRecord]:
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
-            records.append(TrialRecord(**d))
-        except (json.JSONDecodeError, TypeError) as exc:
+            records.append(_section(json.loads(line), TrialRecord, "record"))
+        except (ValueError, ValidationError) as exc:  # ValueError: malformed JSON
             raise CorruptRecord(i, str(exc)) from exc
     return records
 
@@ -619,18 +631,17 @@ def read_summaries(path) -> list[tuple[str, SeedSummary]]:
             doc = json.load(f)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8
         raise CorruptRecord(1, str(exc)) from exc
-    if not isinstance(doc, list):
-        raise ParseError(f"{path}: summaries must be a JSON list")
     rows = []
-    for i, d in enumerate(doc):
-        try:
-            d = dict(d)
-            label = d.pop("label")
-            rows.append((label, SeedSummary(**d)))
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ParseError(f"{path}: summary {i}: {type(exc).__name__}: {exc}") from exc
+    try:
+        for i, row in enumerate(read_as(doc, list[dict], "summaries")):
+            if "label" not in row:
+                raise ValidationError(f"summaries.{i}.label", "missing")
+            summary = {key: value for key, value in row.items() if key != "label"}
+            rows.append((row["label"], _section(summary, SeedSummary, f"summaries.{i}")))
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return rows
 
 

@@ -68,6 +68,9 @@ class OptimizerConfig:
         if self.decay_mode not in ("l2_into_gradient", "decoupled"):
             raise ValueError(f"unknown decay_mode {self.decay_mode!r}")
         self.exclude_tags = frozenset(self.exclude_tags)
+        if not self.exclude_tags <= set(TAGS):
+            raise ValueError(f"exclude_tags must be among {', '.join(TAGS)}, "
+                             f"got {sorted(self.exclude_tags)}")
 
 
 @dataclass
@@ -198,25 +201,14 @@ def _check(g: np.ndarray, theta: np.ndarray):
         raise NonFiniteInput("gradient contains NaN/Inf")
 
 
-def _decays(config: OptimizerConfig, group_tag: str) -> tuple[float, float]:
-    """(l2 lambda, decoupled lambda) effective for this group."""
-    if group_tag in config.exclude_tags or config.decay == 0.0:
-        return 0.0, 0.0
-    if config.decay_mode == "l2_into_gradient":
-        return config.decay, 0.0
-    return 0.0, config.decay
-
-
 def effective_gradient(
     g: np.ndarray, theta: np.ndarray, config: OptimizerConfig, group_tag: str
 ) -> np.ndarray:
     """g + lambda*theta under l2_into_gradient (unless the tag is excluded)."""
     if g.shape != theta.shape:
         raise LengthMismatch(f"{g.shape} vs {theta.shape}")
-    l2, _ = _decays(config, group_tag)
-    if l2 == 0.0:
-        return g
-    return g + l2 * theta
+    part = _Part(config, [Segment("", group_tag, theta.shape, 0, theta.size)])
+    return _with_l2(g, theta, part.l2)
 
 
 # -- fused rules: each updates theta and its slots in place over one part ---

@@ -30,8 +30,6 @@ class SearchDim:
     scaling: str = "linear"  # "linear" | "log"
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise InvalidConfig(f"search dim name must be a dotted path, got {self.name!r}")
         if self.kind == "continuous":
             if not self.lo < self.hi:
                 raise InvalidConfig(f"{self.name}: lo must be < hi")
@@ -95,8 +93,11 @@ def run_study(space, base_config: dict, n_trials: int, budget_steps: int,
     """
     if n_trials < 1:
         raise InvalidConfig("n_trials must be >= 1")
+    if offset < 0:  # Halton points 1 + offset + i <= 0 would all be point 0
+        raise InvalidConfig(f"offset must be >= 0, got {offset}")
     harness.check_metric(target_metric, "target_metric")
     base_seed = harness.seed_of(base_config)
+    budget_steps = harness.read_as(budget_steps, int, "budget_steps")
     assignments = [sample_trial(space, i, offset) for i in range(n_trials)]
     jobs = harness.expand_jobs(base_config, [
         {**assignment, "budget_steps": budget_steps, "schedule.total_steps": budget_steps,

@@ -97,6 +97,10 @@ def test_schedule_export(tmp_path, base_config):
     assert len(lines) == base_config["budget_steps"] + 2
 
 
+SUMMARY = {"label": "Base", "median": 0.9, "q1": 0.85, "q3": 0.95, "min": 0.8, "max": 1.0,
+           "target_fraction": 0.7, "n_seeds": 5}
+
+
 def _valid_inputs(tmp_path, base_config):
     """A valid file for every JSON option of train, tune, ablate and report."""
     paths = {"config": tmp_path / "config.json", "space": tmp_path / "space.json",
@@ -105,9 +109,7 @@ def _valid_inputs(tmp_path, base_config):
     write_json(paths["space"], [{"name": "schedule.eta_peak", "kind": "continuous",
                                  "lo": 0.01, "hi": 1.0, "scaling": "log"}])
     write_json(paths["overrides"], [["BN init", "model.bn_gamma_init", 0.5]])
-    write_json(paths["results"], [{"label": "Base", "median": 0.9, "q1": 0.85, "q3": 0.95,
-                                   "min": 0.8, "max": 1.0, "target_fraction": 0.7,
-                                   "n_seeds": 5}])
+    write_json(paths["results"], [SUMMARY])
     return paths
 
 
@@ -215,6 +217,16 @@ def _route_with(**fields):
     ("train", "config", _section_with("model", bn_epsilon=float("inf")), []),
     ("train", "config", _section_with("model", bn_gamma_init=[float("nan"), 1.0]), []),
     ("train", "config", _section_with("schedule", p_decay=float("nan")), []),
+    ("train", "config", _route_with(exclude_tags="weight"), []),
+    ("train", "config", _route_with(exclude_tags=["wieght"]), []),
+    ("train", "config", _base_with(target_value=float("nan")), []),
+    ("tune", "space", [{"name": "schedule.eta_peak", "kind": "discrete_set", "values": 5}], []),
+    ("tune", "space", [{"name": "schedule.eta_peak", "kind": "continuous", "lo": True,
+                        "hi": 2.0}], []),
+    ("tune", "config", _base_with(budget_steps=20.7), []),
+    ("tune", "config", _base_with(budget_steps=True), []),
+    ("report", "results", [{**SUMMARY, "median": "abc"}], []),
+    ("report", "results", [{**SUMMARY, "n_seeds": "x"}], []),
 ], ids=["tune-space-unknown-key", "tune-space-object", "tune-space-name-not-text",
         "tune-config-list", "tune-no-budget",
         "ablate-two-element-override", "ablate-overrides-object", "ablate-seeds-not-int",
@@ -231,7 +243,10 @@ def _route_with(**fields):
         "train-width-fraction", "train-use-bn-ints", "train-use-bn-text",
         "train-warmup-fraction", "train-total-steps-bool", "train-decay-nan",
         "train-momentum-inf", "train-bn-epsilon-inf", "train-gamma-init-nan",
-        "train-p-decay-nan"])
+        "train-p-decay-nan", "train-exclude-tags-text", "train-exclude-tags-unknown",
+        "train-target-nan", "tune-space-values-number", "tune-space-lo-bool",
+        "tune-budget-fraction", "tune-budget-bool", "report-median-text",
+        "report-n-seeds-text"])
 def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command,
                                                   bad_file, doc, extra):
     paths = _valid_inputs(tmp_path, base_config)
@@ -367,6 +382,14 @@ def test_tune_workers_below_one_exits_2(tmp_path, base_config, workers):
     paths = _valid_inputs(tmp_path, base_config)
     result = CliRunner().invoke(main, COMMANDS["tune"](paths) + ["--workers", workers])
     assert_one_error_line(result, "workers must be >= 1")
+    assert not (tmp_path / "trials.jsonl").exists()
+
+
+def test_tune_negative_offset_exits_2(tmp_path, base_config):
+    """A negative offset would map trials to Halton point 0, all alike."""
+    paths = _valid_inputs(tmp_path, base_config)
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths) + ["--offset", "-5"])
+    assert_one_error_line(result, "offset must be >= 0, got -5")
     assert not (tmp_path / "trials.jsonl").exists()
 
 

@@ -1,6 +1,10 @@
 import concurrent.futures
 import copy
+import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,8 @@ from optparity.errors import (
     ParseError,
     ValidationError,
 )
-from optparity.optim import KINDS
+from optparity.model import MlpConfig
+from optparity.optim import KINDS, OptimizerConfig
 from optparity.param_store import TAGS
 from optparity.schedule import ScheduleSpec, eval_schedule
 from optparity.harness import SeedSummary, TrialRecord
@@ -104,6 +109,73 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as exc:
             harness.parse_config(base_config)
         assert exc.value.path == path
+
+
+# values of each JSON kind, and whether no declared field of a config takes them
+WRONG_KINDS = st.sampled_from([("text", True), ([1, "a"], True), ({"k": 1}, True),
+                               (float("nan"), True), (float("inf"), False), (True, False),
+                               (None, False), (10 ** 400, False), (-1e308, False)])
+CONFIG_FIELDS = [(section, name) for section, names in {
+    "": sorted(BASE_CONFIG),
+    "model": [f.name for f in dataclasses.fields(MlpConfig)],
+    "data": [f.name for f in dataclasses.fields(harness.DataConfig)],
+    "schedule": [f.name for f in dataclasses.fields(ScheduleSpec)],
+    "optimizer.0": ["tags", "config"],
+    "optimizer.0.config": [f.name for f in dataclasses.fields(OptimizerConfig)],
+}.items() for name in names]
+SUMMARY = {"label": "Base", "median": 0.9, "q1": 0.85, "q3": 0.95, "min": 0.8, "max": 1.0,
+           "target_fraction": 0.7, "n_seeds": 5}
+RECORD = dataclasses.asdict(TrialRecord(0, {"schedule.eta_peak": 0.1}, 0, "completed",
+                                        0.9, 0.8, 0.3, 100))
+
+
+class TestWronglyTypedDocuments:
+    """One field of a valid document holds a value of another JSON kind: the
+    readers raise only their own errors, never TypeError or ValueError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(CONFIG_FIELDS), WRONG_KINDS)
+    def test_config(self, where, wrong):
+        (section, name), (value, never_fits) = where, wrong
+        doc = copy.deepcopy(BASE_CONFIG)
+        node = doc
+        for key in filter(None, section.split(".")):
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[name] = value
+        try:
+            harness.parse_config(doc)
+        except (ParseError, ValidationError):
+            return
+        assert not never_fits, f"{section}.{name} = {value!r} parsed"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(SUMMARY)), WRONG_KINDS)
+    def test_summaries(self, name, wrong):
+        value, never_fits = wrong
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "summary.json"
+            path.write_text(json.dumps([{**SUMMARY, name: value}]))
+            try:
+                rows = harness.read_summaries(path)
+            except ParseError:
+                return
+        assert name == "label" or not never_fits, f"{name} = {value!r} parsed"
+        harness.report(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(RECORD)), WRONG_KINDS)
+    def test_records(self, name, wrong):
+        value, _ = wrong
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trials.jsonl"
+            path.write_text(json.dumps({**RECORD, name: value}) + "\n")
+            try:
+                harness.read_results(path)
+            except CorruptRecord as exc:
+                assert exc.line_number == 1
+                return
+        # a mixed list and NaN fit no field of a record
+        assert not (isinstance(value, list) or value != value), f"{name} = {value!r} read"
 
 
 class TestPatchConfig:
@@ -311,6 +383,15 @@ class TestStudy:
         assert [r.trial_index for r in a] == [0, 1, 2]
         assert [r.seed for r in a] == [0, 1, 2]
 
+    def test_negative_offset_and_fractional_budget_fail_before_any_run(self, base_config,
+                                                                     monkeypatch):
+        monkeypatch.setattr(harness, "run_training", lambda config: pytest.fail("a run began"))
+        with pytest.raises(InvalidConfig, match="offset must be >= 0, got -5"):
+            tuner.run_study(self.SPACE, base_config, 2, 10, "final_train_accuracy", offset=-5)
+        for budget in (20.7, True, None):
+            with pytest.raises(ValidationError, match="budget_steps: must be an integer"):
+                tuner.run_study(self.SPACE, base_config, 2, budget, "final_train_accuracy")
+
     def test_single_trial(self, base_config):
         records = tuner.run_study(self.SPACE, base_config, 1, 50,
                                   "final_train_accuracy")
@@ -504,6 +585,20 @@ class TestPersistence:
         path = tmp_path / "summary.json"
         harness.write_summaries(rows, path)
         assert harness.read_summaries(path) == rows
+
+    def test_diverged_arm_round_trips_and_reports(self, tmp_path):
+        """A diverged seed counts as -inf, which the file keeps as -Infinity."""
+        rows = [("Base", harness.summarize([0.9, 0.95, 0.97, 0.99, 1.0], 0.97)),
+                ("Diverged", harness.summarize([-math.inf] * 3 + [0.9, 0.95], 0.97))]
+        diverged = rows[1][1]
+        assert diverged.median == diverged.q1 == diverged.min == -math.inf
+        path = tmp_path / "summary.json"
+        harness.write_summaries(rows, path)
+        back = harness.read_summaries(path)
+        assert back == rows
+        _, csv_text = harness.report(back)
+        assert csv_text.splitlines()[2].split(",") == ["Diverged", "-inf", "-inf", "0.9",
+                                                       "0.000", "5"]
 
 
 class TestReport:
