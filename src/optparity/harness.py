@@ -46,7 +46,7 @@ from .model import (
 )
 from .optim import OptimizerConfig, OptimizerState, RoutingRule, apply_step
 from .optim import composite_step  # noqa: F401  perfbench/tracing.py wraps this name
-from .param_store import TAGS
+from .param_store import TAGS, all_finite
 from .schedule import ScheduleSpec, eval_schedule
 
 # the TrainResult fields a study selects on and a summary reduces
@@ -125,6 +125,15 @@ class TrialRecord:
     steps_run: int = 0
     diverged_step: int | None = None
     error: str | None = None  # "<ExceptionType>: <message>" of an "error" trial
+
+    def __post_init__(self):
+        if self.status not in ("completed", "diverged", "error"):
+            raise InvalidConfig(f"status must be completed, diverged or error, "
+                                f"got {self.status!r}")
+        if self.status == "completed":
+            missing = [name for name in RESULT_METRICS if getattr(self, name) is None]
+            if missing:
+                raise InvalidConfig(f"a completed trial needs {', '.join(missing)}")
 
 
 # An order statistic over seeds, where a diverged seed counts as -inf (+inf
@@ -388,8 +397,8 @@ class _BatchStream:
             self.buffer = np.concatenate([self.buffer, perm])
         idx, self.buffer = self.buffer[: self.batch_size], self.buffer[self.batch_size:]
         # every index is in range, and mode="clip" lets take write `out` unbuffered
-        np.take(self.train.inputs, idx, axis=0, out=self.batch.inputs, mode="clip")
-        np.take(self.train.labels, idx, out=self.batch.labels, mode="clip")
+        self.train.inputs.take(idx, axis=0, out=self.batch.inputs, mode="clip")
+        self.train.labels.take(idx, out=self.batch.labels, mode="clip")
         return self.batch
 
 
@@ -425,27 +434,29 @@ def run_training(config: ExperimentConfig) -> TrainResult:
             "lr": lr,
         })
 
-    for t in range(1, config.budget_steps + 1):
-        lr = eval_schedule(config.schedule, t)
-        batch = stream.next_batch()
-        try:
-            # overflow on the way to divergence is classified explicitly
-            with np.errstate(all="ignore"):
-                _, loss, cache, stats = forward(params, stats, batch, config.model, "train")
+    mlp, routing, budget, every = (config.model, config.routing, config.budget_steps,
+                                   config.eval_every)
+    # overflow on the way to divergence is classified explicitly
+    with np.errstate(all="ignore"):
+        for t in range(1, budget + 1):
+            lr = eval_schedule(config.schedule, t)
+            batch = stream.next_batch()
+            try:
+                _, loss, cache, stats = forward(params, stats, batch, mlp, "train")
                 if not math.isfinite(loss):
                     raise NonFiniteInput("non-finite loss")
-                backward(cache, params, config.model, out=grad)
-                apply_step(theta, grad, config.routing, lr, opt_state)
-                if not np.isfinite(theta).all():
+                backward(cache, params, mlp, out=grad)
+                apply_step(theta, grad, routing, lr, opt_state)
+                if not all_finite(theta):
                     raise NonFiniteInput("non-finite parameters")
-                if t % config.eval_every == 0 or t == config.budget_steps:
+                if t % every == 0 or t == budget:
                     evaluate(t, lr)
-        except (NonFiniteInput, DivisionHazard, FloatingPointError):
-            result.status = "diverged"
-            result.diverged_step = t
-            result.steps_run = t - 1
-            return result
-        result.steps_run = t
+            except (NonFiniteInput, DivisionHazard, FloatingPointError):
+                result.status = "diverged"
+                result.diverged_step = t
+                result.steps_run = t - 1
+                return result
+            result.steps_run = t
 
     last = result.history[-1]
     result.final_train_accuracy = last["train_accuracy"]
@@ -601,11 +612,16 @@ def write_results(records: list[TrialRecord], path) -> None:
 
 def read_results(path) -> list[TrialRecord]:
     try:
-        with open(path) as f:
-            lines = f.readlines()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptRecord(data.count(b"\n", 0, exc.start) + 1, str(exc)) from exc
     records = []
+    lines = io.StringIO(text, newline=None).readlines()  # the lines text-mode open reads
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue

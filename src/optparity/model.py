@@ -22,7 +22,7 @@ from .errors import (
     StaleCache,
     UnknownGroupName,
 )
-from .param_store import ParamGroup, ParamStore, build_param_store
+from .param_store import ParamGroup, ParamStore, all_finite, build_param_store, const
 
 
 @dataclass
@@ -110,10 +110,11 @@ class BnRunningStats:
     def vars(self) -> list[np.ndarray]:
         return [self.values[1, layer] for layer in self.layers]
 
-    def updated(self, sums: np.ndarray, n_sub: int, rho: float) -> "BnRunningStats":
-        """The statistics after a train batch of `n_sub` virtual batches whose
-        means and variances sum to `sums`, laid out like `values`."""
-        return BnRunningStats(_running_update(self.values, sums, n_sub, rho), self.layers)
+    def updated(self, sums: np.ndarray, decay: tuple) -> "BnRunningStats":
+        """The statistics after a train batch whose virtual batches' means and
+        variances sum to `sums`, laid out like `values`; `decay` is as
+        `_running_update` takes it, and `sums` is overwritten."""
+        return BnRunningStats(_running_update(self.values, sums, decay), self.layers)
 
     @classmethod
     def for_config(cls, config: MlpConfig) -> "BnRunningStats":
@@ -127,9 +128,15 @@ class BnRunningStats:
         return cls(values, tuple(layers))
 
 
-def _running_update(old, sums, n_sub, rho):
-    """rho * old + (1 - rho) * sums / n_sub, for any number of BN layers at once."""
-    return rho * old + (1.0 - rho) * sums / n_sub
+def _running_update(old, sums, decay):
+    """rho * old + (1 - rho) * sums / n_sub as a new array, for any number of BN
+    layers at once, where `decay` is (rho, 1 - rho, n_sub); `sums` is overwritten."""
+    rho, keep, n_sub = decay
+    sums *= keep
+    sums /= n_sub
+    new = np.multiply(rho, old)
+    new += sums
+    return new
 
 
 def init_mlp(config: MlpConfig, rng_seed: int | None = None) -> ParamStore:
@@ -165,6 +172,8 @@ def init_mlp(config: MlpConfig, rng_seed: int | None = None) -> ParamStore:
 # is, while a small batch is one block and costs one numpy call per operation.
 BN_BLOCK_ELEMS = 16_384
 
+_ZERO, _ONE = const(0.0), const(1.0)
+
 
 def _vb_blocks(n_sub, vbs, width):
     """Slices of the virtual-batch axis, each a block of whole virtual batches."""
@@ -179,7 +188,8 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, dx=None):
     the per-virtual-batch inverse standard deviations into the cache's own
     buffers and each virtual batch's mean and variance into `stat_rows`, a
     (2, n // vbs, c) view. Given the (n, c) buffer `dx`, the cache also holds
-    the block views through which bn_backward writes dx over dy there.
+    the views through which bn_backward writes dx over dy there; it then
+    uses `y`, which the model's backward has read by that time, as scratch.
     """
     n, c = y.shape
     n_sub = n // vbs
@@ -190,18 +200,26 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, dx=None):
     for blk in _vb_blocks(n_sub, vbs, c):
         mu, var, inv = stat_rows[0, blk], stat_rows[1, blk], inv_stds[blk]
         blocks.append((y3[blk], xhat3[blk], mu, mu[:, None], var, inv, inv[:, None]))
-    cache = {"xhat": xhat, "inv_stds": inv_stds, "vbs": vbs, "gamma": gamma,
+    cache = {"xhat": xhat, "inv_stds": inv_stds, "vbs": const(vbs), "gamma": gamma,
              "blocks": blocks, "dx": dx}
     if dx is not None:
-        cache["dx_blocks"] = _dx_blocks(dx, xhat, inv_stds, vbs)
+        cache["dx_blocks"] = _dx_blocks(dx, xhat, inv_stds, scratch=y)
     return cache
 
 
-def _dx_blocks(dx, xhat, inv_stds, vbs):
+def _dx_blocks(dx, xhat, inv_stds, scratch=None):
+    """bn_backward's views over `dx`: the (n, c) `scratch` (allocated when not
+    given), and per block (dx, x-hat, scratch, a (blocks, 1, c) column buffer,
+    1/std as a column)."""
     n, c = dx.shape
-    n_sub = n // vbs
-    dx3, xhat3 = dx.reshape(n_sub, vbs, c), xhat.reshape(n_sub, vbs, c)
-    return [(dx3[blk], xhat3[blk], inv_stds[blk]) for blk in _vb_blocks(n_sub, vbs, c)]
+    n_sub = inv_stds.shape[0]
+    vbs = n // n_sub
+    if scratch is None:
+        scratch = np.empty((n, c))
+    cols = np.empty((n_sub, 1, c))
+    dx3, xhat3, scratch3 = (a.reshape(n_sub, vbs, c) for a in (dx, xhat, scratch))
+    return scratch, [(dx3[blk], xhat3[blk], scratch3[blk], cols[blk], inv_stds[blk, None])
+                     for blk in _vb_blocks(n_sub, vbs, c)]
 
 
 def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
@@ -228,7 +246,7 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     if n % virtual_batch_size != 0:
         raise IndivisibleBatch(f"{n} rows vs virtual batch {virtual_batch_size}")
     if cache is not None:
-        _normalize(cache["blocks"], gamma, beta, bn_epsilon, virtual_batch_size)
+        _normalize(cache["blocks"], gamma, beta, bn_epsilon, cache["vbs"])
         return x, cache, running_mean, running_var
     n_sub = n // virtual_batch_size
     y = np.array(x, dtype=np.float64)
@@ -237,15 +255,15 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     sub_stats = np.zeros((2, n_sub + 1, x.shape[1]))
     cache = _ghost_bn_cache(y, np.asarray(gamma, dtype=np.float64), virtual_batch_size,
                             sub_stats[:, 1:])
-    _normalize(cache["blocks"], gamma, beta, bn_epsilon, virtual_batch_size)
+    _normalize(cache["blocks"], gamma, beta, bn_epsilon, cache["vbs"])
     sums = np.add.accumulate(sub_stats, axis=1)[:, -1]
     new_mean, new_var = _running_update(np.stack([running_mean, running_var]), sums,
-                                        n_sub, stats_decay)
+                                        (stats_decay, 1.0 - stats_decay, n_sub))
     return y, cache, new_mean, new_var
 
 
 def _check_bn_input(x):
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         raise NonFiniteInput("BN input contains NaN/Inf")
 
 
@@ -272,7 +290,7 @@ def _normalize(blocks, gamma, beta, bn_epsilon, vbs):
         var /= vbs
         np.add(var, bn_epsilon, out=inv)
         np.sqrt(inv, out=inv)
-        np.divide(1.0, inv, out=inv)
+        np.divide(_ONE, inv, out=inv)
         d *= inv_col
         np.multiply(d, gamma, out=ys)
         ys += beta
@@ -286,34 +304,50 @@ def bn_backward(dy, cache, out=None):
     """
     xhat, gamma, vbs = cache["xhat"], cache["gamma"], cache["vbs"]
     dx, dgamma, dbeta = out if out is not None else (None, None, None)
-    dgamma = np.add.reduce(dy * xhat, axis=0, out=dgamma)
-    dbeta = np.add.reduce(dy, axis=0, out=dbeta)
     if dx is None:
         dx = dy.copy()
     elif dx is not dy:
         np.copyto(dx, dy)
     if dx is cache["dx"]:
-        blocks = cache["dx_blocks"]
+        scratch, blocks = cache["dx_blocks"]
     else:
-        blocks = _dx_blocks(dx, xhat, cache["inv_stds"], vbs)
-    for d, xh, inv in blocks:
+        scratch, blocks = _dx_blocks(dx, xhat, cache["inv_stds"])
+    dgamma = np.add.reduce(np.multiply(dy, xhat, out=scratch), axis=0, out=dgamma)
+    dbeta = np.add.reduce(dy, axis=0, out=dbeta)
+    for d, xh, dxhat, col, inv_col in blocks:
         # (inv / vbs) * (vbs * dxhat - sum(dxhat) - xh * sum(dxhat * xh)),
         # evaluated in this order, as the per-virtual-batch loop did; d holds
         # dy until dxhat is taken from it
-        dxhat = d * gamma
-        sum_dxhat = np.add.reduce(dxhat, axis=1)
+        np.multiply(d, gamma, out=dxhat)
+        sum_dxhat = np.add.reduce(dxhat, axis=1, keepdims=True, out=col)
         np.multiply(vbs, dxhat, out=d)
-        d -= sum_dxhat[:, None]
+        d -= sum_dxhat
         dxhat *= xh
-        np.multiply(xh, np.add.reduce(dxhat, axis=1)[:, None], out=dxhat)
+        np.multiply(xh, np.add.reduce(dxhat, axis=1, keepdims=True, out=col), out=dxhat)
         d -= dxhat
-        d *= (inv / vbs)[:, None]
+        d *= np.divide(inv_col, vbs, out=col)
     return dx, dgamma, dbeta
 
 
-def _log_softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def _loss_buffers(n, k):
+    """What `_smoothed_loss` writes for n rows of k classes: (log_p, an (n, k)
+    scratch buffer, an (n, 1) column, an (n,) row buffer)."""
+    return np.empty((n, k)), np.empty((n, k)), np.empty((n, 1)), np.empty(n)
+
+
+def _smoothed_loss(logits, targets, buffers):
+    """(loss, log_p): the mean cross-entropy of `logits` against the rows of
+    `targets`, and the log-softmax, written into the `_loss_buffers` given.
+
+    The steps are z = logits - max, log_p = z - log(sum(exp(z))) and
+    -(targets * log_p).sum(axis=1).mean(), each as numpy computes it.
+    """
+    log_p, scratch, col, rows = buffers
+    np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True, out=col), out=log_p)
+    col = np.add.reduce(np.exp(log_p, out=scratch), axis=1, keepdims=True, out=col)
+    log_p -= np.log(col, out=col)
+    np.add.reduce(np.multiply(targets, log_p, out=scratch), axis=1, out=rows)
+    return -float(np.add.reduce(rows) / rows.shape[0]), log_p
 
 
 def target_table(n_classes, tau):
@@ -331,9 +365,10 @@ class LayerPlan:
     `layers` holds, per affine layer, its weight matrix, bias and (for a
     hidden layer with BN) BN scale and shift as views into the store's
     `flat`, which a store never replaces; `targets` is the smoothed-target
-    table. `grad_views(out)` gives the same groups' views into a gradient
-    vector laid out like `flat`, `workspace(n)` the train-mode buffers for
-    batches of n rows, and `eval_buffers(n)` the eval-mode activations.
+    table and `eps` the BN epsilon as a constant. `grad_views(out)` gives the
+    same groups' views into a gradient vector laid out like `flat`,
+    `workspace(n)` the train-mode buffers for batches of n rows, and
+    `eval_buffers(n)` the eval-mode activations.
     """
 
     def __init__(self, params: ParamStore, config: MlpConfig):
@@ -355,6 +390,7 @@ class LayerPlan:
                                 f"the model {covered}")
         self.layers = self._views(params.flat)
         self.targets = target_table(config.n_classes, config.label_smoothing)
+        self.eps = const(config.bn_epsilon)
         self._out = None
         self._workspaces = {}
         self._eval = []
@@ -399,40 +435,54 @@ class TrainWorkspace:
     """The buffers every train forward and backward of one plan at one batch
     size reuse; each train forward overwrites them.
 
-    `hidden` holds per hidden layer (act, mask, dz, BN cache or None): the
+    `hidden` holds per hidden layer (weight, bias, BN scale, BN shift, act,
+    mask, dz, BN cache or None): the layer's parameters as in the plan; the
     affine output, over which BN writes y and the ReLU its output, which the
     next layer reads; the ReLU mask; and the gradient at the affine output,
     over which BN's backward writes dx. A BN cache holds x-hat, the inverse
-    standard deviations and the block views (`_ghost_bn_cache`). `sub_stats`
-    holds every BN layer's per-virtual-batch means and variances after a zero
-    row, side by side as in `BnRunningStats.values`. `stamp` counts the train
-    forwards that have written the workspace, so that a cache can tell it is
-    stale.
+    standard deviations and the block views (`_ghost_bn_cache`); BN's
+    backward overwrites the activation, so a cache serves one backward.
+    `back` holds per hidden layer what backward reads: the next layer's
+    weight and this layer's input transposed (None for the batch's inputs),
+    the mask, dz and the BN cache. `sub_stats` holds every BN layer's
+    per-virtual-batch means and variances after a zero row, side by side as
+    in `BnRunningStats.values`, and `decay` is the running update's
+    constants. `targets` holds the batch's smoothed targets and `loss` the
+    `_loss_buffers`, whose scratch buffer backward reuses for the logits'
+    gradient; `n_rows` is the batch size as a constant. `stamp` counts the
+    train forwards and backwards that have written the workspace, so that a
+    cache can tell it is stale.
     """
 
     def __init__(self, plan: LayerPlan, n: int):
-        vbs = plan.config.virtual_batch_size
-        hidden = plan.layers[:-1]
-        bn_width = sum(w.shape[1] for w, _, gamma, _ in hidden if gamma is not None)
+        config = plan.config
+        vbs = config.virtual_batch_size
+        bn_width = sum(w.shape[1] for w, _, gamma, _ in plan.layers[:-1] if gamma is not None)
         self.stamp = 0
-        self.n_sub = self.sub_stats = self.stat_sums = None
+        self.sub_stats = self.stat_sums = self.decay = None
         if bn_width:
             if n % vbs != 0:
                 raise IndivisibleBatch(f"{n} rows vs virtual batch {vbs}")
-            self.n_sub = n // vbs
-            self.sub_stats = np.zeros((2, self.n_sub + 1, bn_width))
+            self.sub_stats = np.zeros((2, n // vbs + 1, bn_width))
             self.stat_sums = np.empty_like(self.sub_stats)
-        self.hidden = []
-        start = 0
-        for w, _, gamma, _ in hidden:
+            rho = config.bn_stats_decay
+            self.decay = (const(rho), const(1.0 - rho), const(n // vbs))
+        self.hidden, self.back = [], []
+        start, x_in_t = 0, None
+        for (w, b, gamma, beta), (w_next, _, _, _) in zip(plan.layers, plan.layers[1:]):
             c = w.shape[1]
-            act, dz = np.empty((n, c)), np.empty((n, c))
+            act, mask, dz = np.empty((n, c)), np.empty((n, c), dtype=bool), np.empty((n, c))
             bn_cache = None
             if gamma is not None:
                 rows = self.sub_stats[:, 1:, start:start + c]
                 bn_cache = _ghost_bn_cache(act, gamma, vbs, rows, dx=dz)
                 start += c
-            self.hidden.append((act, np.empty((n, c), dtype=bool), dz, bn_cache))
+            self.hidden.append((w, b, gamma, beta, act, mask, dz, bn_cache))
+            self.back.append((w_next.T, x_in_t, mask, dz, bn_cache))
+            x_in_t = act.T
+        self.targets = np.empty((n, config.n_classes))
+        self.loss = _loss_buffers(n, config.n_classes)
+        self.n_rows = const(n)
 
 
 def layer_plan(params: ParamStore, config: MlpConfig) -> LayerPlan:
@@ -451,59 +501,60 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     mean cross-entropy against (1-tau)*onehot + tau/K targets.
 
     A train-mode pass runs in the plan's workspace for the batch size, so its
-    cache holds views of it and goes stale at the next train forward on the
-    same store and batch size. An eval-mode pass writes its activations into
+    cache holds views of it and goes stale once a backward has used it or at
+    the next train forward on the same store and batch size. An eval-mode pass writes its activations into
     the plan's eval buffers, which the next eval forward on the store
     overwrites; its cache holds no view of them. The logits are a new array
     in both modes.
     """
+    x, labels = batch.inputs, batch.labels
     widths = config.layer_widths
-    if batch.inputs.shape[1] != widths[0]:
-        raise ShapeMismatch(
-            f"batch has {batch.inputs.shape[1]} features, model expects {widths[0]}"
-        )
-    if (batch.labels >= config.n_classes).any():
+    if x.shape[1] != widths[0]:
+        raise ShapeMismatch(f"batch has {x.shape[1]} features, model expects {widths[0]}")
+    if np.maximum.reduce(labels) >= widths[-1]:  # a Batch holds no negative label
         raise InvalidConfig("label out of range")
     plan = layer_plan(params, config)
-    x = batch.inputs
+    n = x.shape[0]
     new_stats = stats
     if mode == "eval":
         running = zip(stats.means, stats.vars)
-        for (w, b, gamma, beta), z in zip(plan.layers, plan.eval_buffers(len(batch))):
+        for (w, b, gamma, beta), z in zip(plan.layers, plan.eval_buffers(n)):
             np.matmul(x, w, out=z)
             z += b
             if gamma is not None:
                 _check_bn_input(z)
-                _bn_eval(z, gamma, beta, *next(running), config.bn_epsilon)
-            np.maximum(z, 0.0, out=z)
+                _bn_eval(z, gamma, beta, *next(running), plan.eps)
+            np.maximum(z, _ZERO, out=z)
             x = z
+        targets, buffers = None, _loss_buffers(n, widths[-1])
         cache = {"mode": mode}
     else:
-        work = plan.workspace(len(batch))
+        work = plan.workspace(n)
         work.stamp += 1
-        for (w, b, gamma, beta), (act, mask, _, bn_cache) in zip(plan.layers, work.hidden):
+        cache = {"mode": mode, "plan": plan, "work": work, "stamp": work.stamp, "inputs": x}
+        for w, b, gamma, beta, act, mask, _, bn_cache in work.hidden:
             np.matmul(x, w, out=act)
             act += b
             if gamma is not None:
-                bn_forward(act, gamma, beta, config.bn_epsilon, config.virtual_batch_size,
+                bn_forward(act, gamma, beta, plan.eps, config.virtual_batch_size,
                            mode, None, None, config.bn_stats_decay, cache=bn_cache)
-            np.greater(act, 0.0, out=mask)
-            np.maximum(act, 0.0, out=act)
+            np.greater(act, _ZERO, out=mask)
+            np.maximum(act, _ZERO, out=act)
             x = act
-        if work.sub_stats is not None:
+        if work.decay is not None:
             sums = np.add.accumulate(work.sub_stats, axis=1, out=work.stat_sums)[:, -1]
-            new_stats = stats.updated(sums, work.n_sub, config.bn_stats_decay)
-        cache = {"mode": mode, "plan": plan, "work": work, "stamp": work.stamp,
-                 "inputs": batch.inputs, "last_input": x}
+            new_stats = stats.updated(sums, work.decay)
+        targets, buffers = work.targets, work.loss
+        cache["last_input"] = x
+    # every label is in range, and mode="clip" lets take write `out` unbuffered
+    targets = plan.targets.take(labels, axis=0, out=targets, mode="clip")
     w, b, _, _ = plan.layers[-1]
     logits = np.matmul(x, w)
     logits += b
-    if not np.isfinite(logits).all():
+    if not all_finite(logits):
         raise NonFiniteInput("non-finite logits")
-    log_p = _log_softmax(logits)
-    targets = plan.targets[batch.labels]
-    loss = float(-(targets * log_p).sum(axis=1).mean())
-    cache.update(log_p=log_p, targets=targets)
+    loss, cache["log_p"] = _smoothed_loss(logits, targets, buffers)
+    cache["targets"] = targets
     return logits, loss, cache, new_stats
 
 
@@ -514,33 +565,33 @@ def backward(cache, params: ParamStore, config: MlpConfig,
     Each group's gradient is written into its slice of `out`, a vector laid
     out like the store's `flat` (allocated when not given); returns the
     flat views of those slices by group name. `cache` must come from the
-    latest train forward on this store at its batch size.
+    latest train forward on this store at its batch size, and serves one
+    backward: BN's backward uses the activations, once read, as scratch.
     """
     if cache.get("mode") != "train":
         raise StaleCache("backward needs a train-mode forward cache")
     work = cache["work"]
     if cache["stamp"] != work.stamp:
-        raise StaleCache("a later train forward at this batch size overwrote the cache")
-    plan = cache["plan"]
+        raise StaleCache("a backward or a later train forward at this batch size "
+                         "overwrote the cache")
+    work.stamp += 1
     if out is None:
         out = np.empty(params.flat.size)
-    layer_grads, named = plan.grad_views(out)
-    dlogits = np.exp(cache["log_p"])
-    dlogits -= cache["targets"]
-    dlogits /= len(dlogits)
+    layer_grads, named = cache["plan"].grad_views(out)
+    dz = np.exp(cache["log_p"], out=work.loss[1])
+    dz -= cache["targets"]
+    dz /= work.n_rows
     gw, gb, _, _ = layer_grads[-1]
-    np.matmul(cache["last_input"].T, dlogits, out=gw)
-    np.add.reduce(dlogits, axis=0, out=gb)
-    dz = dlogits
-    for k in range(len(work.hidden) - 1, -1, -1):
-        _, mask, dx, bn_cache = work.hidden[k]
+    np.matmul(cache["last_input"].T, dz, out=gw)
+    np.add.reduce(dz, axis=0, out=gb)
+    for k in range(len(work.back) - 1, -1, -1):
+        w_next_t, x_in_t, mask, dx, bn_cache = work.back[k]
         gw, gb, gscale, gshift = layer_grads[k]
-        np.matmul(dz, plan.layers[k + 1][0].T, out=dx)
+        np.matmul(dz, w_next_t, out=dx)
         dx *= mask
         if bn_cache is not None:
             bn_backward(dx, bn_cache, out=(dx, gscale, gshift))
-        x_in = work.hidden[k - 1][0] if k else cache["inputs"]
-        np.matmul(x_in.T, dx, out=gw)
+        np.matmul(cache["inputs"].T if x_in_t is None else x_in_t, dx, out=gw)
         np.add.reduce(dx, axis=0, out=gb)
         dz = dx
     return named

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import LengthMismatch, NonFiniteInput, DivisionHazard, UncoveredTag
-from .param_store import ParamStore, Segment, TAGS
+from .param_store import ParamStore, Segment, TAGS, all_finite, const
 
 KINDS = ("heavy_ball", "nesterov", "adam", "lars", "lamb")
 
@@ -120,9 +120,11 @@ class OptimizerState:
 
     def plan_for(self, routing: "RoutingRule") -> "_Plan":
         """The parts `routing` makes of this state's layout, built once per routing."""
-        if self._plan is None or self._plan.routing is not routing:
-            self._plan = _Plan(routing, tuple(sorted(self.segments, key=lambda s: s.start)))
-        return self._plan
+        plan = self._plan
+        if plan is None or plan.routing is not routing:
+            plan = self._plan = _Plan(routing,
+                                      tuple(sorted(self.segments, key=lambda s: s.start)))
+        return plan
 
 
 @dataclass
@@ -145,10 +147,11 @@ class RoutingRule:
 
 
 def _per_element(per_group: list[float], sizes: np.ndarray):
-    """One float when every group shares the value, else a per-element vector."""
+    """One constant when every group shares the value, else a per-element
+    vector; and whether any of the values is nonzero."""
     if len(set(per_group)) == 1:
-        return per_group[0]
-    return np.repeat(per_group, sizes)
+        return const(per_group[0]), per_group[0] != 0.0
+    return np.repeat(per_group, sizes), True
 
 
 class _Part:
@@ -156,8 +159,9 @@ class _Part:
 
     `bounds` are the groups' (lo, hi) within the slice and `included` says
     which groups are not excluded, i.e. get decay and trust ratios; `l2` and
-    `wd` are the decay lambdas of the two modes, each a float or a
-    per-element vector.
+    `wd` are the decay lambdas of the two modes, each a constant or a
+    per-element vector, and `l2_on` and `wd_on` say whether they act.
+    `momentum` and `epsilon` are the config's as constants.
     """
 
     def __init__(self, config: OptimizerConfig, segs: list[Segment]):
@@ -169,10 +173,12 @@ class _Part:
         self.included = [seg.tag not in config.exclude_tags for seg in segs]
         decay = _per_element([config.decay if on else 0.0 for on in self.included],
                              self.sizes)
+        off = (const(0.0), False)
         if config.decay_mode == "l2_into_gradient":
-            self.l2, self.wd = decay, 0.0
+            (self.l2, self.l2_on), (self.wd, self.wd_on) = decay, off
         else:
-            self.l2, self.wd = 0.0, decay
+            (self.l2, self.l2_on), (self.wd, self.wd_on) = off, decay
+        self.momentum, self.epsilon = const(config.momentum), const(config.epsilon)
 
 
 class _Plan:
@@ -192,12 +198,24 @@ class _Plan:
         self.writes_v = bool(kinds & {"heavy_ball", "nesterov", "lars"})
         self.writes_ms = bool(kinds & {"adam", "lamb"})
         self.grad_shapes = [(seg.stop - seg.start,) for seg in flat_order]
+        self._vectors = None
+
+    def views(self, theta, g, v, m, s) -> list[tuple]:
+        """Per part (kind, then the part's slice of each vector, then the part),
+        built once per set of vectors."""
+        vectors = self._vectors
+        if (vectors is None or vectors[0] is not theta or vectors[1] is not g
+                or vectors[2] is not v or vectors[3] is not m or vectors[4] is not s):
+            self._vectors = (theta, g, v, m, s)
+            self._views = [(part.config.kind, *(x[part.slice] for x in self._vectors), part)
+                           for part in self.parts]
+        return self._views
 
 
 def _check(g: np.ndarray, theta: np.ndarray):
     if g.shape != theta.shape:
         raise LengthMismatch(f"{g.shape} vs {theta.shape}")
-    if not np.isfinite(g).all():
+    if not all_finite(g):
         raise NonFiniteInput("gradient contains NaN/Inf")
 
 
@@ -208,82 +226,77 @@ def effective_gradient(
     if g.shape != theta.shape:
         raise LengthMismatch(f"{g.shape} vs {theta.shape}")
     part = _Part(config, [Segment("", group_tag, theta.shape, 0, theta.size)])
-    return _with_l2(g, theta, part.l2)
+    return _with_l2(g, theta, part)
 
 
 # -- fused rules: each updates theta and its slots in place over one part ---
 
-def _active(decay) -> bool:
-    return isinstance(decay, np.ndarray) or decay != 0.0
-
-
-def _with_l2(g, theta, l2):
-    return g + l2 * theta if _active(l2) else g
+def _with_l2(g, theta, part: _Part):
+    return g + part.l2 * theta if part.l2_on else g
 
 
 def _trust_ratios(theta, d, part: _Part, coefficient: float) -> np.ndarray:
     """Per group coefficient*|theta|/|d|; 1 when excluded or a norm is zero.
 
     Each norm is the square root of one dot product over the group's own
-    slice, which is how np.linalg.norm computes a vector norm.
+    slice, which is how np.linalg.norm computes a vector norm (`a.dot(a)`
+    and `a @ a` give the same bits).
     """
     ratios = []
     for (lo, hi), on in zip(part.bounds, part.included):
         ratio = 1.0
         if on:
             a, b = theta[lo:hi], d[lo:hi]
-            a_norm, b_norm = math.sqrt(a @ a), math.sqrt(b @ b)
+            a_norm, b_norm = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
             if a_norm != 0.0 and b_norm != 0.0:
                 ratio = coefficient * a_norm / b_norm
         ratios.append(ratio)
     return np.array(ratios)
 
 
-def _adam_direction(g_eff, m, s, config: OptimizerConfig, t: int):
+def _adam_direction(g_eff, m, s, part: _Part, t: int):
     """Advance (m, s) in place; the m_hat/(sqrt(s_hat)+eps) direction at step t+1."""
+    config = part.config
     kernels.adam_moments(m, s, g_eff, config.beta1, config.beta2)
     if config.bias_correction:
         c1 = 1.0 - config.beta1 ** (t + 1)
         c2 = 1.0 - config.beta2 ** (t + 1)
     else:
         c1 = c2 = 1.0
-    if config.epsilon == 0.0 and np.any(s == 0.0):
+    if config.epsilon == 0.0 and np.logical_or.reduce(s == 0.0):
         raise DivisionHazard("epsilon=0 with a zero second-moment entry")
     base = np.empty_like(m)
-    kernels.adam_direction(base, m, s, config.epsilon, c1, c2)
+    kernels.adam_direction(base, m, s, part.epsilon, c1, c2)
     return base
 
 
 def _heavy_ball(theta, g, v, m, s, eta, part: _Part, t: int):
-    kernels.heavy_ball_step(theta, _with_l2(g, theta, part.l2), v, eta,
-                            part.config.momentum, part.wd)
+    kernels.heavy_ball_step(theta, _with_l2(g, theta, part), v, eta, part.momentum, part.wd)
 
 
 def _nesterov(theta, g, v, m, s, eta, part: _Part, t: int):
-    kernels.nesterov_step(theta, _with_l2(g, theta, part.l2), v, eta,
-                          part.config.momentum, part.wd)
+    kernels.nesterov_step(theta, _with_l2(g, theta, part), v, eta, part.momentum, part.wd)
 
 
 def _adam(theta, g, v, m, s, eta, part: _Part, t: int):
-    base = _adam_direction(_with_l2(g, theta, part.l2), m, s, part.config, t)
+    base = _adam_direction(_with_l2(g, theta, part), m, s, part, t)
     theta -= eta * (base + part.wd * theta)
 
 
 def _lars(theta, g, v, m, s, eta, part: _Part, t: int):
-    cfg = part.config
-    g_eff = _with_l2(g, theta, part.l2)
-    ratios = _trust_ratios(theta, g_eff, part, cfg.trust_coefficient)
-    kernels.trust_momentum_step(theta, g_eff, v, np.repeat(ratios * eta, part.sizes),
-                                cfg.momentum)
-    if _active(part.wd):
+    g_eff = _with_l2(g, theta, part)
+    ratios = _trust_ratios(theta, g_eff, part, part.config.trust_coefficient)
+    kernels.trust_momentum_step(theta, g_eff, v, (ratios * eta).repeat(part.sizes),
+                                part.momentum)
+    if part.wd_on:
         theta -= eta * part.wd * theta
 
 
 def _lamb(theta, g, v, m, s, eta, part: _Part, t: int):
-    base = _adam_direction(_with_l2(g, theta, part.l2), m, s, part.config, t)
-    u = base + part.wd * theta if _active(part.wd) else base
+    base = _adam_direction(_with_l2(g, theta, part), m, s, part, t)
+    u = base + part.wd * theta if part.wd_on else base
     ratios = _trust_ratios(theta, u, part, 1.0)
-    theta -= np.repeat(eta * ratios, part.sizes) * u
+    theta -= (eta * ratios).repeat(part.sizes) * u
 
 
 _UPDATE_FNS = {
@@ -353,11 +366,10 @@ def apply_step(theta: np.ndarray, g: np.ndarray, routing: RoutingRule, eta: floa
     Adam bias correction stays aligned. A raised error leaves them part-way.
     """
     _check(g, theta)
-    plan = state.plan_for(routing)
-    v, m, s, t = state.v, state.m, state.s, state.t
-    for part in plan.parts:
-        sl = part.slice
-        _UPDATE_FNS[part.config.kind](theta[sl], g[sl], v[sl], m[sl], s[sl], eta, part, t)
+    t = state.t
+    for kind, theta_p, g_p, v, m, s, part in state.plan_for(routing).views(
+            theta, g, state.v, state.m, state.s):
+        _UPDATE_FNS[kind](theta_p, g_p, v, m, s, eta, part, t)
     state.t = t + 1
 
 

@@ -8,6 +8,8 @@ every group's ``values`` is a view into it, so a route over adjacent tags
 is a single slice. Iteration, lookup, ``names()`` and the JSON snapshot
 keep model order. All optimizer math downstream is shape-oblivious: norms
 are taken over flat vectors, shape metadata exists only for the model.
+`const` and `all_finite` are the numeric helpers the model and the
+optimizer share.
 """
 
 from __future__ import annotations
@@ -22,6 +24,21 @@ import numpy as np
 from .errors import DuplicateGroupName, ShapeMismatch, UnknownGroupName
 
 TAGS = ("weight", "bias", "bn_scale", "bn_shift")
+
+
+def const(value: float) -> np.ndarray:
+    """`value` as a read-only 0-d float64 array. A ufunc takes it as an operand
+    without first converting it, as it must a Python float, and computes the
+    same bits."""
+    array = np.array(value, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of `x` is finite: np.isfinite(x).all() without the
+    Python layer of the method."""
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 
 BASE_CONFIG = {
@@ -39,3 +40,18 @@ BASE_CONFIG = {
 @pytest.fixture
 def base_config():
     return copy.deepcopy(BASE_CONFIG)
+
+
+@pytest.fixture(autouse=True)
+def numpy_error_state_kept():
+    """Fail any test that leaves numpy's floating-point error state changed.
+
+    A training run sets the state once for the whole run, so every way out
+    of it, a diverged run's return included, must put the old state back.
+    """
+    before = np.geterr()
+    yield
+    after = np.geterr()
+    if after != before:
+        np.seterr(**before)  # so that the next test starts clean
+        pytest.fail(f"numpy error state left at {after}, was {before}")

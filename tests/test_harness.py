@@ -343,6 +343,36 @@ DIVERGES_AT_EVAL_POINT = {
     "budget_steps": 10, "batch_size": 7, "eval_every": 1,
 }
 
+_NON_WEIGHT = ["bias", "bn_scale", "bn_shift"]
+# the deep_ablation benchmark's model and routing at a 30-step budget: six BN
+# layers of width 8, LAMB on the weights and Adam on the rest
+DEEP_ABLATION = {
+    "model": {"layer_widths": [4, 8, 8, 8, 8, 8, 8, 3], "use_bn": True,
+              "virtual_batch_size": 8, "label_smoothing": 0.1},
+    "data": {"classes": 3, "features": 4, "per_class": 128, "spread": 1.0, "seed": 21},
+    "optimizer": [
+        {"tags": ["weight"],
+         "config": {"kind": "lamb", "decay": 1e-3, "exclude_tags": _NON_WEIGHT}},
+        {"tags": _NON_WEIGHT,
+         "config": {"kind": "adam", "decay": 1e-3, "exclude_tags": _NON_WEIGHT}},
+    ],
+    "schedule": {"family": "cosine", "eta_peak": 0.01, "total_steps": 30},
+    "budget_steps": 30, "batch_size": 16, "eval_every": 10,
+}
+# the parity study's lars_hybrid routing on the tests' base config at a
+# 40-step budget: LARS on the weights, heavy-ball on the rest, L2 on both
+LARS_HYBRID = {
+    **copy.deepcopy(BASE_CONFIG),
+    "optimizer": [
+        {"tags": ["weight"],
+         "config": {"kind": "lars", "momentum": 0.9, "decay": 1e-4,
+                    "trust_coefficient": 0.001, "exclude_tags": _NON_WEIGHT}},
+        {"tags": _NON_WEIGHT, "config": {"kind": "heavy_ball", "momentum": 0.9, "decay": 1e-4}},
+    ],
+    "schedule": {"family": "cosine", "eta_peak": 20.0, "total_steps": 40},
+    "budget_steps": 40, "eval_every": 20,
+}
+
 
 class TestRunMatchesReference:
     """run_training against oracles.reference_run_training, == on the TrainResult."""
@@ -353,6 +383,8 @@ class TestRunMatchesReference:
     @example(DIVERGES_AT_BN_INPUT)
     @example(DIVISION_HAZARD)
     @example(DIVERGES_AT_EVAL_POINT)
+    @example(DEEP_ABLATION)
+    @example(LARS_HYBRID)
     def test_whole_run(self, doc):
         config = harness.parse_config(doc)
         want = oracles.reference_run_training(config)
@@ -554,6 +586,36 @@ class TestPersistence:
         with pytest.raises(CorruptRecord) as exc:
             harness.read_results(path)
         assert exc.value.line_number == 4
+
+    def test_non_utf8_log_is_a_corrupt_record(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        path.write_bytes(b'\xff\xfe{}\n')
+        with pytest.raises(CorruptRecord) as exc:
+            harness.read_results(path)
+        assert exc.value.line_number == 1
+        path = tmp_path / "latin1.jsonl"
+        harness.write_results(self.records(), path)
+        with open(path, "ab") as f:
+            f.write(b'{"seed": "\xe9"}\n')
+        with pytest.raises(CorruptRecord) as exc:
+            harness.read_results(path)
+        assert exc.value.line_number == 4
+
+    @pytest.mark.parametrize("line,match", [
+        ({"trial_index": 0, "assignment": {}, "seed": 0, "status": "completed",
+          "steps_run": 5},
+         "a completed trial needs final_train_accuracy, final_eval_accuracy, final_loss"),
+        ({**RECORD, "final_loss": None}, "a completed trial needs final_loss"),
+        ({**RECORD, "status": "banana"},
+         "status must be completed, diverged or error, got 'banana'"),
+    ], ids=["completed-without-metrics", "completed-without-loss", "unknown-status"])
+    def test_record_whose_status_does_not_fit_is_corrupt(self, tmp_path, line, match):
+        path = tmp_path / "trials.jsonl"
+        harness.write_results(self.records()[:1], path)
+        with open(path, "a") as f:
+            f.write(json.dumps(line) + "\n")
+        with pytest.raises(CorruptRecord, match=f"line 2: record: {match}"):
+            harness.read_results(path)
 
     def test_error_reason_round_trip(self, tmp_path):
         path = tmp_path / "trials.jsonl"

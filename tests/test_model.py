@@ -205,6 +205,14 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(store, BnRunningStats.for_config(cfg), bad, cfg)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_label_out_of_range_rejected(self, mode):
+        cfg = small_config()
+        store = init_mlp(cfg)
+        bad = Batch(np.zeros((8, 2)), np.array([0, 1, 0, 1, 2, 0, 1, 0]))
+        with pytest.raises(InvalidConfig, match="label out of range"):
+            forward(store, BnRunningStats.for_config(cfg), bad, cfg, mode=mode)
+
     def test_determinism_bitwise(self):
         cfg = small_config(label_smoothing=0.1)
         batch = random_batch(cfg, 16, seed=5)
@@ -273,6 +281,8 @@ class TestTrainWorkspace:
             backward(first, store, cfg)
         grads = backward(second, store, cfg)
         assert not any(np.shares_memory(g, second["last_input"]) for g in grads.values())
+        with pytest.raises(StaleCache, match="a backward"):
+            backward(second, store, cfg)
 
     def test_eval_forward_leaves_train_cache_valid(self):
         cfg = small_config(layer_widths=[2, 16, 8, 2])
