@@ -328,6 +328,10 @@ def parse_config(doc) -> ExperimentConfig:
             f"{config.batch_size} not divisible by virtual_batch_size "
             f"{model.virtual_batch_size}",
         )
+    # the batch buffer and the train workspace hold (batch_size, width) float64 arrays
+    if config.batch_size * max(widths) * 8 > np.iinfo(np.intp).max:
+        raise ValidationError("batch_size", f"{config.batch_size} rows of {max(widths)} "
+                                            "float64 values exceed numpy's array size limit")
     if config.eval_every <= 0:
         raise ValidationError("eval_every", "must be > 0")
     check_metric(config.target_metric, "target_metric")

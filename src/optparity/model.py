@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     IndivisibleBatch,
     InvalidConfig,
+    LengthMismatch,
     NonFiniteInput,
     ShapeMismatch,
     StaleCache,
@@ -172,7 +173,27 @@ def init_mlp(config: MlpConfig, rng_seed: int | None = None) -> ParamStore:
 # is, while a small batch is one block and costs one numpy call per operation.
 BN_BLOCK_ELEMS = 16_384
 
+# An eval forward walks the rows in blocks of at most this many, so each
+# hidden layer's activations take one (512, width) buffer however large the
+# eval set is. A block ends at a multiple of 512 rows or at the last row, and
+# starts at a multiple of EVAL_BLOCK_ALIGN rows: past the first 512 rows the
+# last block starts at the first such multiple that leaves it at most 512
+# rows, so it overlaps the block before it. OpenBLAS gives each row of a
+# product the bits of the one-call product only when the call runs the
+# kernel path of the one call and its rows sit on the same offsets within
+# the kernel's row tiles: with OpenBLAS 0.3.31 a 276-row or one-row
+# remainder block, or 256-row blocks, change bits (tests/test_model.py).
+EVAL_BLOCK_ROWS = 512
+EVAL_BLOCK_ALIGN = 16
+
 _ZERO, _ONE = const(0.0), const(1.0)
+
+
+def _eval_blocks(n):
+    """The row slices an eval forward over n rows walks (see EVAL_BLOCK_ROWS)."""
+    last = max(0, -(-(n - EVAL_BLOCK_ROWS) // EVAL_BLOCK_ALIGN) * EVAL_BLOCK_ALIGN)
+    starts = [*range(0, last, EVAL_BLOCK_ROWS), last]
+    return [slice(start, min(start + EVAL_BLOCK_ROWS, n)) for start in starts]
 
 
 def _vb_blocks(n_sub, vbs, width):
@@ -368,7 +389,7 @@ class LayerPlan:
     table and `eps` the BN epsilon as a constant. `grad_views(out)` gives the
     same groups' views into a gradient vector laid out like `flat`,
     `workspace(n)` the train-mode buffers for batches of n rows, and
-    `eval_buffers(n)` the eval-mode activations.
+    `eval_buffers(n)` the eval-mode activation buffers of one row block.
     """
 
     def __init__(self, params: ParamStore, config: MlpConfig):
@@ -393,8 +414,7 @@ class LayerPlan:
         self.eps = const(config.bn_epsilon)
         self._out = None
         self._workspaces = {}
-        self._eval = []
-        self._eval_rows = 0
+        self._eval = None
 
     def _views(self, vec: np.ndarray) -> list[tuple]:
         """Per layer (weight, bias, BN scale or None, BN shift or None) over `vec`."""
@@ -421,14 +441,15 @@ class LayerPlan:
         return work
 
     def eval_buffers(self, n: int) -> list[np.ndarray]:
-        """Per hidden layer an (n, width) activation buffer for eval-mode passes:
-        the first n rows of buffers sized for the largest eval set so far, so
-        that every eval forward on the store shares them."""
-        if n > self._eval_rows:
-            self._eval = []  # let the smaller buffers go before the new ones exist
-            self._eval = [np.empty((n, w.shape[1])) for w, _, _, _ in self.layers[:-1]]
-            self._eval_rows = n
-        return [buf[:n] for buf in self._eval]
+        """Per hidden layer a (min(n, EVAL_BLOCK_ROWS), width) activation buffer
+        for an eval-mode pass over n rows: the first rows of (EVAL_BLOCK_ROWS,
+        width) buffers built on first use, which every eval forward on the
+        store shares. A store that only trains never builds them."""
+        if self._eval is None:
+            self._eval = [np.empty((EVAL_BLOCK_ROWS, w.shape[1]))
+                          for w, _, _, _ in self.layers[:-1]]
+        rows = min(n, EVAL_BLOCK_ROWS)
+        return [buf[:rows] for buf in self._eval]
 
 
 class TrainWorkspace:
@@ -502,10 +523,13 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
 
     A train-mode pass runs in the plan's workspace for the batch size, so its
     cache holds views of it and goes stale once a backward has used it or at
-    the next train forward on the same store and batch size. An eval-mode pass writes its activations into
-    the plan's eval buffers, which the next eval forward on the store
-    overwrites; its cache holds no view of them. The logits are a new array
-    in both modes.
+    the next train forward on the same store and batch size. An eval-mode
+    pass walks the rows in blocks (`_eval_blocks`): each block runs through
+    every hidden layer in the plan's eval buffers, which the next block and
+    the next eval forward on the store overwrite, and writes its output-layer
+    product into its rows of the logits; the bias, the logits check and the
+    loss then run once over all rows. Its cache holds no view of the
+    buffers. The logits are a new array in both modes.
     """
     x, labels = batch.inputs, batch.labels
     widths = config.layer_widths
@@ -516,16 +540,23 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     plan = layer_plan(params, config)
     n = x.shape[0]
     new_stats = stats
+    w_out, b_out, _, _ = plan.layers[-1]
     if mode == "eval":
-        running = zip(stats.means, stats.vars)
-        for (w, b, gamma, beta), z in zip(plan.layers, plan.eval_buffers(n)):
-            np.matmul(x, w, out=z)
-            z += b
-            if gamma is not None:
-                _check_bn_input(z)
-                _bn_eval(z, gamma, beta, *next(running), plan.eps)
-            np.maximum(z, _ZERO, out=z)
-            x = z
+        running = list(zip(stats.means, stats.vars))
+        block_buffers = plan.eval_buffers(n)
+        logits = np.empty((n, widths[-1]))
+        for rows in _eval_blocks(n):
+            h, bn_stats = x[rows], iter(running)
+            for (w, b, gamma, beta), buf in zip(plan.layers, block_buffers):
+                z = buf[:h.shape[0]]
+                np.matmul(h, w, out=z)
+                z += b
+                if gamma is not None:
+                    _check_bn_input(z)
+                    _bn_eval(z, gamma, beta, *next(bn_stats), plan.eps)
+                np.maximum(z, _ZERO, out=z)
+                h = z
+            np.matmul(h, w_out, out=logits[rows])
         targets, buffers = None, _loss_buffers(n, widths[-1])
         cache = {"mode": mode}
     else:
@@ -546,11 +577,10 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
             new_stats = stats.updated(sums, work.decay)
         targets, buffers = work.targets, work.loss
         cache["last_input"] = x
+        logits = np.matmul(x, w_out)
     # every label is in range, and mode="clip" lets take write `out` unbuffered
     targets = plan.targets.take(labels, axis=0, out=targets, mode="clip")
-    w, b, _, _ = plan.layers[-1]
-    logits = np.matmul(x, w)
-    logits += b
+    logits += b_out
     if not all_finite(logits):
         raise NonFiniteInput("non-finite logits")
     loss, cache["log_p"] = _smoothed_loss(logits, targets, buffers)
@@ -574,9 +604,11 @@ def backward(cache, params: ParamStore, config: MlpConfig,
     if cache["stamp"] != work.stamp:
         raise StaleCache("a backward or a later train forward at this batch size "
                          "overwrote the cache")
-    work.stamp += 1
     if out is None:
         out = np.empty(params.flat.size)
+    elif out.shape != params.flat.shape:
+        raise LengthMismatch(f"out {out.shape} vs the store's {params.flat.shape}")
+    work.stamp += 1
     layer_grads, named = cache["plan"].grad_views(out)
     dz = np.exp(cache["log_p"], out=work.loss[1])
     dz -= cache["targets"]

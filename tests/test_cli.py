@@ -190,6 +190,7 @@ def _route_with(**fields):
     ("train", "config", _base_with(optimizer=[5]), []),
     ("train", "config", _base_with(model=5), []),
     ("train", "config", _base_with(batch_size=True), []),
+    ("train", "config", _base_with(batch_size=2**70), []),
     ("train", "config", _base_with(eval_every=2.7), []),
     ("tune", None, None, ["--metric", "bogus"]),
     ("tune", "config", _base_with(base_seed="x"), []),
@@ -233,6 +234,7 @@ def _route_with(**fields):
         "report-results-object", "schedule-config-list",
         "train-budget-text", "train-seed-text", "train-target-text", "train-optimizer-number",
         "train-route-number", "train-model-number", "train-batch-bool",
+        "train-batch-past-array-limit",
         "train-eval-every-fraction", "tune-unknown-metric", "tune-seed-text",
         "tune-seed-fraction", "ablate-unknown-target-metric",
         "train-data-classes-text", "train-data-one-class", "train-data-zero-spread",

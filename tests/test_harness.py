@@ -373,6 +373,22 @@ LARS_HYBRID = {
     "budget_steps": 40, "eval_every": 20,
 }
 
+# the large_batch workload's model, routing and data (benchmark seed 1) at a
+# 3-step budget with an eval point every step: 4096 train rows make eight eval
+# blocks, 1024 eval rows two; with 256-row blocks its train losses change bits
+LARGE_BATCH = {
+    "model": {"layer_widths": [16, 256, 256, 10], "use_bn": True, "virtual_batch_size": 64},
+    "data": {"classes": 10, "features": 16, "per_class": 512, "spread": 3.0, "seed": 11},
+    "optimizer": [
+        {"tags": ["weight"],
+         "config": {"kind": "lamb", "decay": 1e-4, "exclude_tags": _NON_WEIGHT}},
+        {"tags": _NON_WEIGHT, "config": {"kind": "adam", "exclude_tags": _NON_WEIGHT}},
+    ],
+    "schedule": {"family": "poly_warmup_decay", "eta_init": 0.0, "eta_peak": 0.01,
+                 "eta_final": 0.0, "t_warmup": 1, "total_steps": 3},
+    "budget_steps": 3, "batch_size": 1024, "eval_every": 1,
+}
+
 
 class TestRunMatchesReference:
     """run_training against oracles.reference_run_training, == on the TrainResult."""
@@ -385,6 +401,7 @@ class TestRunMatchesReference:
     @example(DIVERGES_AT_EVAL_POINT)
     @example(DEEP_ABLATION)
     @example(LARS_HYBRID)
+    @example(LARGE_BATCH)
     def test_whole_run(self, doc):
         config = harness.parse_config(doc)
         want = oracles.reference_run_training(config)

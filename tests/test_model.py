@@ -9,6 +9,7 @@ import oracles
 from optparity.errors import (
     IndivisibleBatch,
     InvalidConfig,
+    LengthMismatch,
     NonFiniteInput,
     ShapeMismatch,
     StaleCache,
@@ -253,6 +254,17 @@ class TestBackward:
         with pytest.raises(StaleCache):
             backward(cache, store, cfg)
 
+    def test_out_of_the_wrong_length_rejected(self):
+        cfg = small_config(layer_widths=[2, 4, 2])
+        store = init_mlp(cfg)
+        _, _, cache, _ = forward(store, BnRunningStats.for_config(cfg), random_batch(cfg, 8),
+                                 cfg)
+        for out in (np.empty(store.flat.size + 5), np.empty(3)):
+            with pytest.raises(LengthMismatch):
+                backward(cache, store, cfg, out=out)
+        # a rejected `out` leaves the cache usable
+        backward(cache, store, cfg, out=np.empty(store.flat.size))
+
 
 class TestTrainWorkspace:
     """A train forward runs in its store's workspace for the batch size."""
@@ -328,9 +340,12 @@ class TestTrainWorkspace:
         np.testing.assert_array_equal(stats.values, [[0.0] * 24, [1.0] * 24])
 
 
+LARGE_BATCH_WIDTHS = [16, 256, 256, 10]
+
+
 class TestEvalBuffers:
-    """An eval forward runs in its store's eval buffers, sized for the largest
-    eval set so far."""
+    """An eval forward walks its rows in blocks through its store's eval
+    buffers, which hold one block each."""
 
     def _trained_stats(self, store, cfg):
         _, _, _, stats = forward(store, BnRunningStats.for_config(cfg),
@@ -392,6 +407,46 @@ class TestEvalBuffers:
             tracemalloc.stop()
         np.testing.assert_array_equal(logits, want)
         assert peak < n * 256 * 8
+
+    def test_first_forward_on_a_fresh_store_allocates_less_than_one_activation(self):
+        cfg = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=True, virtual_batch_size=64)
+        store = init_mlp(cfg)
+        stats = BnRunningStats.for_config(cfg)
+        n = 4096
+        batch = random_batch(cfg, n, seed=28)
+        tracemalloc.start()
+        try:
+            forward(store, stats, batch, cfg, mode="eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 256 * 8
+
+    @pytest.mark.parametrize("widths,n", [(LARGE_BATCH_WIDTHS, 4096),
+                                          (LARGE_BATCH_WIDTHS, 1024),
+                                          (LARGE_BATCH_WIDTHS, 1300),
+                                          ([2, 16, 16, 2], 513)],
+                             ids=["large-4096", "large-1024", "large-1300", "parity-513"])
+    @pytest.mark.parametrize("use_bn", [True, False])
+    def test_blocked_forward_matches_reference_bitwise(self, use_bn, widths, n):
+        # 1300 and 513 rows end in a block that overlaps the one before it
+        cfg = MlpConfig(layer_widths=widths, use_bn=use_bn, virtual_batch_size=64)
+        store = init_mlp(cfg, rng_seed=29)
+        stats = BnRunningStats.for_config(cfg)
+        rng = np.random.default_rng(30)
+        stats.values[0] = rng.normal(size=stats.values.shape[1])
+        stats.values[1] = rng.uniform(0.5, 2.0, size=stats.values.shape[1])
+        batch = random_batch(cfg, n, seed=31)
+        logits, loss, _, _ = forward(store, stats, batch, cfg, mode="eval")
+
+        p = {g.name: g.values.reshape(g.shape) for g in store}
+        layers = [(f"w{i}", f"b{i}", f"bn{i}_scale" if use_bn and i < 3 else None,
+                   f"bn{i}_shift" if use_bn and i < 3 else None) for i in (1, 2, 3)]
+        running = list(zip(stats.means, stats.vars))
+        want_logits, want_loss, _ = oracles._reference_forward(
+            p, layers, running, batch.inputs, batch.labels, cfg, "eval")
+        np.testing.assert_array_equal(logits, want_logits)
+        assert loss == want_loss
 
 
 class TestFiniteDifference:
