@@ -36,6 +36,13 @@ def _load_config(path, seed=None):
     return doc
 
 
+def _json_or_text(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
 def _write_text(path, text):
     """Write `text` to the file at `path`; an unwritable path exits 2."""
     try:
@@ -131,17 +138,20 @@ def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed
 def ablate(config_path, overrides_path, seeds, out_path):
     """One-at-a-time ablation arms, each evaluated over the seed list."""
     doc = _load_config(config_path)
-    overrides = _load_json(overrides_path)
-    if not isinstance(overrides, list) or not all(
-            isinstance(item, list) and len(item) == 3 and isinstance(item[1], str)
-            for item in overrides):
-        _fail(f"{overrides_path}: expected a list of [label, dotted.path, value] items")
     try:
-        seed_list = [int(s) for s in seeds.split(",") if s.strip()]
-    except ValueError as exc:
-        _fail(f"--seeds: {exc}")
+        overrides = harness.read_as(_load_json(overrides_path), list[harness.Override],
+                                    "overrides")
+    except ValidationError as exc:
+        _fail(f"{overrides_path}: {exc}")
     try:
-        rows = harness.run_ablation(doc, [tuple(item) for item in overrides], seed_list)
+        # each entry as a JSON value, so that "1.5" reads as a number and is rejected
+        # as one; an entry that is no JSON value stays text, which read_as rejects
+        seed_list = harness.read_as([_json_or_text(s) for s in seeds.split(",") if s.strip()],
+                                    list[int], "--seeds")
+    except ValidationError as exc:
+        _fail(exc)
+    try:
+        rows = harness.run_ablation(doc, overrides, seed_list)
         if out_path:
             harness.write_summaries(rows, out_path)
     except (ParseError, ValidationError) as exc:  # the config or one of its arms is invalid

@@ -139,6 +139,8 @@ class TrialRecord:
 # An order statistic over seeds, where a diverged seed counts as -inf (+inf
 # when minimizing): the one kind of float field that may be infinite.
 OrderStat = typing.NewType("OrderStat", float)
+# one `ablate --overrides` item: [label, dotted path, value], the value any JSON value
+Override = tuple[str, str, object]
 
 
 @dataclass
@@ -190,7 +192,8 @@ def _order_stat(value, path: str) -> float:
     return value
 
 
-_READERS = {int: _integer, float: _finite, OrderStat: _order_stat}
+_READERS = {int: _integer, float: _finite, OrderStat: _order_stat,
+            object: lambda value, path: value}
 
 
 def _seed(value, path: str) -> int:
@@ -216,9 +219,10 @@ def read_as(value, hint, path: str):
     """The decoded JSON `value` at the dotted `path` read as the declared type
     `hint`, or a ValidationError at the path: int through _integer, float
     through _finite, OrderStat through _order_stat; bool, str, dict, None and a
-    bare list as they are; list[X] and frozenset[X] from a JSON list, item i at
-    `path.i`; a union as its first alternative that fits; a dataclass through
-    _section."""
+    bare list as they are, and any value as object; list[X] and frozenset[X]
+    from a JSON list, item i at `path.i`; tuple[X, Y, ...] from a JSON list of
+    as many items, item i read as the i-th type; a union as its first
+    alternative that fits; a dataclass through _section."""
     return _reader(hint)(value, path)
 
 
@@ -245,6 +249,16 @@ def _reader(hint):
         read_item = _reader(args[0])
         return lambda value, path: origin([read_item(v, f"{path}.{i}") for i, v
                                            in enumerate(_typed(value, list, path, "a list"))])
+    if origin is tuple:
+        read_items = [_reader(a) for a in args]
+
+        def read_tuple(value, path):
+            if len(_typed(value, list, path, "a list")) != len(read_items):
+                raise ValidationError(path, f"must be a list of {len(read_items)} items, "
+                                            f"got {value!r}")
+            return tuple(read(v, f"{path}.{i}")
+                         for i, (read, v) in enumerate(zip(read_items, value)))
+        return read_tuple
     if is_dataclass(hint):
         return lambda value, path: _section(value, hint, path)
     return _READERS.get(hint) or (lambda value, path: _typed(value, hint, path, _KINDS[hint]))
@@ -558,7 +572,7 @@ def multi_seed_eval(config: dict, seeds: list[int], target: float,
     return _arm_summaries(config, [{}], seeds, target, metric, mode)[0]
 
 
-def run_ablation(base_config: dict, overrides: list[tuple[str, str, object]],
+def run_ablation(base_config: dict, overrides: list[Override],
                  seeds: list[int]) -> list[tuple[str, SeedSummary]]:
     """Base plus one-at-a-time single-field overrides, each multi-seed and
     summarized by the Base config's target value and metric."""
@@ -658,8 +672,9 @@ def read_summaries(path) -> list[tuple[str, SeedSummary]]:
         for i, row in enumerate(read_as(doc, list[dict], "summaries")):
             if "label" not in row:
                 raise ValidationError(f"summaries.{i}.label", "missing")
+            label = read_as(row["label"], str, f"summaries.{i}.label")
             summary = {key: value for key, value in row.items() if key != "label"}
-            rows.append((row["label"], _section(summary, SeedSummary, f"summaries.{i}")))
+            rows.append((label, _section(summary, SeedSummary, f"summaries.{i}")))
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return rows

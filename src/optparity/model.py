@@ -10,6 +10,9 @@ verified coordinate-wise against central finite differences.
 
 from __future__ import annotations
 
+import os
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +189,126 @@ BN_BLOCK_ELEMS = 16_384
 EVAL_BLOCK_ROWS = 512
 EVAL_BLOCK_ALIGN = 16
 
+# A hidden layer's product of more than this many multiply-adds runs half on
+# a worker thread when `_USE_WORKER` holds: the train forward's and each eval
+# block's product splits into two row halves at a multiple of EVAL_BLOCK_ALIGN
+# rows, and the backward computes a layer's weight gradient on the worker
+# while it takes the gradient at the layer's input. Handing a product over
+# costs tens of microseconds: on the large-batch model a 512x16 @ 16x256 eval
+# block product (2.1 M) took longer split than in one call, a 1024-row one
+# (4.2 M) and the 256-wide products (2.6-67 M) less. The parity model's
+# products are at most 0.13 M, so there every product runs in one call on
+# the calling thread, as without the worker. Output-layer products never
+# split: the 256x10 product of a 512-row eval block changed bits in two
+# 256-row halves (OpenBLAS takes another kernel path for the smaller call).
+WIDE_PRODUCT = 1 << 21
+
 _ZERO, _ONE = const(0.0), const(1.0)
+
+
+def worker_allowed(environ: Mapping[str, str], n_cpus: int) -> bool:
+    """Whether wide products may run half on a worker thread: the process may
+    use two or more CPUs and OpenBLAS runs each call on one thread. OpenBLAS
+    reads its thread count once, at load, from the first of these variables
+    that reads as a positive integer (by C's atoi); with none set it uses
+    every core, and a second thread of our own would only contend with it."""
+    if n_cpus < 2:
+        return False
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        digits = re.match(r"\s*[+-]?\d+", environ.get(name, ""))
+        if digits and int(digits.group()) > 0:
+            return int(digits.group()) == 1
+    return False
+
+
+# read once, as OpenBLAS reads the environment once (numpy loaded it above)
+_USE_WORKER = worker_allowed(
+    os.environ, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+
+
+class _Worker:
+    """One daemon thread that runs the np.matmul calls handed to it, one at a
+    time, each in a copy of its caller's context, so under its np.errstate.
+    It calls nothing but numpy, so no optparity code runs off the caller's
+    thread. One caller thread at a time holds it, from `start` to `join`."""
+
+    def __init__(self):
+        import contextvars
+        import queue
+        import threading
+
+        self._copy_context = contextvars.copy_context
+        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._busy = threading.Lock()
+        threading.Thread(target=self._serve, name="optparity-matmul", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            job = self._jobs.get()
+            try:
+                job[0].run(np.matmul, *job[1:3], out=job[3])
+            except Exception as exc:  # raised again on the caller's thread by join
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+            # hold no array while idle, so that a finished run's buffers can go
+            del job
+
+    def start(self, a, b, out):
+        """Start np.matmul(a, b, out=out); the caller must `join` before it
+        reads `out` or writes `a` or `b`."""
+        self._busy.acquire()
+        self._jobs.put((self._copy_context(), a, b, out))
+
+    def join(self):
+        """Wait for the product started last; raise what it raised."""
+        try:
+            exc = self._done.get()
+        finally:
+            self._busy.release()
+        if exc is not None:
+            raise exc
+
+
+_worker = None
+
+
+def _the_worker() -> _Worker:
+    global _worker
+    if _worker is None:
+        _worker = _Worker()
+    return _worker
+
+
+def _forget_worker():
+    # a forked child has no worker thread: it starts its own on first use
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _split_row(n, k, m):
+    """The row at which a hidden layer's (n, k) @ (k, m) product splits
+    between the worker (the rows before it) and the calling thread, or 0 to
+    run it in one call (see WIDE_PRODUCT)."""
+    if not _USE_WORKER or n * k * m <= WIDE_PRODUCT:
+        return 0
+    return n // 2 // EVAL_BLOCK_ALIGN * EVAL_BLOCK_ALIGN
+
+
+def _split_matmul(a, b, out, split):
+    """np.matmul(a, b, out=out), the rows before `split` on the worker and the
+    rest on this thread. Each row keeps the bits of the one-call product: its
+    offset within the kernel's row tiles does not change."""
+    worker = _the_worker()
+    worker.start(a[:split], b, out[:split])
+    try:
+        np.matmul(a[split:], b, out=out[split:])
+    finally:
+        worker.join()
 
 
 def _eval_blocks(n):
@@ -457,15 +579,17 @@ class TrainWorkspace:
     size reuse; each train forward overwrites them.
 
     `hidden` holds per hidden layer (weight, bias, BN scale, BN shift, act,
-    mask, dz, BN cache or None): the layer's parameters as in the plan; the
-    affine output, over which BN writes y and the ReLU its output, which the
-    next layer reads; the ReLU mask; and the gradient at the affine output,
-    over which BN's backward writes dx. A BN cache holds x-hat, the inverse
-    standard deviations and the block views (`_ghost_bn_cache`); BN's
-    backward overwrites the activation, so a cache serves one backward.
-    `back` holds per hidden layer what backward reads: the next layer's
-    weight and this layer's input transposed (None for the batch's inputs),
-    the mask, dz and the BN cache. `sub_stats` holds every BN layer's
+    mask, dz, BN cache or None, split): the layer's parameters as in the
+    plan; the affine output, over which BN writes y and the ReLU its output,
+    which the next layer reads; the ReLU mask; the gradient at the affine
+    output, over which BN's backward writes dx; and the row at which the
+    layer's product splits (`_split_row`). A BN cache holds x-hat, the
+    inverse standard deviations and the block views (`_ghost_bn_cache`);
+    BN's backward overwrites the activation, so a cache serves one backward.
+    `back` holds per hidden layer what backward reads: this layer's
+    activation and the next layer's weight transposed, the mask, dz, the BN
+    cache and whether the next layer's weight gradient runs on the worker
+    (see WIDE_PRODUCT). `sub_stats` holds every BN layer's
     per-virtual-batch means and variances after a zero row, side by side as
     in `BnRunningStats.values`, and `decay` is the running update's
     constants. `targets` holds the batch's smoothed targets and `loss` the
@@ -489,7 +613,7 @@ class TrainWorkspace:
             rho = config.bn_stats_decay
             self.decay = (const(rho), const(1.0 - rho), const(n // vbs))
         self.hidden, self.back = [], []
-        start, x_in_t = 0, None
+        start = 0
         for (w, b, gamma, beta), (w_next, _, _, _) in zip(plan.layers, plan.layers[1:]):
             c = w.shape[1]
             act, mask, dz = np.empty((n, c)), np.empty((n, c), dtype=bool), np.empty((n, c))
@@ -498,9 +622,10 @@ class TrainWorkspace:
                 rows = self.sub_stats[:, 1:, start:start + c]
                 bn_cache = _ghost_bn_cache(act, gamma, vbs, rows, dx=dz)
                 start += c
-            self.hidden.append((w, b, gamma, beta, act, mask, dz, bn_cache))
-            self.back.append((w_next.T, x_in_t, mask, dz, bn_cache))
-            x_in_t = act.T
+            split = _split_row(n, *w.shape)
+            self.hidden.append((w, b, gamma, beta, act, mask, dz, bn_cache, split))
+            offload = _USE_WORKER and n * w_next.size > WIDE_PRODUCT
+            self.back.append((act.T, w_next.T, mask, dz, bn_cache, offload))
         self.targets = np.empty((n, config.n_classes))
         self.loss = _loss_buffers(n, config.n_classes)
         self.n_rows = const(n)
@@ -544,12 +669,18 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     if mode == "eval":
         running = list(zip(stats.means, stats.vars))
         block_buffers = plan.eval_buffers(n)
+        # every block has as many rows as the first
+        splits = [_split_row(block_buffers[0].shape[0], *w.shape)
+                  for w, _, _, _ in plan.layers[:-1]]
         logits = np.empty((n, widths[-1]))
         for rows in _eval_blocks(n):
             h, bn_stats = x[rows], iter(running)
-            for (w, b, gamma, beta), buf in zip(plan.layers, block_buffers):
+            for (w, b, gamma, beta), buf, split in zip(plan.layers, block_buffers, splits):
                 z = buf[:h.shape[0]]
-                np.matmul(h, w, out=z)
+                if split:
+                    _split_matmul(h, w, z, split)
+                else:
+                    np.matmul(h, w, out=z)
                 z += b
                 if gamma is not None:
                     _check_bn_input(z)
@@ -563,8 +694,11 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
         work = plan.workspace(n)
         work.stamp += 1
         cache = {"mode": mode, "plan": plan, "work": work, "stamp": work.stamp, "inputs": x}
-        for w, b, gamma, beta, act, mask, _, bn_cache in work.hidden:
-            np.matmul(x, w, out=act)
+        for w, b, gamma, beta, act, mask, _, bn_cache, split in work.hidden:
+            if split:
+                _split_matmul(x, w, act, split)
+            else:
+                np.matmul(x, w, out=act)
             act += b
             if gamma is not None:
                 bn_forward(act, gamma, beta, plan.eps, config.virtual_batch_size,
@@ -613,19 +747,29 @@ def backward(cache, params: ParamStore, config: MlpConfig,
     dz = np.exp(cache["log_p"], out=work.loss[1])
     dz -= cache["targets"]
     dz /= work.n_rows
-    gw, gb, _, _ = layer_grads[-1]
-    np.matmul(cache["last_input"].T, dz, out=gw)
-    np.add.reduce(dz, axis=0, out=gb)
     for k in range(len(work.back) - 1, -1, -1):
-        w_next_t, x_in_t, mask, dx, bn_cache = work.back[k]
-        gw, gb, gscale, gshift = layer_grads[k]
-        np.matmul(dz, w_next_t, out=dx)
+        # dz is the gradient at layer k + 1's affine output, act layer k's output
+        act_t, w_next_t, mask, dx, bn_cache, offload = work.back[k]
+        gw, gb, _, _ = layer_grads[k + 1]
+        if offload:
+            worker = _the_worker()
+            worker.start(act_t, dz, gw)
+            try:
+                np.add.reduce(dz, axis=0, out=gb)
+                np.matmul(dz, w_next_t, out=dx)
+            finally:
+                worker.join()  # before BN's backward writes over act
+        else:
+            np.matmul(act_t, dz, out=gw)
+            np.add.reduce(dz, axis=0, out=gb)
+            np.matmul(dz, w_next_t, out=dx)
         dx *= mask
         if bn_cache is not None:
-            bn_backward(dx, bn_cache, out=(dx, gscale, gshift))
-        np.matmul(cache["inputs"].T if x_in_t is None else x_in_t, dx, out=gw)
-        np.add.reduce(dx, axis=0, out=gb)
+            bn_backward(dx, bn_cache, out=(dx, *layer_grads[k][2:]))
         dz = dx
+    gw, gb, _, _ = layer_grads[0]
+    np.matmul(cache["inputs"].T, dz, out=gw)
+    np.add.reduce(dz, axis=0, out=gb)
     return named
 
 

@@ -3,6 +3,8 @@ import copy
 import numpy as np
 import pytest
 
+from optparity import model
+
 BASE_CONFIG = {
     "model": {
         "layer_widths": [2, 16, 16, 2],
@@ -55,3 +57,12 @@ def numpy_error_state_kept():
     if after != before:
         np.seterr(**before)  # so that the next test starts clean
         pytest.fail(f"numpy error state left at {after}, was {before}")
+
+
+@pytest.fixture
+def worker_on(monkeypatch):
+    """Run wide products half on the model's worker thread, as they run where
+    OpenBLAS is pinned to one thread and the process may use two CPUs. A
+    train workspace keeps the choice it was built with, so only workspaces
+    built under the fixture take it; every eval forward reads it anew."""
+    monkeypatch.setattr(model, "_USE_WORKER", True)

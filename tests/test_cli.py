@@ -228,6 +228,10 @@ def _route_with(**fields):
     ("tune", "config", _base_with(budget_steps=True), []),
     ("report", "results", [{**SUMMARY, "median": "abc"}], []),
     ("report", "results", [{**SUMMARY, "n_seeds": "x"}], []),
+    ("ablate", "overrides", [[1, "model.bn_gamma_init", 0.5]], []),
+    ("ablate", "overrides", [["BN init", "model.bn_gamma_init", 0.5, 1]], []),
+    ("ablate", None, None, ["--seeds", "0,1.5"]),
+    ("report", "results", [{**SUMMARY, "label": 1}], []),
 ], ids=["tune-space-unknown-key", "tune-space-object", "tune-space-name-not-text",
         "tune-config-list", "tune-no-budget",
         "ablate-two-element-override", "ablate-overrides-object", "ablate-seeds-not-int",
@@ -248,7 +252,8 @@ def _route_with(**fields):
         "train-p-decay-nan", "train-exclude-tags-text", "train-exclude-tags-unknown",
         "train-target-nan", "tune-space-values-number", "tune-space-lo-bool",
         "tune-budget-fraction", "tune-budget-bool", "report-median-text",
-        "report-n-seeds-text"])
+        "report-n-seeds-text", "ablate-label-number", "ablate-four-element-override",
+        "ablate-seeds-fraction", "report-label-number"])
 def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command,
                                                   bad_file, doc, extra):
     paths = _valid_inputs(tmp_path, base_config)

@@ -159,7 +159,8 @@ class TestWronglyTypedDocuments:
                 rows = harness.read_summaries(path)
             except ParseError:
                 return
-        assert name == "label" or not never_fits, f"{name} = {value!r} parsed"
+        fits = isinstance(value, str) if name == "label" else not never_fits
+        assert fits, f"{name} = {value!r} parsed"
         harness.report(rows)
 
     @settings(max_examples=150, deadline=None)
@@ -403,6 +404,13 @@ class TestRunMatchesReference:
     @example(LARS_HYBRID)
     @example(LARGE_BATCH)
     def test_whole_run(self, doc):
+        self._check(doc)
+
+    def test_large_batch_run_with_the_worker(self, worker_on):
+        """LARGE_BATCH with its wide products half on the model's worker thread."""
+        self._check(LARGE_BATCH)
+
+    def _check(self, doc):
         config = harness.parse_config(doc)
         want = oracles.reference_run_training(config)
         assert harness.run_training(config) == harness.TrainResult(**want)
@@ -569,6 +577,29 @@ class TestAblation:
                 harness.run_ablation(base_config, [override], [0])
 
 
+class TestOverrides:
+    """`ablate --overrides` items read as harness.Override triples."""
+
+    def test_items_read_as_triples(self):
+        doc = [["BN init", "model.bn_gamma_init", 0.5], ["No BN", "model.use_bn", [False]]]
+        assert harness.read_as(doc, list[harness.Override], "overrides") == [
+            ("BN init", "model.bn_gamma_init", 0.5), ("No BN", "model.use_bn", [False])]
+
+    @pytest.mark.parametrize("doc,message", [
+        ([[1, "model.bn_gamma_init", 0.5]], "overrides.0.0: must be a string, got 1"),
+        ([["a", 5, 0.5]], "overrides.0.1: must be a string, got 5"),
+        ([["a", "model.use_bn"]], "overrides.0: must be a list of 3 items"),
+        ([["a", "model.use_bn", 1, 2]], "overrides.0: must be a list of 3 items"),
+        ([{"a": 1}], "overrides.0: must be a list"),
+        ({"a": 1}, "overrides: must be a list"),
+    ], ids=["label-number", "path-number", "two-items", "four-items", "object-item",
+            "object"])
+    def test_bad_items_named_by_path(self, doc, message):
+        with pytest.raises(ValidationError) as info:
+            harness.read_as(doc, list[harness.Override], "overrides")
+        assert str(info.value).startswith(message)
+
+
 class TestPersistence:
     def records(self):
         return [
@@ -657,6 +688,13 @@ class TestPersistence:
         path = tmp_path / "summary.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="summar"):
+            harness.read_summaries(path)
+
+    @pytest.mark.parametrize("label", [1, None, [1]], ids=["number", "null", "list"])
+    def test_label_that_is_not_text_rejected(self, tmp_path, label):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps([{**SUMMARY, "label": "Base"}, {**SUMMARY, "label": label}]))
+        with pytest.raises(ParseError, match=r"summaries\.1\.label: must be a string"):
             harness.read_summaries(path)
 
     def test_summaries_round_trip(self, tmp_path):

@@ -1,11 +1,16 @@
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from optparity import harness, model
 from optparity.errors import (
     IndivisibleBatch,
     InvalidConfig,
@@ -27,6 +32,7 @@ from optparity.model import (
     init_mlp,
     layer_plan,
     smoothed_targets,
+    worker_allowed,
 )
 
 
@@ -341,6 +347,9 @@ class TestTrainWorkspace:
 
 
 LARGE_BATCH_WIDTHS = [16, 256, 256, 10]
+BLOCKED_SHAPES = [(LARGE_BATCH_WIDTHS, 4096), (LARGE_BATCH_WIDTHS, 1024),
+                  (LARGE_BATCH_WIDTHS, 1300), ([2, 16, 16, 2], 513)]
+BLOCKED_IDS = ["large-4096", "large-1024", "large-1300", "parity-513"]
 
 
 class TestEvalBuffers:
@@ -422,13 +431,18 @@ class TestEvalBuffers:
             tracemalloc.stop()
         assert peak < n * 256 * 8
 
-    @pytest.mark.parametrize("widths,n", [(LARGE_BATCH_WIDTHS, 4096),
-                                          (LARGE_BATCH_WIDTHS, 1024),
-                                          (LARGE_BATCH_WIDTHS, 1300),
-                                          ([2, 16, 16, 2], 513)],
-                             ids=["large-4096", "large-1024", "large-1300", "parity-513"])
+    @pytest.mark.parametrize("widths,n", BLOCKED_SHAPES, ids=BLOCKED_IDS)
     @pytest.mark.parametrize("use_bn", [True, False])
     def test_blocked_forward_matches_reference_bitwise(self, use_bn, widths, n):
+        self._check_blocked_forward(use_bn, widths, n)
+
+    @pytest.mark.parametrize("widths,n", BLOCKED_SHAPES, ids=BLOCKED_IDS)
+    @pytest.mark.parametrize("use_bn", [True, False])
+    def test_blocked_forward_with_the_worker_matches_reference_bitwise(self, worker_on,
+                                                                       use_bn, widths, n):
+        self._check_blocked_forward(use_bn, widths, n)
+
+    def _check_blocked_forward(self, use_bn, widths, n):
         # 1300 and 513 rows end in a block that overlaps the one before it
         cfg = MlpConfig(layer_widths=widths, use_bn=use_bn, virtual_batch_size=64)
         store = init_mlp(cfg, rng_seed=29)
@@ -447,6 +461,136 @@ class TestEvalBuffers:
             p, layers, running, batch.inputs, batch.labels, cfg, "eval")
         np.testing.assert_array_equal(logits, want_logits)
         assert loss == want_loss
+
+
+def _train_step(store, cfg, batch):
+    """A train forward and backward: logits, loss, BN stats and the gradient."""
+    stats = BnRunningStats.for_config(cfg)
+    logits, loss, cache, new_stats = forward(store, stats, batch, cfg)
+    grad = np.empty_like(store.flat)
+    backward(cache, store, cfg, out=grad)
+    return logits, loss, new_stats.values, grad
+
+
+def _wide_step_in_child(store, cfg, batch, want_loss):
+    # exits 0 only if a train step with its wide products split runs and
+    # gives the parent's loss
+    _, loss, _, _ = _train_step(store, cfg, batch)
+    sys.exit(0 if loss == want_loss else 3)
+
+
+# a run of the large-batch model whose weights reach about 1e200 after the
+# first step, so that the next products overflow, on the worker too
+OVERFLOWING_WIDE_RUN = {
+    "model": {"layer_widths": LARGE_BATCH_WIDTHS, "use_bn": False},
+    "data": {"classes": 10, "features": 16, "per_class": 16, "spread": 3.0, "seed": 1},
+    "optimizer": [{"tags": ["weight", "bias", "bn_scale", "bn_shift"],
+                   "config": {"kind": "heavy_ball", "momentum": 0.0}}],
+    "schedule": {"family": "constant", "eta_peak": 1e200, "total_steps": 5},
+    "budget_steps": 5, "batch_size": 64, "eval_every": 1,
+}
+
+
+class TestWorker:
+    """Wide hidden-layer products run half on one worker thread where BLAS is
+    pinned to one thread on two or more CPUs, with every result unchanged."""
+
+    @pytest.mark.parametrize("environ,n_cpus,allowed", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 4, False),
+        ({}, 2, False),
+        ({"OMP_NUM_THREADS": "1"}, 2, True),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": " 1 thread"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "2"}, 2, False),
+    ])
+    def test_gate_reads_openblas_thread_count_and_cpus(self, environ, n_cpus, allowed):
+        assert worker_allowed(environ, n_cpus) is allowed
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_only_wide_products_split(self, monkeypatch, on):
+        monkeypatch.setattr(model, "_USE_WORKER", on)
+        wide = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=True, virtual_batch_size=64)
+        work = layer_plan(init_mlp(wide), wide).workspace(1024)
+        assert [h[-1] for h in work.hidden] == ([512, 512] if on else [0, 0])
+        assert [b[-1] for b in work.back] == [on, on]
+        narrow = MlpConfig(layer_widths=[2, 16, 16, 2], use_bn=True, virtual_batch_size=32)
+        work = layer_plan(init_mlp(narrow), narrow).workspace(512)
+        assert [h[-1] for h in work.hidden] == [0, 0]
+        assert [b[-1] for b in work.back] == [False, False]
+
+    @pytest.mark.parametrize("n", [96, 1000, 1024])
+    @pytest.mark.parametrize("use_bn", [True, False])
+    def test_train_step_matches_one_call_products_bitwise(self, monkeypatch, use_bn, n):
+        # 1000 rows split at row 496, so the second half is not a multiple of 16
+        cfg = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=use_bn, virtual_batch_size=8)
+        batch = random_batch(cfg, n, seed=32)
+        monkeypatch.setattr(model, "_USE_WORKER", False)
+        want = _train_step(init_mlp(cfg, rng_seed=33), cfg, batch)
+        monkeypatch.setattr(model, "_USE_WORKER", True)
+        store = init_mlp(cfg, rng_seed=33)
+        got = _train_step(store, cfg, batch)
+        assert layer_plan(store, cfg).workspace(n).hidden[1][-1] > 0
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
+        """The run ignores overflow (np.errstate) and classifies it; the worker's
+        half of a product must too, or its warning would stop the run."""
+        config = harness.parse_config(OVERFLOWING_WIDE_RUN)
+        outcomes = []
+        for on in (False, True):
+            monkeypatch.setattr(model, "_USE_WORKER", on)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = harness.run_training(config)
+            outcomes.append((result.status, result.diverged_step))
+        assert outcomes[0] == outcomes[1] == ("diverged", 1)
+
+    def test_threads_sharing_the_worker_each_get_their_own_products(self, worker_on):
+        cfg = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=True, virtual_batch_size=64)
+        batch = random_batch(cfg, 256, seed=36)
+        want = _train_step(init_mlp(cfg, rng_seed=37), cfg, batch)
+        results = {}
+
+        def steps(i):
+            store = init_mlp(cfg, rng_seed=37)
+            results[i] = [_train_step(store, cfg, batch) for _ in range(5)]
+
+        threads = [threading.Thread(target=steps, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in (step for runs in results.values() for step in runs):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_forked_child_starts_its_own_worker(self, worker_on):
+        cfg = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=True, virtual_batch_size=64)
+        store = init_mlp(cfg, rng_seed=34)
+        batch = random_batch(cfg, 1024, seed=35)
+        _, want_loss, _, _ = _train_step(store, cfg, batch)  # starts the worker
+        assert model._worker is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_wide_step_in_child, args=(store, cfg, batch, want_loss))
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
 
 
 class TestFiniteDifference:
