@@ -10,6 +10,7 @@ verified coordinate-wise against central finite differences.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from collections.abc import Mapping
@@ -230,7 +231,7 @@ class _Worker:
     """One daemon thread that runs the np.matmul calls handed to it, one at a
     time, each in a copy of its caller's context, so under its np.errstate.
     It calls nothing but numpy, so no optparity code runs off the caller's
-    thread. One caller thread at a time holds it, from `start` to `join`."""
+    thread. One caller thread at a time holds it, for one `beside` block."""
 
     def __init__(self):
         import contextvars
@@ -254,20 +255,22 @@ class _Worker:
             # hold no array while idle, so that a finished run's buffers can go
             del job
 
-    def start(self, a, b, out):
-        """Start np.matmul(a, b, out=out); the caller must `join` before it
-        reads `out` or writes `a` or `b`."""
+    @contextlib.contextmanager
+    def beside(self, a, b, out):
+        """np.matmul(a, b, out=out) on the worker while the block runs, which
+        must not read `out` or write `a` or `b`; on leaving the block, wait for
+        it and raise what it raised."""
         self._busy.acquire()
         self._jobs.put((self._copy_context(), a, b, out))
-
-    def join(self):
-        """Wait for the product started last; raise what it raised."""
         try:
-            exc = self._done.get()
+            yield
         finally:
-            self._busy.release()
-        if exc is not None:
-            raise exc
+            try:
+                exc = self._done.get()
+            finally:
+                self._busy.release()
+            if exc is not None:
+                raise exc
 
 
 _worker = None
@@ -290,25 +293,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
+def _wide(n, k, m) -> bool:
+    """Whether a hidden layer's (n, k) @ (k, m) product runs half on the
+    worker (see WIDE_PRODUCT)."""
+    return _USE_WORKER and n * k * m > WIDE_PRODUCT
+
+
 def _split_row(n, k, m):
     """The row at which a hidden layer's (n, k) @ (k, m) product splits
     between the worker (the rows before it) and the calling thread, or 0 to
-    run it in one call (see WIDE_PRODUCT)."""
-    if not _USE_WORKER or n * k * m <= WIDE_PRODUCT:
-        return 0
-    return n // 2 // EVAL_BLOCK_ALIGN * EVAL_BLOCK_ALIGN
+    run it in one call."""
+    return n // 2 // EVAL_BLOCK_ALIGN * EVAL_BLOCK_ALIGN if _wide(n, k, m) else 0
 
 
 def _split_matmul(a, b, out, split):
     """np.matmul(a, b, out=out), the rows before `split` on the worker and the
     rest on this thread. Each row keeps the bits of the one-call product: its
     offset within the kernel's row tiles does not change."""
-    worker = _the_worker()
-    worker.start(a[:split], b, out[:split])
-    try:
+    with _the_worker().beside(a[:split], b, out[:split]):
         np.matmul(a[split:], b, out=out[split:])
-    finally:
-        worker.join()
 
 
 def _eval_blocks(n):
@@ -624,8 +627,7 @@ class TrainWorkspace:
                 start += c
             split = _split_row(n, *w.shape)
             self.hidden.append((w, b, gamma, beta, act, mask, dz, bn_cache, split))
-            offload = _USE_WORKER and n * w_next.size > WIDE_PRODUCT
-            self.back.append((act.T, w_next.T, mask, dz, bn_cache, offload))
+            self.back.append((act.T, w_next.T, mask, dz, bn_cache, _wide(n, *w_next.shape)))
         self.targets = np.empty((n, config.n_classes))
         self.loss = _loss_buffers(n, config.n_classes)
         self.n_rows = const(n)
@@ -752,13 +754,10 @@ def backward(cache, params: ParamStore, config: MlpConfig,
         act_t, w_next_t, mask, dx, bn_cache, offload = work.back[k]
         gw, gb, _, _ = layer_grads[k + 1]
         if offload:
-            worker = _the_worker()
-            worker.start(act_t, dz, gw)
-            try:
+            # the block ends before BN's backward writes over act
+            with _the_worker().beside(act_t, dz, gw):
                 np.add.reduce(dz, axis=0, out=gb)
                 np.matmul(dz, w_next_t, out=dx)
-            finally:
-                worker.join()  # before BN's backward writes over act
         else:
             np.matmul(act_t, dz, out=gw)
             np.add.reduce(dz, axis=0, out=gb)
