@@ -248,7 +248,7 @@ class _Worker:
             job = self._jobs.get()
             try:
                 job[0].run(np.matmul, *job[1:3], out=job[3])
-            except Exception as exc:  # raised again on the caller's thread by join
+            except Exception as exc:  # raised again on the caller's thread
                 self._done.put(exc)
             else:
                 self._done.put(None)
