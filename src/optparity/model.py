@@ -294,8 +294,9 @@ if hasattr(os, "register_at_fork"):
 
 
 def _wide(n, k, m) -> bool:
-    """Whether a hidden layer's (n, k) @ (k, m) product runs half on the
-    worker (see WIDE_PRODUCT)."""
+    """Whether an (n, k) @ (k, m) product of a hidden layer, or a weight
+    gradient of that size, runs on the worker, in part or whole (see
+    WIDE_PRODUCT)."""
     return _USE_WORKER and n * k * m > WIDE_PRODUCT
 
 
@@ -656,7 +657,8 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     the next eval forward on the store overwrite, and writes its output-layer
     product into its rows of the logits; the bias, the logits check and the
     loss then run once over all rows. Its cache holds no view of the
-    buffers. The logits are a new array in both modes.
+    buffers. The logits are a new array in both modes. Wide hidden-layer
+    products run half on the worker thread (see WIDE_PRODUCT).
     """
     x, labels = batch.inputs, batch.labels
     widths = config.layer_widths
