@@ -172,10 +172,14 @@ def init_mlp(config: MlpConfig, rng_seed: int | None = None) -> ParamStore:
 
 
 # Ghost BN walks the batch in blocks of whole virtual batches holding at most
-# this many float64 values (128 KB): one 64x256 sub-batch of the large-batch
-# workload. A block's temporaries then stay in cache however large the batch
-# is, while a small batch is one block and costs one numpy call per operation.
-BN_BLOCK_ELEMS = 16_384
+# this many float64 values (512 KB): four 64x256 sub-batches of the
+# large-batch workload. A block's temporaries then stay in cache however large
+# the batch is, while a small batch is one block and costs one numpy call per
+# operation. With one sub-batch per block, each of the two threads of a split
+# large-batch step made 9 numpy calls per 64-row block, and BN's passes ran
+# hardly faster in two pieces than in one: every call takes the interpreter
+# lock, which the threads then hand back and forth.
+BN_BLOCK_ELEMS = 65_536
 
 # An eval forward walks the rows in blocks of at most this many, so each
 # hidden layer's activations take one (512, width) buffer however large the
@@ -190,18 +194,17 @@ BN_BLOCK_ELEMS = 16_384
 EVAL_BLOCK_ROWS = 512
 EVAL_BLOCK_ALIGN = 16
 
-# A hidden layer's product of more than this many multiply-adds runs half on
-# a worker thread when `_USE_WORKER` holds: the train forward's and each eval
-# block's product splits into two row halves at a multiple of EVAL_BLOCK_ALIGN
-# rows, and the backward computes a layer's weight gradient on the worker
-# while it takes the gradient at the layer's input. Handing a product over
-# costs tens of microseconds: on the large-batch model a 512x16 @ 16x256 eval
-# block product (2.1 M) took longer split than in one call, a 1024-row one
-# (4.2 M) and the 256-wide products (2.6-67 M) less. The parity model's
-# products are at most 0.13 M, so there every product runs in one call on
-# the calling thread, as without the worker. Output-layer products never
-# split: the 256x10 product of a 512-row eval block changed bits in two
-# 256-row halves (OpenBLAS takes another kernel path for the smaller call).
+# A train step or eval block with a product of more than this many
+# multiply-adds runs in two pieces of rows when `_USE_WORKER` holds: a worker
+# thread carries the first piece through every hidden layer while the calling
+# thread carries the second (`_split_at`), and the backward computes each
+# weight gradient above the first layer on the worker while it takes the
+# gradient at the layer's input. Handing work over costs tens of
+# microseconds, so below this size a step runs in one piece: the parity
+# model's products are at most 0.13 M multiply-adds, the large-batch model's
+# 2.6-67 M. Output-layer products never split: the 256x10 product of a
+# 512-row eval block changed bits in two 256-row halves (OpenBLAS takes
+# another kernel path for the smaller call).
 WIDE_PRODUCT = 1 << 21
 
 _ZERO, _ONE = const(0.0), const(1.0)
@@ -228,10 +231,13 @@ _USE_WORKER = worker_allowed(
 
 
 class _Worker:
-    """One daemon thread that runs the np.matmul calls handed to it, one at a
-    time, each in a copy of its caller's context, so under its np.errstate.
-    It calls nothing but numpy, so no optparity code runs off the caller's
-    thread. One caller thread at a time holds it, for one `beside` block."""
+    """One daemon thread that runs the calls handed to it, one at a time, each
+    in a copy of its caller's context, so under its np.errstate. A call writes
+    only its own piece of rows, or a weight gradient the caller does not touch
+    until it has joined, and calls no function that perfbench's tracer wraps
+    (bn_forward, bn_backward): those run on the caller's thread, once per BN
+    layer and step, and the tracer keeps one span stack. One caller thread at
+    a time holds the worker, for one `beside` block."""
 
     def __init__(self):
         import contextvars
@@ -241,13 +247,13 @@ class _Worker:
         self._copy_context = contextvars.copy_context
         self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
         self._busy = threading.Lock()
-        threading.Thread(target=self._serve, name="optparity-matmul", daemon=True).start()
+        threading.Thread(target=self._serve, name="optparity-worker", daemon=True).start()
 
     def _serve(self):
         while True:
             job = self._jobs.get()
             try:
-                job[0].run(np.matmul, *job[1:3], out=job[3])
+                job[0].run(job[1], *job[2])
             except Exception as exc:  # raised again on the caller's thread
                 self._done.put(exc)
             else:
@@ -256,12 +262,12 @@ class _Worker:
             del job
 
     @contextlib.contextmanager
-    def beside(self, a, b, out):
-        """np.matmul(a, b, out=out) on the worker while the block runs, which
-        must not read `out` or write `a` or `b`; on leaving the block, wait for
+    def beside(self, fn, *args):
+        """fn(*args) on the worker while the block runs, which must not touch
+        what fn writes or write what it reads; on leaving the block, wait for
         it and raise what it raised."""
         self._busy.acquire()
-        self._jobs.put((self._copy_context(), a, b, out))
+        self._jobs.put((self._copy_context(), fn, args))
         try:
             yield
         finally:
@@ -293,26 +299,37 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _wide(n, k, m) -> bool:
-    """Whether an (n, k) @ (k, m) product of a hidden layer, or a weight
-    gradient of that size, runs on the worker, in part or whole (see
-    WIDE_PRODUCT)."""
-    return _USE_WORKER and n * k * m > WIDE_PRODUCT
+def _wide(n, layers) -> bool:
+    """Whether n rows through any of `layers` (plan layer tuples) make a
+    product large enough to run in two pieces (see WIDE_PRODUCT)."""
+    return _USE_WORKER and any(n * w.size > WIDE_PRODUCT for w, _, _, _ in layers)
 
 
-def _split_row(n, k, m):
-    """The row at which a hidden layer's (n, k) @ (k, m) product splits
-    between the worker (the rows before it) and the calling thread, or 0 to
-    run it in one call."""
-    return n // 2 // EVAL_BLOCK_ALIGN * EVAL_BLOCK_ALIGN if _wide(n, k, m) else 0
+def _split_at(n, starts) -> int:
+    """The row at which n rows split into the worker's piece (the rows before
+    it) and the calling thread's: of `starts`, the rows at which the second
+    piece may begin, the one nearest the middle (the lower on a tie), or 0,
+    one piece, when even that leaves either piece under 3/8 of the rows."""
+    split = min(starts, key=lambda row: abs(2 * row - n), default=0)
+    return split if 8 * min(split, n - split) >= 3 * n else 0
 
 
-def _split_matmul(a, b, out, split):
-    """np.matmul(a, b, out=out), the rows before `split` on the worker and the
-    rest on this thread. Each row keeps the bits of the one-call product: its
-    offset within the kernel's row tiles does not change."""
-    with _the_worker().beside(a[:split], b, out[:split]):
-        np.matmul(a[split:], b, out=out[split:])
+def _row_pieces(n, split) -> list[slice]:
+    """The pieces n rows run in: before and from `split`, or all when it is 0."""
+    return [slice(0, split), slice(split, n)] if split else [slice(0, n)]
+
+
+def _in_pieces(fn, pieces, *args):
+    """fn(piece, *args) for each of one or two pieces: of two, the worker runs
+    the first while this thread runs the second. A row-wise pass keeps its
+    bits in pieces: each product row sits at the same offset in OpenBLAS's row
+    tiles and takes the same kernel path as in the one call (pieces begin at
+    multiples of EVAL_BLOCK_ALIGN rows), and ghost BN walks the same blocks."""
+    if len(pieces) == 1:
+        fn(pieces[0], *args)
+        return
+    with _the_worker().beside(fn, pieces[0], *args):
+        fn(pieces[1], *args)
 
 
 def _eval_blocks(n):
@@ -328,36 +345,54 @@ def _vb_blocks(n_sub, vbs, width):
     return [slice(k, k + per_block) for k in range(0, n_sub, per_block)]
 
 
-def _ghost_bn_cache(y, gamma, vbs, stat_rows, dx=None):
+def _vb_pieces(n_sub, vbs, width, split):
+    """`_vb_blocks` grouped by the piece of rows (`_row_pieces`) each begins in;
+    `split` is 0 or a row at which a block begins."""
+    blocks = _vb_blocks(n_sub, vbs, width)
+    first = sum(blk.start * vbs < split for blk in blocks)
+    return [blocks[:first], blocks[first:]] if split else [blocks]
+
+
+def _ghost_bn_cache(y, gamma, vbs, stat_rows, dx=None, mask=None, split=0):
     """A train-mode BN cache over the (n, c) buffer `y`, with its block views.
 
     bn_forward normalizes `y` in place through the cache: it writes x-hat and
     the per-virtual-batch inverse standard deviations into the cache's own
     buffers and each virtual batch's mean and variance into `stat_rows`, a
-    (2, n // vbs, c) view. Given the (n, c) buffer `dx`, the cache also holds
-    the views through which bn_backward writes dx over dy there; it then
-    uses `y`, which the model's backward has read by that time, as scratch.
+    (2, n // vbs, c) view. `pieces` holds the blocks again as one or two
+    caches of the rows before and from `split` (see `_row_pieces`), each of
+    which bn_forward takes too. Given the (n, c) buffer `dx` and the boolean
+    `mask` of the ReLU that reads BN's output, the cache also holds the views
+    through which bn_backward multiplies dy there by the mask and writes dx
+    over it, in the same pieces; it then uses `y`, which the model's backward
+    has read by that time, as scratch.
     """
     n, c = y.shape
     n_sub = n // vbs
     xhat = np.empty((n, c))
     inv_stds = np.empty((n_sub, c))
     y3, xhat3 = y.reshape(n_sub, vbs, c), xhat.reshape(n_sub, vbs, c)
-    blocks = []
-    for blk in _vb_blocks(n_sub, vbs, c):
-        mu, var, inv = stat_rows[0, blk], stat_rows[1, blk], inv_stds[blk]
-        blocks.append((y3[blk], xhat3[blk], mu, mu[:, None], var, inv, inv[:, None]))
-    cache = {"xhat": xhat, "inv_stds": inv_stds, "vbs": const(vbs), "gamma": gamma,
-             "blocks": blocks, "dx": dx}
+    vbs_const = const(vbs)
+    pieces = []
+    for part in _vb_pieces(n_sub, vbs, c, split):
+        blocks = []
+        for blk in part:
+            mu, var, inv = stat_rows[0, blk], stat_rows[1, blk], inv_stds[blk]
+            blocks.append((y3[blk], xhat3[blk], mu, mu[:, None], var, inv, inv[:, None]))
+        pieces.append({"blocks": blocks, "vbs": vbs_const})
+    cache = {"xhat": xhat, "inv_stds": inv_stds, "vbs": vbs_const, "gamma": gamma,
+             "blocks": [blk for piece in pieces for blk in piece["blocks"]],
+             "pieces": pieces, "dx": dx}
     if dx is not None:
-        cache["dx_blocks"] = _dx_blocks(dx, xhat, inv_stds, scratch=y)
+        cache["dx_pieces"] = _dx_pieces(dx, xhat, inv_stds, scratch=y, mask=mask, split=split)
     return cache
 
 
-def _dx_blocks(dx, xhat, inv_stds, scratch=None):
+def _dx_pieces(dx, xhat, inv_stds, scratch=None, mask=None, split=0):
     """bn_backward's views over `dx`: the (n, c) `scratch` (allocated when not
-    given), and per block (dx, x-hat, scratch, a (blocks, 1, c) column buffer,
-    1/std as a column)."""
+    given), and per piece of rows (`_row_pieces`) the piece's rows of dx, of
+    `mask` (or None), of x-hat and of scratch, then per block of the piece
+    (dx, x-hat, scratch, a (blocks, 1, c) column buffer, 1/std as a column)."""
     n, c = dx.shape
     n_sub = inv_stds.shape[0]
     vbs = n // n_sub
@@ -365,8 +400,13 @@ def _dx_blocks(dx, xhat, inv_stds, scratch=None):
         scratch = np.empty((n, c))
     cols = np.empty((n_sub, 1, c))
     dx3, xhat3, scratch3 = (a.reshape(n_sub, vbs, c) for a in (dx, xhat, scratch))
-    return scratch, [(dx3[blk], xhat3[blk], scratch3[blk], cols[blk], inv_stds[blk, None])
-                     for blk in _vb_blocks(n_sub, vbs, c)]
+    pieces = []
+    for rows, part in zip(_row_pieces(n, split), _vb_pieces(n_sub, vbs, c, split)):
+        blocks = [(dx3[blk], xhat3[blk], scratch3[blk], cols[blk], inv_stds[blk, None])
+                  for blk in part]
+        pieces.append((dx[rows], None if mask is None else mask[rows], xhat[rows],
+                       scratch[rows], blocks))
+    return scratch, pieces
 
 
 def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
@@ -379,10 +419,11 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     Eval mode normalizes with the running statistics.
     Returns (y, cache, running_mean', running_var').
 
-    Given a train-mode `cache` built over `x` (see `_ghost_bn_cache`), the
-    call reuses it: y is written over `x` and the running statistics are
-    returned as given, since the caller updates every layer's at once from
-    the sums the cache's stat rows hold.
+    Given a train-mode `cache` built over `x` (see `_ghost_bn_cache`), or one
+    of its pieces with `x` the piece's rows, the call reuses it: y is written
+    over `x` and the running statistics are returned as given, since the
+    caller updates every layer's at once from the sums the cache's stat rows
+    hold.
     """
     _check_bn_input(x)
     n = x.shape[0]
@@ -448,6 +489,12 @@ def bn_backward(dy, cache, out=None):
 
     `out`, if given, is the (dx, dgamma, dbeta) arrays to write; dx may be
     `dy` itself, which is then overwritten once dgamma and dbeta are summed.
+
+    With a cache of the train workspace, dy must be the cache's `dx` buffer:
+    it holds the gradient at the output of the ReLU after BN, which the call
+    first multiplies by the ReLU's mask. Its row-wise passes then run in the
+    cache's pieces (`_in_pieces`), and dgamma and dbeta are summed over all
+    rows on this thread.
     """
     xhat, gamma, vbs = cache["xhat"], cache["gamma"], cache["vbs"]
     dx, dgamma, dbeta = out if out is not None else (None, None, None)
@@ -456,12 +503,28 @@ def bn_backward(dy, cache, out=None):
     elif dx is not dy:
         np.copyto(dx, dy)
     if dx is cache["dx"]:
-        scratch, blocks = cache["dx_blocks"]
+        scratch, pieces = cache["dx_pieces"]
     else:
-        scratch, blocks = _dx_blocks(dx, xhat, cache["inv_stds"])
-    dgamma = np.add.reduce(np.multiply(dy, xhat, out=scratch), axis=0, out=dgamma)
+        scratch, pieces = _dx_pieces(dx, xhat, cache["inv_stds"])
+    _in_pieces(_bn_backward_scale, pieces)
+    dgamma = np.add.reduce(scratch, axis=0, out=dgamma)
     dbeta = np.add.reduce(dy, axis=0, out=dbeta)
-    for d, xh, dxhat, col, inv_col in blocks:
+    _in_pieces(_bn_backward_dx, pieces, gamma, vbs)
+    return dx, dgamma, dbeta
+
+
+def _bn_backward_scale(piece):
+    """bn_backward's first pass over one piece of `_dx_pieces`: dy times the
+    ReLU's mask, if any, then dy * x-hat into the scratch rows."""
+    dy, mask, xhat, scratch, _ = piece
+    if mask is not None:
+        dy *= mask
+    np.multiply(dy, xhat, out=scratch)
+
+
+def _bn_backward_dx(piece, gamma, vbs):
+    """bn_backward's dx over dy, per block of one piece of `_dx_pieces`."""
+    for d, xh, dxhat, col, inv_col in piece[4]:
         # (inv / vbs) * (vbs * dxhat - sum(dxhat) - xh * sum(dxhat * xh)),
         # evaluated in this order, as the per-virtual-batch loop did; d holds
         # dy until dxhat is taken from it
@@ -473,7 +536,6 @@ def bn_backward(dy, cache, out=None):
         np.multiply(xh, np.add.reduce(dxhat, axis=1, keepdims=True, out=col), out=dxhat)
         d -= dxhat
         d *= np.divide(inv_col, vbs, out=col)
-    return dx, dgamma, dbeta
 
 
 def _loss_buffers(n, k):
@@ -582,20 +644,26 @@ class TrainWorkspace:
     """The buffers every train forward and backward of one plan at one batch
     size reuse; each train forward overwrites them.
 
-    `hidden` holds per hidden layer (weight, bias, BN scale, BN shift, act,
-    mask, dz, BN cache or None, split): the layer's parameters as in the
-    plan; the affine output, over which BN writes y and the ReLU its output,
-    which the next layer reads; the ReLU mask; the gradient at the affine
-    output, over which BN's backward writes dx; and the row at which the
-    layer's product splits (`_split_row`). A BN cache holds x-hat, the
-    inverse standard deviations and the block views (`_ghost_bn_cache`);
-    BN's backward overwrites the activation, so a cache serves one backward.
-    `back` holds per hidden layer what backward reads: this layer's
-    activation and the next layer's weight transposed, the mask, dz, the BN
-    cache and whether the next layer's weight gradient runs on the worker
-    (see WIDE_PRODUCT). `sub_stats` holds every BN layer's
-    per-virtual-batch means and variances after a zero row, side by side as
-    in `BnRunningStats.values`, and `decay` is the running update's
+    Per hidden layer there is an activation buffer, over which BN writes y
+    and the ReLU its output, which the next layer reads; the ReLU mask; the
+    gradient at the affine output, over which BN's backward writes dx; and
+    for a BN layer a cache holding x-hat, the inverse standard deviations and
+    the block views (`_ghost_bn_cache`). BN's backward overwrites the
+    activation, so a cache serves one backward. `top` is the last hidden
+    layer's activation, or None with no hidden layer.
+
+    `split` is the row at which the forward's hidden layers and BN's
+    backward passes split into the worker's piece and the calling thread's
+    (`_split_at`): chosen once, when the batch has a product wider than
+    WIDE_PRODUCT, at a multiple of EVAL_BLOCK_ALIGN rows at which a block of
+    every BN layer begins, or 0 to run in one piece. `pieces` holds per piece
+    (its rows, per hidden layer (weight, bias, BN scale, BN shift, the
+    piece's rows of the activation and mask, its piece of the BN cache or
+    None), whether it runs on this thread). `back` holds per hidden layer
+    what backward reads: this layer's activation and the next layer's weight
+    transposed, the mask, dz and the BN cache. `sub_stats` holds every BN
+    layer's per-virtual-batch means and variances after a zero row, side by
+    side as in `BnRunningStats.values`, and `decay` is the running update's
     constants. `targets` holds the batch's smoothed targets and `loss` the
     `_loss_buffers`, whose scratch buffer backward reuses for the logits'
     gradient; `n_rows` is the batch size as a constant. `stamp` counts the
@@ -606,29 +674,42 @@ class TrainWorkspace:
     def __init__(self, plan: LayerPlan, n: int):
         config = plan.config
         vbs = config.virtual_batch_size
-        bn_width = sum(w.shape[1] for w, _, gamma, _ in plan.layers[:-1] if gamma is not None)
+        hidden = plan.layers[:-1]
+        bn_widths = [w.shape[1] for w, _, gamma, _ in hidden if gamma is not None]
         self.stamp = 0
         self.sub_stats = self.stat_sums = self.decay = None
-        if bn_width:
+        starts = range(EVAL_BLOCK_ALIGN, n, EVAL_BLOCK_ALIGN)
+        if bn_widths:
             if n % vbs != 0:
                 raise IndivisibleBatch(f"{n} rows vs virtual batch {vbs}")
-            self.sub_stats = np.zeros((2, n // vbs + 1, bn_width))
+            self.sub_stats = np.zeros((2, n // vbs + 1, sum(bn_widths)))
             self.stat_sums = np.empty_like(self.sub_stats)
             rho = config.bn_stats_decay
             self.decay = (const(rho), const(1.0 - rho), const(n // vbs))
-        self.hidden, self.back = [], []
+            for c in bn_widths:
+                block_starts = {blk.start * vbs for blk in _vb_blocks(n // vbs, vbs, c)}
+                starts = [row for row in starts if row in block_starts]
+        self.split = _split_at(n, starts) if _wide(n, plan.layers) else 0
+        rows = _row_pieces(n, self.split)
+        piece_layers = [[] for _ in rows]
+        self.back, self.top = [], None
         start = 0
         for (w, b, gamma, beta), (w_next, _, _, _) in zip(plan.layers, plan.layers[1:]):
             c = w.shape[1]
             act, mask, dz = np.empty((n, c)), np.empty((n, c), dtype=bool), np.empty((n, c))
             bn_cache = None
             if gamma is not None:
-                rows = self.sub_stats[:, 1:, start:start + c]
-                bn_cache = _ghost_bn_cache(act, gamma, vbs, rows, dx=dz)
+                stat_rows = self.sub_stats[:, 1:, start:start + c]
+                bn_cache = _ghost_bn_cache(act, gamma, vbs, stat_rows, dx=dz, mask=mask,
+                                           split=self.split)
                 start += c
-            split = _split_row(n, *w.shape)
-            self.hidden.append((w, b, gamma, beta, act, mask, dz, bn_cache, split))
-            self.back.append((act.T, w_next.T, mask, dz, bn_cache, _wide(n, *w_next.shape)))
+            for i, (piece, layers) in enumerate(zip(rows, piece_layers)):
+                bn = None if bn_cache is None else bn_cache["pieces"][i]
+                layers.append((w, b, gamma, beta, act[piece], mask[piece], bn))
+            self.back.append((act.T, w_next.T, mask, dz, bn_cache))
+            self.top = act
+        self.pieces = [(piece, layers, i == len(rows) - 1)
+                       for i, (piece, layers) in enumerate(zip(rows, piece_layers))]
         self.targets = np.empty((n, config.n_classes))
         self.loss = _loss_buffers(n, config.n_classes)
         self.n_rows = const(n)
@@ -640,6 +721,41 @@ def layer_plan(params: ParamStore, config: MlpConfig) -> LayerPlan:
     if plan is None or plan.config is not config:
         plan = params.layer_plan = LayerPlan(params, config)
     return plan
+
+
+def _train_rows(piece, eps, config):
+    """The train forward's hidden layers over one piece of `TrainWorkspace.pieces`,
+    given as (its input rows, its layers, here). Where `here`, on the calling
+    thread, BN runs through bn_forward; on the worker it checks and
+    normalizes the piece directly."""
+    x, layers, here = piece
+    for w, b, gamma, beta, act, mask, bn in layers:
+        np.matmul(x, w, out=act)
+        act += b
+        if bn is not None and here:
+            bn_forward(act, gamma, beta, eps, config.virtual_batch_size, "train",
+                       None, None, config.bn_stats_decay, cache=bn)
+        elif bn is not None:
+            _check_bn_input(act)
+            _normalize(bn["blocks"], gamma, beta, eps, bn["vbs"])
+        np.greater(act, _ZERO, out=mask)
+        np.maximum(act, _ZERO, out=act)
+        x = act
+
+
+def _eval_rows(piece, layers, running, eps):
+    """The eval forward's hidden `layers` over one piece of a block: its input
+    rows and its rows of the eval buffers, with BN's running statistics."""
+    h, buffers = piece
+    bn_stats = iter(running)
+    for (w, b, gamma, beta), z in zip(layers, buffers):
+        np.matmul(h, w, out=z)
+        z += b
+        if gamma is not None:
+            _check_bn_input(z)
+            _bn_eval(z, gamma, beta, *next(bn_stats), eps)
+        np.maximum(z, _ZERO, out=z)
+        h = z
 
 
 def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
@@ -657,8 +773,15 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     the next eval forward on the store overwrite, and writes its output-layer
     product into its rows of the logits; the bias, the logits check and the
     loss then run once over all rows. Its cache holds no view of the
-    buffers. The logits are a new array in both modes. Wide hidden-layer
-    products run half on the worker thread (see WIDE_PRODUCT).
+    buffers. The logits are a new array in both modes.
+
+    Where a product is wide (see WIDE_PRODUCT), the hidden layers run in two
+    pieces of rows, the worker thread carrying the first through every hidden
+    layer while this thread carries the second: a train batch splits at the
+    workspace's `split`, each eval block in two halves at a multiple of
+    EVAL_BLOCK_ALIGN rows. bn_forward runs on this thread over its piece,
+    and the worker normalizes its own; the running statistics' sums, the
+    output-layer product and the loss run over all rows on this thread.
     """
     x, labels = batch.inputs, batch.labels
     widths = config.layer_widths
@@ -673,24 +796,21 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     if mode == "eval":
         running = list(zip(stats.means, stats.vars))
         block_buffers = plan.eval_buffers(n)
-        # every block has as many rows as the first
-        splits = [_split_row(block_buffers[0].shape[0], *w.shape)
-                  for w, _, _, _ in plan.layers[:-1]]
+        hidden = plan.layers[:-1]
+        # chosen for the first block; a last block of up to 15 rows fewer
+        # splits at the same row
+        block_rows = min(n, EVAL_BLOCK_ROWS)
+        split = 0
+        if _wide(block_rows, hidden):
+            split = _split_at(block_rows, range(EVAL_BLOCK_ALIGN, block_rows, EVAL_BLOCK_ALIGN))
         logits = np.empty((n, widths[-1]))
         for rows in _eval_blocks(n):
-            h, bn_stats = x[rows], iter(running)
-            for (w, b, gamma, beta), buf, split in zip(plan.layers, block_buffers, splits):
-                z = buf[:h.shape[0]]
-                if split:
-                    _split_matmul(h, w, z, split)
-                else:
-                    np.matmul(h, w, out=z)
-                z += b
-                if gamma is not None:
-                    _check_bn_input(z)
-                    _bn_eval(z, gamma, beta, *next(bn_stats), plan.eps)
-                np.maximum(z, _ZERO, out=z)
-                h = z
+            h = x[rows]
+            pieces = _row_pieces(h.shape[0], split)
+            _in_pieces(_eval_rows, [(h[p], [buf[p] for buf in block_buffers]) for p in pieces],
+                       hidden, running, plan.eps)
+            if block_buffers:
+                h = block_buffers[-1][:h.shape[0]]
             np.matmul(h, w_out, out=logits[rows])
         targets, buffers = None, _loss_buffers(n, widths[-1])
         cache = {"mode": mode}
@@ -698,18 +818,10 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
         work = plan.workspace(n)
         work.stamp += 1
         cache = {"mode": mode, "plan": plan, "work": work, "stamp": work.stamp, "inputs": x}
-        for w, b, gamma, beta, act, mask, _, bn_cache, split in work.hidden:
-            if split:
-                _split_matmul(x, w, act, split)
-            else:
-                np.matmul(x, w, out=act)
-            act += b
-            if gamma is not None:
-                bn_forward(act, gamma, beta, plan.eps, config.virtual_batch_size,
-                           mode, None, None, config.bn_stats_decay, cache=bn_cache)
-            np.greater(act, _ZERO, out=mask)
-            np.maximum(act, _ZERO, out=act)
-            x = act
+        _in_pieces(_train_rows, [(x[rows], layers, here) for rows, layers, here in work.pieces],
+                   plan.eps, config)
+        if work.top is not None:
+            x = work.top
         if work.decay is not None:
             sums = np.add.accumulate(work.sub_stats, axis=1, out=work.stat_sums)[:, -1]
             new_stats = stats.updated(sums, work.decay)
@@ -753,19 +865,20 @@ def backward(cache, params: ParamStore, config: MlpConfig,
     dz /= work.n_rows
     for k in range(len(work.back) - 1, -1, -1):
         # dz is the gradient at layer k + 1's affine output, act layer k's output
-        act_t, w_next_t, mask, dx, bn_cache, offload = work.back[k]
+        act_t, w_next_t, mask, dx, bn_cache = work.back[k]
         gw, gb, _, _ = layer_grads[k + 1]
-        if offload:
+        if work.split:
             # the block ends before BN's backward writes over act
-            with _the_worker().beside(act_t, dz, gw):
+            with _the_worker().beside(np.matmul, act_t, dz, gw):
                 np.add.reduce(dz, axis=0, out=gb)
                 np.matmul(dz, w_next_t, out=dx)
         else:
             np.matmul(act_t, dz, out=gw)
             np.add.reduce(dz, axis=0, out=gb)
             np.matmul(dz, w_next_t, out=dx)
-        dx *= mask
-        if bn_cache is not None:
+        if bn_cache is None:
+            dx *= mask
+        else:  # multiplies dx by the mask first
             bn_backward(dx, bn_cache, out=(dx, *layer_grads[k][2:]))
         dz = dx
     gw, gb, _, _ = layer_grads[0]

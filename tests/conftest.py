@@ -61,8 +61,9 @@ def numpy_error_state_kept():
 
 @pytest.fixture
 def worker_on(monkeypatch):
-    """Run wide products half on the model's worker thread, as they run where
-    OpenBLAS is pinned to one thread and the process may use two CPUs. A
-    train workspace keeps the choice it was built with, so only workspaces
-    built under the fixture take it; every eval forward reads it anew."""
+    """Run wide steps in two row pieces, one on the model's worker thread, as
+    they run where OpenBLAS is pinned to one thread and the process may use
+    two CPUs. A train workspace keeps the split it was built with, so only
+    workspaces built under the fixture take it; every eval forward reads it
+    anew."""
     monkeypatch.setattr(model, "_USE_WORKER", True)

@@ -407,7 +407,8 @@ class TestRunMatchesReference:
         self._check(doc)
 
     def test_large_batch_run_with_the_worker(self, worker_on):
-        """LARGE_BATCH with its wide products half on the model's worker thread."""
+        """LARGE_BATCH with its steps in two row pieces, one on the model's worker
+        thread."""
         self._check(LARGE_BATCH)
 
     def _check(self, doc):

@@ -143,12 +143,15 @@ class TestBlockedGhostBnMatchesLoop:
            columns=st.sampled_from(["normal", "offset", "integer", "constant"]),
            eps=st.sampled_from([1e-5, 1e-3, 1e-300]), rho=st.sampled_from([0.0, 0.5, 0.9]),
            seed=st.integers(0, 2**32 - 1))
-    # 16 full blocks (the large-batch shape); 3 blocks, the last one partial;
-    # virtual batches wider than the cap; 24 running-sum terms in one column
+    # 4 full blocks (the large-batch shape); 3 blocks, the last one partial;
+    # virtual batches wider than the cap; 24 running-sum terms in one column;
+    # then shapes that were several blocks under a cap of 16,384 values
     @example(n_sub=16, vbs=64, width=256, columns="normal", eps=1e-5, rho=0.9, seed=0)
+    @example(n_sub=11, vbs=64, width=256, columns="offset", eps=1e-5, rho=0.9, seed=1)
+    @example(n_sub=3, vbs=256, width=300, columns="normal", eps=1e-5, rho=0.0, seed=2)
+    @example(n_sub=24, vbs=40, width=1, columns="normal", eps=1e-5, rho=0.0, seed=3)
     @example(n_sub=5, vbs=64, width=128, columns="offset", eps=1e-5, rho=0.9, seed=1)
     @example(n_sub=3, vbs=64, width=300, columns="normal", eps=1e-5, rho=0.0, seed=2)
-    @example(n_sub=24, vbs=40, width=1, columns="normal", eps=1e-5, rho=0.0, seed=3)
     def test_bitwise(self, n_sub, vbs, width, columns, eps, rho, seed):
         rng = np.random.default_rng(seed)
         shape = (n_sub * vbs, width)
@@ -473,7 +476,7 @@ def _train_step(store, cfg, batch):
 
 
 def _wide_step_in_child(store, cfg, batch, want_loss):
-    # exits 0 only if a train step with its wide products split runs and
+    # exits 0 only if a train step split into two row pieces runs and
     # gives the parent's loss
     _, loss, _, _ = _train_step(store, cfg, batch)
     sys.exit(0 if loss == want_loss else 3)
@@ -490,9 +493,34 @@ OVERFLOWING_WIDE_RUN = {
     "budget_steps": 5, "batch_size": 64, "eval_every": 1,
 }
 
+# the large-batch model with BN at batch 1024 over 1,024 train rows: its
+# steps split at row 512, and so does its 256-row eval set's forward at 128
+WIDE_BN_RUN = {
+    "model": {"layer_widths": LARGE_BATCH_WIDTHS, "use_bn": True, "virtual_batch_size": 64},
+    "data": {"classes": 10, "features": 16, "per_class": 128, "spread": 3.0, "seed": 1},
+    "optimizer": [{"tags": ["weight", "bias", "bn_scale", "bn_shift"],
+                   "config": {"kind": "heavy_ball", "momentum": 0.9}}],
+    "schedule": {"family": "constant", "eta_peak": 0.01, "total_steps": 3},
+    "budget_steps": 3, "batch_size": 1024, "eval_every": 1,
+}
+
+
+def _poisoned_at_step_2(row):
+    """A `_BatchStream.next_batch` that makes one input of the second batch's
+    `row` infinite, so that only that row's BN input is non-finite."""
+    next_batch, calls = harness._BatchStream.next_batch, []
+
+    def poisoned(stream):
+        batch = next_batch(stream)
+        calls.append(row)
+        if len(calls) == 2:
+            batch.inputs[row, 0] = np.inf
+        return batch
+    return poisoned
+
 
 class TestWorker:
-    """Wide hidden-layer products run half on one worker thread where BLAS is
+    """Wide steps run in two row pieces, one on a worker thread, where BLAS is
     pinned to one thread on two or more CPUs, with every result unchanged."""
 
     @pytest.mark.parametrize("environ,n_cpus,allowed", [
@@ -515,45 +543,103 @@ class TestWorker:
         monkeypatch.setattr(model, "_USE_WORKER", on)
         wide = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=True, virtual_batch_size=64)
         work = layer_plan(init_mlp(wide), wide).workspace(1024)
-        assert [h[-1] for h in work.hidden] == ([512, 512] if on else [0, 0])
-        assert [b[-1] for b in work.back] == [on, on]
+        assert work.split == (512 if on else 0)
+        assert [(rows, here) for rows, _, here in work.pieces] == (
+            [(slice(0, 512), False), (slice(512, 1024), True)] if on
+            else [(slice(0, 1024), True)])
         narrow = MlpConfig(layer_widths=[2, 16, 16, 2], use_bn=True, virtual_batch_size=32)
         work = layer_plan(init_mlp(narrow), narrow).workspace(512)
-        assert [h[-1] for h in work.hidden] == [0, 0]
-        assert [b[-1] for b in work.back] == [False, False]
+        assert work.split == 0
+        assert [(rows, here) for rows, _, here in work.pieces] == [(slice(0, 512), True)]
 
-    @pytest.mark.parametrize("n", [96, 1000, 1024])
+    # (virtual batch size, rows, the split with BN, without): BN walks blocks of
+    # max(256, vbs) rows here. 96 rows split only at row 64 with BN, too far
+    # from the middle; 1000 split at row 496 without BN, so the second piece is
+    # not a multiple of 16 rows, and at 512 with BN, since 496 is inside a
+    # block; 960 rows in 320-row BN blocks have no split near the middle.
+    @pytest.mark.parametrize("vbs,n,bn_split,split", [
+        pytest.param(8, 96, 0, 48, id="96"),
+        pytest.param(8, 1000, 512, 496, id="1000"),
+        pytest.param(8, 1024, 512, 512, id="1024"),
+        pytest.param(320, 960, 0, 480, id="vbs320-960"),
+    ])
     @pytest.mark.parametrize("use_bn", [True, False])
-    def test_train_step_matches_one_call_products_bitwise(self, monkeypatch, use_bn, n):
-        # 1000 rows split at row 496, so the second half is not a multiple of 16
-        cfg = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=use_bn, virtual_batch_size=8)
+    def test_train_step_matches_one_call_products_bitwise(self, monkeypatch, use_bn, vbs, n,
+                                                          bn_split, split):
+        cfg = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=use_bn, virtual_batch_size=vbs)
         batch = random_batch(cfg, n, seed=32)
         monkeypatch.setattr(model, "_USE_WORKER", False)
         want = _train_step(init_mlp(cfg, rng_seed=33), cfg, batch)
         monkeypatch.setattr(model, "_USE_WORKER", True)
         store = init_mlp(cfg, rng_seed=33)
         got = _train_step(store, cfg, batch)
-        assert layer_plan(store, cfg).workspace(n).hidden[1][-1] > 0
+        assert layer_plan(store, cfg).workspace(n).split == (bn_split if use_bn else split)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
     def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
         """The run ignores overflow (np.errstate) and classifies it; the worker's
-        half of a product must too, or its warning would stop the run."""
-        config = harness.parse_config(OVERFLOWING_WIDE_RUN)
-        outcomes = []
-        for on in (False, True):
-            monkeypatch.setattr(model, "_USE_WORKER", on)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                result = harness.run_training(config)
-            outcomes.append((result.status, result.diverged_step))
-        assert outcomes[0] == outcomes[1] == ("diverged", 1)
+        piece must too, or its warning would stop the run. A non-finite BN input
+        in the worker's rows alone, or in the calling thread's alone, ends the
+        run as it does without the worker, and the worker is free afterwards."""
+        wide_bn = harness.parse_config(WIDE_BN_RUN)
+        monkeypatch.setattr(model, "_USE_WORKER", True)
+        assert layer_plan(init_mlp(wide_bn.model), wide_bn.model).workspace(1024).split == 512
+        # (run, poisoned batch row or None, the step at which it diverges)
+        for doc, row, step in [(OVERFLOWING_WIDE_RUN, None, 1), (WIDE_BN_RUN, 0, 2),
+                               (WIDE_BN_RUN, 1023, 2)]:
+            config = harness.parse_config(doc)
+            results = []
+            for on in (False, True):
+                with monkeypatch.context() as patch:
+                    patch.setattr(model, "_USE_WORKER", on)
+                    if row is not None:
+                        patch.setattr(harness._BatchStream, "next_batch", _poisoned_at_step_2(row))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        results.append(harness.run_training(config))
+                # a worker left held would block the next run for good
+                assert not model._the_worker()._busy.locked()
+            assert results[0] == results[1]
+            assert (results[1].status, results[1].diverged_step) == ("diverged", step)
+        monkeypatch.setattr(model, "_USE_WORKER", False)
+        want = harness.run_training(wide_bn)
+        monkeypatch.setattr(model, "_USE_WORKER", True)
+        got = harness.run_training(wide_bn)
+        assert got == want and got.status == "completed"
+
+    def test_bn_entry_points_run_on_the_main_thread_once_per_layer(self, worker_on,
+                                                                   monkeypatch):
+        """perfbench's tracer wraps bn_forward and bn_backward and keeps one
+        span stack, so the worker calls neither: each runs on the main thread
+        once per BN layer and step, while the worker normalizes its own rows."""
+        cfg = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=True, virtual_batch_size=64)
+        store = init_mlp(cfg, rng_seed=38)
+        batch = random_batch(cfg, 1024, seed=39)
+        calls = []
+
+        def recording(name):
+            fn = getattr(model, name)
+
+            def record(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(model, name, record)
+
+        for name in ("bn_forward", "bn_backward", "_normalize"):
+            recording(name)
+        _train_step(store, cfg, batch)
+        main = threading.main_thread()
+        assert [call for call in calls if call[0] != "_normalize"] == (
+            [("bn_forward", main)] * 2 + [("bn_backward", main)] * 2)
+        assert sorted(t.name for name, t in calls if name == "_normalize") == (
+            sorted([main.name, "optparity-worker"] * 2))
 
     def test_threads_sharing_the_worker_each_get_their_own_products(self, worker_on):
         cfg = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=True, virtual_batch_size=64)
-        batch = random_batch(cfg, 256, seed=36)
+        batch = random_batch(cfg, 512, seed=36)  # two BN blocks, split at row 256
         want = _train_step(init_mlp(cfg, rng_seed=37), cfg, batch)
+        assert layer_plan(init_mlp(cfg), cfg).workspace(512).split == 256
         results = {}
 
         def steps(i):
