@@ -6,7 +6,9 @@ diverged.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -43,13 +45,25 @@ def _json_or_text(text):
         return text
 
 
+def _check_out(path):
+    """Exit 2 if no file can be written at `path`, so that a command fails
+    before its first run; creates and truncates nothing."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        _fail(f"{path}: {os.strerror(errno.EISDIR)}")
+    if not os.path.isdir(folder):
+        _fail(f"{path}: {os.strerror(errno.ENOENT)}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        _fail(f"{path}: {os.strerror(errno.EACCES)}")
+
+
 def _write_text(path, text):
     """Write `text` to the file at `path`; an unwritable path exits 2."""
     try:
         with open(path, "w") as f:
             f.write(text)
     except OSError as exc:
-        _fail(f"{path}: {exc}")
+        _fail(f"{path}: {exc.strerror}")
 
 
 def _fail(exc, code=2):
@@ -73,6 +87,8 @@ def train(config_path, out_path, seed):
         config = harness.parse_config(doc)
     except (ParseError, ValidationError) as exc:
         _fail(f"{config_path}: {exc}")
+    if out_path:
+        _check_out(out_path)
     result = harness.run_training(config)
     if out_path:
         _write_text(out_path, json.dumps(asdict(result), indent=2))
@@ -112,6 +128,7 @@ def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed
         _fail(f"{space_path}: {exc}")
     if budget is None:
         budget = doc.get("budget_steps")  # run_study reads it as an integer
+    _check_out(out_path)
     try:
         records = tuner.run_study(space, doc, trials, budget, metric,
                                   offset=offset, workers=workers)
@@ -150,6 +167,8 @@ def ablate(config_path, overrides_path, seeds, out_path):
                                     list[int], "--seeds")
     except ValidationError as exc:
         _fail(exc)
+    if out_path:
+        _check_out(out_path)
     try:
         rows = harness.run_ablation(doc, overrides, seed_list)
         if out_path:

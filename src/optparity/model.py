@@ -197,7 +197,7 @@ EVAL_BLOCK_ALIGN = 16
 # A train step or eval block with a product of more than this many
 # multiply-adds runs in two pieces of rows when `_USE_WORKER` holds: a worker
 # thread carries the first piece through every hidden layer while the calling
-# thread carries the second (`_split_at`), and the backward computes each
+# thread carries the second (`_pieces`), and the backward computes each
 # weight gradient above the first layer on the worker while it takes the
 # gradient at the layer's input. Handing work over costs tens of
 # microseconds, so below this size a step runs in one piece: the parity
@@ -299,114 +299,81 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _wide(n, layers) -> bool:
-    """Whether n rows through any of `layers` (plan layer tuples) make a
-    product large enough to run in two pieces (see WIDE_PRODUCT)."""
-    return _USE_WORKER and any(n * w.size > WIDE_PRODUCT for w, _, _, _ in layers)
+def _pieces(n, layers, block_starts=()) -> list[slice]:
+    """The pieces of rows a pass over n rows runs in: two, the worker's rows
+    before the split and the calling thread's from it, when n rows through
+    any of `layers` (plan layer tuples) make a product wider than
+    WIDE_PRODUCT; else one. The split is the multiple of EVAL_BLOCK_ALIGN
+    rows in every set of `block_starts` that is nearest the middle (the
+    lower on a tie); when even that leaves either piece under 3/8 of the
+    rows, the pass runs in one piece."""
+    if _USE_WORKER and any(n * w.size > WIDE_PRODUCT for w, _, _, _ in layers):
+        starts = [row for row in range(EVAL_BLOCK_ALIGN, n, EVAL_BLOCK_ALIGN)
+                  if all(row in blocks for blocks in block_starts)]
+        split = min(starts, key=lambda row: abs(2 * row - n), default=0)
+        if 8 * min(split, n - split) >= 3 * n:
+            return [slice(0, split), slice(split, n)]
+    return [slice(0, n)]
 
 
-def _split_at(n, starts) -> int:
-    """The row at which n rows split into the worker's piece (the rows before
-    it) and the calling thread's: of `starts`, the rows at which the second
-    piece may begin, the one nearest the middle (the lower on a tie), or 0,
-    one piece, when even that leaves either piece under 3/8 of the rows."""
-    split = min(starts, key=lambda row: abs(2 * row - n), default=0)
-    return split if 8 * min(split, n - split) >= 3 * n else 0
-
-
-def _row_pieces(n, split) -> list[slice]:
-    """The pieces n rows run in: before and from `split`, or all when it is 0."""
-    return [slice(0, split), slice(split, n)] if split else [slice(0, n)]
-
-
-def _in_pieces(fn, pieces, *args):
-    """fn(piece, *args) for each of one or two pieces: of two, the worker runs
-    the first while this thread runs the second. A row-wise pass keeps its
-    bits in pieces: each product row sits at the same offset in OpenBLAS's row
-    tiles and takes the same kernel path as in the one call (pieces begin at
-    multiples of EVAL_BLOCK_ALIGN rows), and ghost BN walks the same blocks."""
+def _walk(pass_, pieces, *args):
+    """pass_(piece, *args) for each of a row plan's one or two pieces: of two,
+    the worker runs the first while this thread runs the second. A row-wise
+    pass keeps its bits in pieces: each product row sits at the same offset
+    in OpenBLAS's row tiles and takes the same kernel path as in the one call
+    (pieces begin at multiples of EVAL_BLOCK_ALIGN rows), and ghost BN walks
+    the same blocks."""
     if len(pieces) == 1:
-        fn(pieces[0], *args)
+        pass_(pieces[0], *args)
         return
-    with _the_worker().beside(fn, pieces[0], *args):
-        fn(pieces[1], *args)
+    with _the_worker().beside(pass_, pieces[0], *args):
+        pass_(pieces[1], *args)
 
 
-def _eval_blocks(n):
-    """The row slices an eval forward over n rows walks (see EVAL_BLOCK_ROWS)."""
-    last = max(0, -(-(n - EVAL_BLOCK_ROWS) // EVAL_BLOCK_ALIGN) * EVAL_BLOCK_ALIGN)
-    starts = [*range(0, last, EVAL_BLOCK_ROWS), last]
-    return [slice(start, min(start + EVAL_BLOCK_ROWS, n)) for start in starts]
+def _bn_blocks(n, vbs, width):
+    """The row slices ghost BN walks over n rows of `width`: whole virtual
+    batches of vbs rows, at most BN_BLOCK_ELEMS values (or one batch) each."""
+    rows = max(1, BN_BLOCK_ELEMS // (vbs * width)) * vbs
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
-def _vb_blocks(n_sub, vbs, width):
-    """Slices of the virtual-batch axis, each a block of whole virtual batches."""
-    per_block = max(1, BN_BLOCK_ELEMS // (vbs * width))
-    return [slice(k, k + per_block) for k in range(0, n_sub, per_block)]
+def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, dx, scratch, mask=None):
+    """A train-mode BN cache over the (n, c) buffer `y`, walked in `pieces`,
+    row slices each of which begins where one of `blocks` (`_bn_blocks`) does.
 
-
-def _vb_pieces(n_sub, vbs, width, split):
-    """`_vb_blocks` grouped by the piece of rows (`_row_pieces`) each begins in;
-    `split` is 0 or a row at which a block begins."""
-    blocks = _vb_blocks(n_sub, vbs, width)
-    first = sum(blk.start * vbs < split for blk in blocks)
-    return [blocks[:first], blocks[first:]] if split else [blocks]
-
-
-def _ghost_bn_cache(y, gamma, vbs, stat_rows, dx=None, mask=None, split=0):
-    """A train-mode BN cache over the (n, c) buffer `y`, with its block views.
-
-    bn_forward normalizes `y` in place through the cache: it writes x-hat and
-    the per-virtual-batch inverse standard deviations into the cache's own
+    bn_forward normalizes `y` in place through the cache, or through one of
+    its "pieces" on the piece's rows: it writes x-hat and the
+    per-virtual-batch inverse standard deviations into the cache's own
     buffers and each virtual batch's mean and variance into `stat_rows`, a
-    (2, n // vbs, c) view. `pieces` holds the blocks again as one or two
-    caches of the rows before and from `split` (see `_row_pieces`), each of
-    which bn_forward takes too. Given the (n, c) buffer `dx` and the boolean
-    `mask` of the ReLU that reads BN's output, the cache also holds the views
-    through which bn_backward multiplies dy there by the mask and writes dx
-    over it, in the same pieces; it then uses `y`, which the model's backward
-    has read by that time, as scratch.
+    (2, n // vbs, c) view. bn_backward writes dx over dy in the (n, c) buffer
+    `dx`, with the (n, c) `scratch`; given the boolean `mask` of the ReLU
+    that reads BN's output, it first multiplies dy there by the mask. "back"
+    holds its views per piece: the piece's rows of dx, of the mask (or None),
+    of x-hat and of scratch, then per block (dx, x-hat, scratch, a
+    (blocks, 1, c) column buffer, 1/std as a column).
     """
     n, c = y.shape
     n_sub = n // vbs
     xhat = np.empty((n, c))
     inv_stds = np.empty((n_sub, c))
-    y3, xhat3 = y.reshape(n_sub, vbs, c), xhat.reshape(n_sub, vbs, c)
-    vbs_const = const(vbs)
-    pieces = []
-    for part in _vb_pieces(n_sub, vbs, c, split):
-        blocks = []
-        for blk in part:
-            mu, var, inv = stat_rows[0, blk], stat_rows[1, blk], inv_stds[blk]
-            blocks.append((y3[blk], xhat3[blk], mu, mu[:, None], var, inv, inv[:, None]))
-        pieces.append({"blocks": blocks, "vbs": vbs_const})
-    cache = {"xhat": xhat, "inv_stds": inv_stds, "vbs": vbs_const, "gamma": gamma,
-             "blocks": [blk for piece in pieces for blk in piece["blocks"]],
-             "pieces": pieces, "dx": dx}
-    if dx is not None:
-        cache["dx_pieces"] = _dx_pieces(dx, xhat, inv_stds, scratch=y, mask=mask, split=split)
-    return cache
-
-
-def _dx_pieces(dx, xhat, inv_stds, scratch=None, mask=None, split=0):
-    """bn_backward's views over `dx`: the (n, c) `scratch` (allocated when not
-    given), and per piece of rows (`_row_pieces`) the piece's rows of dx, of
-    `mask` (or None), of x-hat and of scratch, then per block of the piece
-    (dx, x-hat, scratch, a (blocks, 1, c) column buffer, 1/std as a column)."""
-    n, c = dx.shape
-    n_sub = inv_stds.shape[0]
-    vbs = n // n_sub
-    if scratch is None:
-        scratch = np.empty((n, c))
     cols = np.empty((n_sub, 1, c))
-    dx3, xhat3, scratch3 = (a.reshape(n_sub, vbs, c) for a in (dx, xhat, scratch))
-    pieces = []
-    for rows, part in zip(_row_pieces(n, split), _vb_pieces(n_sub, vbs, c, split)):
-        blocks = [(dx3[blk], xhat3[blk], scratch3[blk], cols[blk], inv_stds[blk, None])
-                  for blk in part]
-        pieces.append((dx[rows], None if mask is None else mask[rows], xhat[rows],
-                       scratch[rows], blocks))
-    return scratch, pieces
+    y3, xhat3, dx3, scratch3 = (a.reshape(n_sub, vbs, c) for a in (y, xhat, dx, scratch))
+    vbs_const = const(vbs)
+    forward_pieces, back = [], []
+    for rows in pieces:
+        forward_blocks, back_blocks = [], []
+        for sub in [slice(blk.start // vbs, blk.stop // vbs) for blk in blocks
+                    if rows.start <= blk.start < rows.stop]:
+            mu, var, inv = stat_rows[0, sub], stat_rows[1, sub], inv_stds[sub]
+            forward_blocks.append((y3[sub], xhat3[sub], mu, mu[:, None], var, inv,
+                                   inv[:, None]))
+            back_blocks.append((dx3[sub], xhat3[sub], scratch3[sub], cols[sub], inv[:, None]))
+        forward_pieces.append({"blocks": forward_blocks, "vbs": vbs_const})
+        back.append((dx[rows], None if mask is None else mask[rows], xhat[rows],
+                     scratch[rows], back_blocks))
+    return {"xhat": xhat, "inv_stds": inv_stds, "vbs": vbs_const, "gamma": gamma,
+            "blocks": [blk for piece in forward_pieces for blk in piece["blocks"]],
+            "pieces": forward_pieces, "dx": dx, "scratch": scratch, "back": back}
 
 
 def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
@@ -423,7 +390,8 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     of its pieces with `x` the piece's rows, the call reuses it: y is written
     over `x` and the running statistics are returned as given, since the
     caller updates every layer's at once from the sums the cache's stat rows
-    hold.
+    hold. A cache made here holds its own dx buffer, so it serves one
+    bn_backward.
     """
     _check_bn_input(x)
     n = x.shape[0]
@@ -442,7 +410,9 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     # running sums below add them to zero in sub-batch order, as a loop does.
     sub_stats = np.zeros((2, n_sub + 1, x.shape[1]))
     cache = _ghost_bn_cache(y, np.asarray(gamma, dtype=np.float64), virtual_batch_size,
-                            sub_stats[:, 1:])
+                            sub_stats[:, 1:], [slice(0, n)],
+                            _bn_blocks(n, virtual_batch_size, x.shape[1]),
+                            np.empty(y.shape), np.empty(y.shape))
     _normalize(cache["blocks"], gamma, beta, bn_epsilon, cache["vbs"])
     sums = np.add.accumulate(sub_stats, axis=1)[:, -1]
     new_mean, new_var = _running_update(np.stack([running_mean, running_var]), sums,
@@ -487,35 +457,29 @@ def _normalize(blocks, gamma, beta, bn_epsilon, vbs):
 def bn_backward(dy, cache, out=None):
     """Gradient through ghost BN; returns (dx, dgamma, dbeta).
 
-    `out`, if given, is the (dx, dgamma, dbeta) arrays to write; dx may be
-    `dy` itself, which is then overwritten once dgamma and dbeta are summed.
+    dx is written into the cache's `dx` buffer, which dy may be; `out`, if
+    given, is the (dgamma, dbeta) arrays to write.
 
-    With a cache of the train workspace, dy must be the cache's `dx` buffer:
-    it holds the gradient at the output of the ReLU after BN, which the call
-    first multiplies by the ReLU's mask. Its row-wise passes then run in the
-    cache's pieces (`_in_pieces`), and dgamma and dbeta are summed over all
-    rows on this thread.
+    With a cache of a train row plan, dy must be that buffer: it holds the
+    gradient at the output of the ReLU after BN, which the call first
+    multiplies by the ReLU's mask. Its row-wise passes walk the cache's
+    pieces (`_walk`), and dgamma and dbeta are summed over all rows on this
+    thread.
     """
-    xhat, gamma, vbs = cache["xhat"], cache["gamma"], cache["vbs"]
-    dx, dgamma, dbeta = out if out is not None else (None, None, None)
-    if dx is None:
-        dx = dy.copy()
-    elif dx is not dy:
+    dx, back = cache["dx"], cache["back"]
+    if dy is not dx:
         np.copyto(dx, dy)
-    if dx is cache["dx"]:
-        scratch, pieces = cache["dx_pieces"]
-    else:
-        scratch, pieces = _dx_pieces(dx, xhat, cache["inv_stds"])
-    _in_pieces(_bn_backward_scale, pieces)
-    dgamma = np.add.reduce(scratch, axis=0, out=dgamma)
-    dbeta = np.add.reduce(dy, axis=0, out=dbeta)
-    _in_pieces(_bn_backward_dx, pieces, gamma, vbs)
+    dgamma, dbeta = out if out is not None else (None, None)
+    _walk(_bn_backward_scale, back)
+    dgamma = np.add.reduce(cache["scratch"], axis=0, out=dgamma)
+    dbeta = np.add.reduce(dx, axis=0, out=dbeta)
+    _walk(_bn_backward_dx, back, cache["gamma"], cache["vbs"])
     return dx, dgamma, dbeta
 
 
 def _bn_backward_scale(piece):
-    """bn_backward's first pass over one piece of `_dx_pieces`: dy times the
-    ReLU's mask, if any, then dy * x-hat into the scratch rows."""
+    """bn_backward's first pass over one piece of its cache's "back": dy
+    times the ReLU's mask, if any, then dy * x-hat into the scratch rows."""
     dy, mask, xhat, scratch, _ = piece
     if mask is not None:
         dy *= mask
@@ -523,7 +487,7 @@ def _bn_backward_scale(piece):
 
 
 def _bn_backward_dx(piece, gamma, vbs):
-    """bn_backward's dx over dy, per block of one piece of `_dx_pieces`."""
+    """bn_backward's dx over dy, per block of one piece of its cache's "back"."""
     for d, xh, dxhat, col, inv_col in piece[4]:
         # (inv / vbs) * (vbs * dxhat - sum(dxhat) - xh * sum(dxhat * xh)),
         # evaluated in this order, as the per-virtual-batch loop did; d holds
@@ -576,7 +540,7 @@ class LayerPlan:
     `flat`, which a store never replaces; `targets` is the smoothed-target
     table and `eps` the BN epsilon as a constant. `grad_views(out)` gives the
     same groups' views into a gradient vector laid out like `flat`,
-    `workspace(n)` the train-mode buffers for batches of n rows, and
+    `row_plan(n, mode)` how passes over n rows cut them, and
     `eval_buffers(n)` the eval-mode activation buffers of one row block.
     """
 
@@ -601,7 +565,7 @@ class LayerPlan:
         self.targets = target_table(config.n_classes, config.label_smoothing)
         self.eps = const(config.bn_epsilon)
         self._out = None
-        self._workspaces = {}
+        self._row_plans = {}
         self._eval = None
 
     def _views(self, vec: np.ndarray) -> list[tuple]:
@@ -621,12 +585,13 @@ class LayerPlan:
             self._out = out
         return self._layer_grads, self._named_grads
 
-    def workspace(self, n: int) -> "TrainWorkspace":
-        """The train-mode buffers for batches of `n` rows, built on first use."""
-        work = self._workspaces.get(n)
-        if work is None:
-            work = self._workspaces[n] = TrainWorkspace(self, n)
-        return work
+    def row_plan(self, n: int, mode: str) -> "RowPlan":
+        """The `RowPlan` of passes over n rows in `mode`, "train" or "eval",
+        built on first use."""
+        rows = self._row_plans.get((n, mode))
+        if rows is None:
+            rows = self._row_plans[n, mode] = RowPlan(self, n, mode)
+        return rows
 
     def eval_buffers(self, n: int) -> list[np.ndarray]:
         """Per hidden layer a (min(n, EVAL_BLOCK_ROWS), width) activation buffer
@@ -640,45 +605,64 @@ class LayerPlan:
         return [buf[:rows] for buf in self._eval]
 
 
-class TrainWorkspace:
-    """The buffers every train forward and backward of one plan at one batch
-    size reuse; each train forward overwrites them.
+class RowPlan:
+    """How the passes of one layer plan over n rows in one mode cut the rows,
+    and the buffers and views each piece of rows works in.
 
-    Per hidden layer there is an activation buffer, over which BN writes y
-    and the ReLU its output, which the next layer reads; the ReLU mask; the
-    gradient at the affine output, over which BN's backward writes dx; and
-    for a BN layer a cache holding x-hat, the inverse standard deviations and
-    the block views (`_ghost_bn_cache`). BN's backward overwrites the
-    activation, so a cache serves one backward. `top` is the last hidden
-    layer's activation, or None with no hidden layer.
+    A pass runs the hidden layers in `pieces` of rows (`_pieces`): two where
+    a product is wider than WIDE_PRODUCT, the worker thread carrying the
+    first, else one. An eval plan walks the rows in `blocks` (see
+    EVAL_BLOCK_ROWS), cutting each as the first, so that a last block of up
+    to 15 rows fewer splits at the same row; `walks` holds per block its
+    rows, its pieces as `_eval_pass` takes them (their rows of the block and
+    of the layer plan's eval buffers) and its rows of the last of those
+    buffers, or None with no hidden layer.
 
-    `split` is the row at which the forward's hidden layers and BN's
-    backward passes split into the worker's piece and the calling thread's
-    (`_split_at`): chosen once, when the batch has a product wider than
-    WIDE_PRODUCT, at a multiple of EVAL_BLOCK_ALIGN rows at which a block of
-    every BN layer begins, or 0 to run in one piece. `pieces` holds per piece
-    (its rows, per hidden layer (weight, bias, BN scale, BN shift, the
-    piece's rows of the activation and mask, its piece of the BN cache or
-    None), whether it runs on this thread). `back` holds per hidden layer
-    what backward reads: this layer's activation and the next layer's weight
-    transposed, the mask, dz and the BN cache. `sub_stats` holds every BN
-    layer's per-virtual-batch means and variances after a zero row, side by
-    side as in `BnRunningStats.values`, and `decay` is the running update's
+    A train plan splits its n rows where a block of each BN layer begins, and
+    `blocks` holds per BN layer its `_bn_blocks`; `walk` holds the pieces as
+    `_train_pass` takes them: (the piece's rows, per hidden layer (weight,
+    bias, BN scale, BN shift, the piece's rows of the activation and mask,
+    its piece of the BN cache or None), whether it runs on this thread). Its
+    buffers serve every train forward and backward at this batch size, and
+    each train forward overwrites them. Per hidden layer there is an
+    activation buffer, over which BN writes y and the ReLU its output, which
+    the next layer reads; the ReLU mask; the gradient at the affine output,
+    over which BN's backward writes dx; and for a BN layer a cache holding
+    x-hat, the inverse standard deviations and the block views
+    (`_ghost_bn_cache`). BN's backward overwrites the activation, so a cache
+    serves one backward. `top` is the last hidden layer's activation, or
+    None with no hidden layer. `back` holds per hidden layer what backward
+    reads: this layer's activation and the next layer's weight transposed,
+    the mask, dz and the BN cache. `sub_stats` holds every BN layer's
+    per-virtual-batch means and variances after a zero row, side by side as
+    in `BnRunningStats.values`, and `decay` is the running update's
     constants. `targets` holds the batch's smoothed targets and `loss` the
     `_loss_buffers`, whose scratch buffer backward reuses for the logits'
     gradient; `n_rows` is the batch size as a constant. `stamp` counts the
-    train forwards and backwards that have written the workspace, so that a
-    cache can tell it is stale.
+    train forwards and backwards that have written the plan, so that a cache
+    can tell it is stale.
     """
 
-    def __init__(self, plan: LayerPlan, n: int):
+    def __init__(self, plan: LayerPlan, n: int, mode: str):
+        hidden = plan.layers[:-1]
+        if mode == "eval":
+            last = max(0, -(-(n - EVAL_BLOCK_ROWS) // EVAL_BLOCK_ALIGN) * EVAL_BLOCK_ALIGN)
+            self.blocks = [slice(start, min(start + EVAL_BLOCK_ROWS, n))
+                           for start in [*range(0, last, EVAL_BLOCK_ROWS), last]]
+            self.pieces = _pieces(min(n, EVAL_BLOCK_ROWS), hidden)
+            buffers = plan.eval_buffers(n)
+            self.walks = []
+            for block in self.blocks:
+                size = block.stop - block.start
+                pieces = [slice(piece.start, min(piece.stop, size)) for piece in self.pieces]
+                views = [(rows, [buf[rows] for buf in buffers]) for rows in pieces]
+                self.walks.append((block, views, buffers[-1][:size] if buffers else None))
+            return
         config = plan.config
         vbs = config.virtual_batch_size
-        hidden = plan.layers[:-1]
         bn_widths = [w.shape[1] for w, _, gamma, _ in hidden if gamma is not None]
         self.stamp = 0
         self.sub_stats = self.stat_sums = self.decay = None
-        starts = range(EVAL_BLOCK_ALIGN, n, EVAL_BLOCK_ALIGN)
         if bn_widths:
             if n % vbs != 0:
                 raise IndivisibleBatch(f"{n} rows vs virtual batch {vbs}")
@@ -686,30 +670,29 @@ class TrainWorkspace:
             self.stat_sums = np.empty_like(self.sub_stats)
             rho = config.bn_stats_decay
             self.decay = (const(rho), const(1.0 - rho), const(n // vbs))
-            for c in bn_widths:
-                block_starts = {blk.start * vbs for blk in _vb_blocks(n // vbs, vbs, c)}
-                starts = [row for row in starts if row in block_starts]
-        self.split = _split_at(n, starts) if _wide(n, plan.layers) else 0
-        rows = _row_pieces(n, self.split)
-        piece_layers = [[] for _ in rows]
+        self.blocks = [_bn_blocks(n, vbs, c) for c in bn_widths]
+        self.pieces = _pieces(n, plan.layers,
+                              [{blk.start for blk in blocks} for blocks in self.blocks])
+        piece_layers = [[] for _ in self.pieces]
         self.back, self.top = [], None
-        start = 0
+        start, blocks = 0, iter(self.blocks)
         for (w, b, gamma, beta), (w_next, _, _, _) in zip(plan.layers, plan.layers[1:]):
             c = w.shape[1]
             act, mask, dz = np.empty((n, c)), np.empty((n, c), dtype=bool), np.empty((n, c))
-            bn_cache = None
+            bn_cache, bn_pieces = None, [None] * len(self.pieces)
             if gamma is not None:
                 stat_rows = self.sub_stats[:, 1:, start:start + c]
-                bn_cache = _ghost_bn_cache(act, gamma, vbs, stat_rows, dx=dz, mask=mask,
-                                           split=self.split)
+                # BN's backward uses the activation, read by then, as scratch
+                bn_cache = _ghost_bn_cache(act, gamma, vbs, stat_rows, self.pieces, next(blocks),
+                                           dz, act, mask)
+                bn_pieces = bn_cache["pieces"]
                 start += c
-            for i, (piece, layers) in enumerate(zip(rows, piece_layers)):
-                bn = None if bn_cache is None else bn_cache["pieces"][i]
-                layers.append((w, b, gamma, beta, act[piece], mask[piece], bn))
+            for rows, layers, bn in zip(self.pieces, piece_layers, bn_pieces):
+                layers.append((w, b, gamma, beta, act[rows], mask[rows], bn))
             self.back.append((act.T, w_next.T, mask, dz, bn_cache))
             self.top = act
-        self.pieces = [(piece, layers, i == len(rows) - 1)
-                       for i, (piece, layers) in enumerate(zip(rows, piece_layers))]
+        self.walk = [(rows, layers, rows is self.pieces[-1])
+                     for rows, layers in zip(self.pieces, piece_layers)]
         self.targets = np.empty((n, config.n_classes))
         self.loss = _loss_buffers(n, config.n_classes)
         self.n_rows = const(n)
@@ -723,12 +706,12 @@ def layer_plan(params: ParamStore, config: MlpConfig) -> LayerPlan:
     return plan
 
 
-def _train_rows(piece, eps, config):
-    """The train forward's hidden layers over one piece of `TrainWorkspace.pieces`,
-    given as (its input rows, its layers, here). Where `here`, on the calling
-    thread, BN runs through bn_forward; on the worker it checks and
-    normalizes the piece directly."""
-    x, layers, here = piece
+def _train_pass(piece, x, eps, config):
+    """The train forward's hidden layers over one piece of `RowPlan.walk`,
+    reading its rows of the input `x`. On the calling thread BN runs through
+    bn_forward; on the worker it checks and normalizes the piece directly."""
+    rows, layers, here = piece
+    x = x[rows]
     for w, b, gamma, beta, act, mask, bn in layers:
         np.matmul(x, w, out=act)
         act += b
@@ -743,10 +726,11 @@ def _train_rows(piece, eps, config):
         x = act
 
 
-def _eval_rows(piece, layers, running, eps):
-    """The eval forward's hidden `layers` over one piece of a block: its input
-    rows and its rows of the eval buffers, with BN's running statistics."""
-    h, buffers = piece
+def _eval_pass(piece, x, layers, running, eps):
+    """The eval forward's hidden `layers` over one piece of a block of
+    `RowPlan.walks`, whose input rows are `x`, with BN's running statistics."""
+    rows, buffers = piece
+    h = x[rows]
     bn_stats = iter(running)
     for (w, b, gamma, beta), z in zip(layers, buffers):
         np.matmul(h, w, out=z)
@@ -765,23 +749,23 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     Hidden layers: affine -> BN (if enabled) -> ReLU. The loss is the
     mean cross-entropy against (1-tau)*onehot + tau/K targets.
 
-    A train-mode pass runs in the plan's workspace for the batch size, so its
-    cache holds views of it and goes stale once a backward has used it or at
-    the next train forward on the same store and batch size. An eval-mode
-    pass walks the rows in blocks (`_eval_blocks`): each block runs through
-    every hidden layer in the plan's eval buffers, which the next block and
-    the next eval forward on the store overwrite, and writes its output-layer
-    product into its rows of the logits; the bias, the logits check and the
-    loss then run once over all rows. Its cache holds no view of the
-    buffers. The logits are a new array in both modes.
+    A pass walks the layer plan's `RowPlan` for its row count and mode. A
+    train-mode pass runs in the row plan's buffers, so its cache holds views
+    of them and goes stale once a backward has used it or at the next train
+    forward on the same store and batch size. An eval-mode pass walks the
+    rows in blocks: each block runs through every hidden layer in the
+    plan's eval buffers, which the next block and the next eval forward on
+    the store overwrite, and writes its output-layer product into its rows
+    of the logits; the bias, the logits check and the loss then run once
+    over all rows. Its cache holds no view of the buffers. The logits are a
+    new array in both modes.
 
     Where a product is wide (see WIDE_PRODUCT), the hidden layers run in two
-    pieces of rows, the worker thread carrying the first through every hidden
-    layer while this thread carries the second: a train batch splits at the
-    workspace's `split`, each eval block in two halves at a multiple of
-    EVAL_BLOCK_ALIGN rows. bn_forward runs on this thread over its piece,
-    and the worker normalizes its own; the running statistics' sums, the
-    output-layer product and the loss run over all rows on this thread.
+    pieces of rows, the worker thread carrying the first through every
+    hidden layer while this thread carries the second: a train batch once,
+    each eval block in two halves. bn_forward runs on this thread over its
+    piece, and the worker normalizes its own; the running statistics' sums,
+    the output-layer product and the loss run over all rows on this thread.
     """
     x, labels = batch.inputs, batch.labels
     widths = config.layer_widths
@@ -794,32 +778,19 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     new_stats = stats
     w_out, b_out, _, _ = plan.layers[-1]
     if mode == "eval":
-        running = list(zip(stats.means, stats.vars))
-        block_buffers = plan.eval_buffers(n)
-        hidden = plan.layers[:-1]
-        # chosen for the first block; a last block of up to 15 rows fewer
-        # splits at the same row
-        block_rows = min(n, EVAL_BLOCK_ROWS)
-        split = 0
-        if _wide(block_rows, hidden):
-            split = _split_at(block_rows, range(EVAL_BLOCK_ALIGN, block_rows, EVAL_BLOCK_ALIGN))
+        hidden, running = plan.layers[:-1], list(zip(stats.means, stats.vars))
         logits = np.empty((n, widths[-1]))
-        for rows in _eval_blocks(n):
-            h = x[rows]
-            pieces = _row_pieces(h.shape[0], split)
-            _in_pieces(_eval_rows, [(h[p], [buf[p] for buf in block_buffers]) for p in pieces],
-                       hidden, running, plan.eps)
-            if block_buffers:
-                h = block_buffers[-1][:h.shape[0]]
-            np.matmul(h, w_out, out=logits[rows])
+        for block, pieces, top in plan.row_plan(n, "eval").walks:
+            h = x[block]
+            _walk(_eval_pass, pieces, h, hidden, running, plan.eps)
+            np.matmul(h if top is None else top, w_out, out=logits[block])
         targets, buffers = None, _loss_buffers(n, widths[-1])
         cache = {"mode": mode}
     else:
-        work = plan.workspace(n)
+        work = plan.row_plan(n, "train")
         work.stamp += 1
         cache = {"mode": mode, "plan": plan, "work": work, "stamp": work.stamp, "inputs": x}
-        _in_pieces(_train_rows, [(x[rows], layers, here) for rows, layers, here in work.pieces],
-                   plan.eps, config)
+        _walk(_train_pass, work.walk, x, plan.eps, config)
         if work.top is not None:
             x = work.top
         if work.decay is not None:
@@ -863,11 +834,12 @@ def backward(cache, params: ParamStore, config: MlpConfig,
     dz = np.exp(cache["log_p"], out=work.loss[1])
     dz -= cache["targets"]
     dz /= work.n_rows
+    split = len(work.pieces) > 1
     for k in range(len(work.back) - 1, -1, -1):
         # dz is the gradient at layer k + 1's affine output, act layer k's output
         act_t, w_next_t, mask, dx, bn_cache = work.back[k]
         gw, gb, _, _ = layer_grads[k + 1]
-        if work.split:
+        if split:
             # the block ends before BN's backward writes over act
             with _the_worker().beside(np.matmul, act_t, dz, gw):
                 np.add.reduce(dz, axis=0, out=gb)
@@ -879,7 +851,7 @@ def backward(cache, params: ParamStore, config: MlpConfig,
         if bn_cache is None:
             dx *= mask
         else:  # multiplies dx by the mask first
-            bn_backward(dx, bn_cache, out=(dx, *layer_grads[k][2:]))
+            bn_backward(dx, bn_cache, out=layer_grads[k][2:])
         dz = dx
     gw, gb, _, _ = layer_grads[0]
     np.matmul(cache["inputs"].T, dz, out=gw)

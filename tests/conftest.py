@@ -63,7 +63,6 @@ def numpy_error_state_kept():
 def worker_on(monkeypatch):
     """Run wide steps in two row pieces, one on the model's worker thread, as
     they run where OpenBLAS is pinned to one thread and the process may use
-    two CPUs. A train workspace keeps the split it was built with, so only
-    workspaces built under the fixture take it; every eval forward reads it
-    anew."""
+    two CPUs. A row plan keeps the pieces it was built with, so only row
+    plans built under the fixture take them."""
     monkeypatch.setattr(model, "_USE_WORKER", True)

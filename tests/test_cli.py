@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import optparity
+from optparity import harness
 from optparity.cli import main
 
 
@@ -342,6 +343,25 @@ def test_unwritable_out_exits_2_with_one_error_line(tmp_path, base_config, comma
     # click keeps the last --out given
     result = CliRunner().invoke(main, COMMANDS[command](paths) + ["--out", out])
     assert_one_error_line(result, out)
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "ablate"])
+@pytest.mark.parametrize("out_name", ["missing_dir/out.json", "."], ids=["missing_dir", "dir"])
+def test_unwritable_out_fails_before_the_first_run(tmp_path, base_config, monkeypatch,
+                                                   command, out_name):
+    """The path is checked before any run starts, and named once."""
+    runs = []
+
+    def no_run(config):
+        runs.append(config)
+        raise AssertionError("a run started")
+    monkeypatch.setattr(harness, "run_training", no_run)
+    paths = _valid_inputs(tmp_path, base_config)
+    out = str(tmp_path / out_name)
+    result = CliRunner().invoke(main, COMMANDS[command](paths) + ["--out", out])
+    assert_one_error_line(result, out)
+    assert result.stderr.count(out) == 1 and runs == []
+    assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in paths.values())
 
 
 def test_train_has_no_workers_option(tmp_path, base_config):

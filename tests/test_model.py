@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from optparity import harness, model
+from optparity import harness, kernels, model, optim
 from optparity.errors import (
     IndivisibleBatch,
     InvalidConfig,
@@ -276,7 +276,7 @@ class TestBackward:
 
 
 class TestTrainWorkspace:
-    """A train forward runs in its store's workspace for the batch size."""
+    """A train forward runs in its store's row plan for the batch size."""
 
     def _step(self, store, cfg, batch):
         stats = BnRunningStats.for_config(cfg)
@@ -505,6 +505,20 @@ WIDE_BN_RUN = {
 }
 
 
+# the large-batch model and routing, LAMB on the weights and Adam on the rest,
+# with an eval point after each of its two steps over 1,024 train rows
+WIDE_LAMB_RUN = {
+    "model": {"layer_widths": LARGE_BATCH_WIDTHS, "use_bn": True, "virtual_batch_size": 64},
+    "data": {"classes": 10, "features": 16, "per_class": 128, "spread": 3.0, "seed": 2},
+    "optimizer": [{"tags": ["weight"], "config": {"kind": "lamb", "decay": 1e-4,
+                                                  "exclude_tags": ["bias", "bn_scale",
+                                                                   "bn_shift"]}},
+                  {"tags": ["bias", "bn_scale", "bn_shift"], "config": {"kind": "adam"}}],
+    "schedule": {"family": "constant", "eta_peak": 0.01, "total_steps": 2},
+    "budget_steps": 2, "batch_size": 1024, "eval_every": 1,
+}
+
+
 def _poisoned_at_step_2(row):
     """A `_BatchStream.next_batch` that makes one input of the second batch's
     `row` infinite, so that only that row's BN input is non-finite."""
@@ -538,19 +552,38 @@ class TestWorker:
     def test_gate_reads_openblas_thread_count_and_cpus(self, environ, n_cpus, allowed):
         assert worker_allowed(environ, n_cpus) is allowed
 
+    # (widths, virtual batch size, rows, mode, blocks, pieces with the worker
+    # on): the cut points of the large-batch and parity models at their eval
+    # sets' and batches' sizes. Eval blocks are row spans, train blocks are
+    # each BN layer's ghost-BN blocks, and eval pieces are spans of a block.
+    CUTS = [
+        (LARGE_BATCH_WIDTHS, 64, 1300, "eval", [(0, 512), (512, 1024), (800, 1300)],
+         [(0, 256), (256, 512)]),
+        (LARGE_BATCH_WIDTHS, 64, 4096, "eval", [(k, k + 512) for k in range(0, 4096, 512)],
+         [(0, 256), (256, 512)]),
+        (LARGE_BATCH_WIDTHS, 64, 1024, "train", [[(0, 256), (256, 512), (512, 768),
+                                                  (768, 1024)]] * 2, [(0, 512), (512, 1024)]),
+        ([2, 16, 16, 2], 32, 64, "train", [[(0, 64)]] * 2, [(0, 64)]),
+        ([2, 16, 16, 2], 32, 64, "eval", [(0, 64)], [(0, 64)]),
+        ([2, 16, 16, 2], 32, 512, "train", [[(0, 512)]] * 2, [(0, 512)]),
+    ]
+
     @pytest.mark.parametrize("on", [True, False])
     def test_only_wide_products_split(self, monkeypatch, on):
         monkeypatch.setattr(model, "_USE_WORKER", on)
-        wide = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=True, virtual_batch_size=64)
-        work = layer_plan(init_mlp(wide), wide).workspace(1024)
-        assert work.split == (512 if on else 0)
-        assert [(rows, here) for rows, _, here in work.pieces] == (
-            [(slice(0, 512), False), (slice(512, 1024), True)] if on
-            else [(slice(0, 1024), True)])
-        narrow = MlpConfig(layer_widths=[2, 16, 16, 2], use_bn=True, virtual_batch_size=32)
-        work = layer_plan(init_mlp(narrow), narrow).workspace(512)
-        assert work.split == 0
-        assert [(rows, here) for rows, _, here in work.pieces] == [(slice(0, 512), True)]
+
+        def spans(cuts):
+            return [spans(cut) if isinstance(cut, list) else (cut.start, cut.stop)
+                    for cut in cuts]
+        for widths, vbs, n, mode, blocks, pieces in self.CUTS:
+            cfg = MlpConfig(layer_widths=widths, use_bn=True, virtual_batch_size=vbs)
+            cut = layer_plan(init_mlp(cfg), cfg).row_plan(n, mode)
+            assert spans(cut.blocks) == blocks
+            whole = min(n, 512) if mode == "eval" else n
+            assert spans(cut.pieces) == (pieces if on else [(0, whole)])
+            if mode == "train":  # only the last piece runs on the calling thread
+                assert [(rows, here) for rows, _, here in cut.walk] == [
+                    (piece, piece is cut.pieces[-1]) for piece in cut.pieces]
 
     # (virtual batch size, rows, the split with BN, without): BN walks blocks of
     # max(256, vbs) rows here. 96 rows split only at row 64 with BN, too far
@@ -573,7 +606,8 @@ class TestWorker:
         monkeypatch.setattr(model, "_USE_WORKER", True)
         store = init_mlp(cfg, rng_seed=33)
         got = _train_step(store, cfg, batch)
-        assert layer_plan(store, cfg).workspace(n).split == (bn_split if use_bn else split)
+        assert layer_plan(store, cfg).row_plan(n, "train").pieces[-1].start == (
+            bn_split if use_bn else split)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
@@ -584,7 +618,8 @@ class TestWorker:
         run as it does without the worker, and the worker is free afterwards."""
         wide_bn = harness.parse_config(WIDE_BN_RUN)
         monkeypatch.setattr(model, "_USE_WORKER", True)
-        assert layer_plan(init_mlp(wide_bn.model), wide_bn.model).workspace(1024).split == 512
+        plan = layer_plan(init_mlp(wide_bn.model), wide_bn.model)
+        assert plan.row_plan(1024, "train").pieces[-1].start == 512
         # (run, poisoned batch row or None, the step at which it diverges)
         for doc, row, step in [(OVERFLOWING_WIDE_RUN, None, 1), (WIDE_BN_RUN, 0, 2),
                                (WIDE_BN_RUN, 1023, 2)]:
@@ -635,11 +670,42 @@ class TestWorker:
         assert sorted(t.name for name, t in calls if name == "_normalize") == (
             sorted([main.name, "optparity-worker"] * 2))
 
+    def test_worker_enters_no_traced_name(self, worker_on, monkeypatch):
+        """perfbench's tracer wraps bn_forward, bn_backward, every update rule
+        and every kernel, and keeps one span stack: a whole wide run, eval
+        points included, enters each on the main thread only, while the
+        worker normalizes its rows."""
+        calls = []
+
+        def recording(owner, name, fn):
+            def record(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            if isinstance(owner, dict):
+                monkeypatch.setitem(owner, name, record)
+            else:
+                monkeypatch.setattr(owner, name, record)
+
+        for name in ("bn_forward", "bn_backward", "_normalize"):
+            recording(model, name, getattr(model, name))
+        for kind, fn in list(optim._UPDATE_FNS.items()):
+            recording(optim._UPDATE_FNS, kind, fn)
+        for name, fn in list(vars(kernels).items()):
+            if callable(fn) and getattr(fn, "__module__", None) == kernels.__name__:
+                recording(kernels, name, fn)
+        result = harness.run_training(harness.parse_config(WIDE_LAMB_RUN))
+        assert result.status == "completed" and len(result.history) == 2
+        main = threading.main_thread()
+        entered = {name for name, thread in calls if thread is main}
+        assert entered >= {"bn_forward", "bn_backward", "lamb", "adam", "adam_moments",
+                           "adam_direction"}
+        assert {name for name, thread in calls if thread is not main} == {"_normalize"}
+
     def test_threads_sharing_the_worker_each_get_their_own_products(self, worker_on):
         cfg = MlpConfig(layer_widths=LARGE_BATCH_WIDTHS, use_bn=True, virtual_batch_size=64)
         batch = random_batch(cfg, 512, seed=36)  # two BN blocks, split at row 256
         want = _train_step(init_mlp(cfg, rng_seed=37), cfg, batch)
-        assert layer_plan(init_mlp(cfg), cfg).workspace(512).split == 256
+        assert layer_plan(init_mlp(cfg), cfg).row_plan(512, "train").pieces[-1].start == 256
         results = {}
 
         def steps(i):
