@@ -85,11 +85,11 @@ def train(config_path, out_path, seed):
     doc = _load_config(config_path, seed)
     try:
         config = harness.parse_config(doc)
-    except (ParseError, ValidationError) as exc:
+        if out_path:
+            _check_out(out_path)
+        result = harness.run_training(config)
+    except (ParseError, ValidationError, MemoryError) as exc:  # invalid, or too big to run
         _fail(f"{config_path}: {exc}")
-    if out_path:
-        _check_out(out_path)
-    result = harness.run_training(config)
     if out_path:
         _write_text(out_path, json.dumps(asdict(result), indent=2))
     click.echo(json.dumps({
@@ -173,7 +173,7 @@ def ablate(config_path, overrides_path, seeds, out_path):
         rows = harness.run_ablation(doc, overrides, seed_list)
         if out_path:
             harness.write_summaries(rows, out_path)
-    except (ParseError, ValidationError) as exc:  # the config or one of its arms is invalid
+    except (ParseError, ValidationError, MemoryError) as exc:  # an arm is invalid or too big
         _fail(f"{config_path}: {exc}")
     except OptparityError as exc:
         _fail(exc)

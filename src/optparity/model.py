@@ -11,9 +11,9 @@ verified coordinate-wise against central finite differences.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import os
-import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,24 +210,24 @@ WIDE_PRODUCT = 1 << 21
 _ZERO, _ONE = const(0.0), const(1.0)
 
 
-def worker_allowed(environ: Mapping[str, str], n_cpus: int) -> bool:
-    """Whether wide products may run half on a worker thread: the process may
-    use two or more CPUs and OpenBLAS runs each call on one thread. OpenBLAS
-    reads its thread count once, at load, from the first of these variables
-    that reads as a positive integer (by C's atoi); with none set it uses
-    every core, and a second thread of our own would only contend with it."""
-    if n_cpus < 2:
-        return False
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        digits = re.match(r"\s*[+-]?\d+", environ.get(name, ""))
-        if digits and int(digits.group()) > 0:
-            return int(digits.group()) == 1
+def _pin_blas() -> bool:
+    """Pin numpy's bundled OpenBLAS (scipy-openblas, which wheels ship in
+    numpy.libs/ or numpy/.dylibs/) to one thread for the whole process, so no
+    product's bits hang on OPENBLAS_NUM_THREADS and the like; whether one was
+    found. Another BLAS (MKL, Accelerate, a system OpenBLAS) keeps its threads."""
+    home = os.path.dirname(np.__file__)
+    for lib in glob.glob(f"{home}.libs/*openblas*") + glob.glob(f"{home}/.dylibs/*openblas*"):
+        with contextlib.suppress(OSError, AttributeError):  # unloadable, or another build
+            set_threads = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            return True
     return False
 
 
-# read once, as OpenBLAS reads the environment once (numpy loaded it above)
-_USE_WORKER = worker_allowed(
-    os.environ, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+# beside a BLAS that spreads each product over every core the worker only contends
+_USE_WORKER = (_pin_blas() and hasattr(os, "sched_getaffinity")
+               and len(os.sched_getaffinity(0)) > 1)
 
 
 class _Worker:

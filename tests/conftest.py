@@ -62,7 +62,8 @@ def numpy_error_state_kept():
 @pytest.fixture
 def worker_on(monkeypatch):
     """Run wide steps in two row pieces, one on the model's worker thread, as
-    they run where OpenBLAS is pinned to one thread and the process may use
-    two CPUs. A row plan keeps the pieces it was built with, so only row
-    plans built under the fixture take them."""
+    they run wherever `model` found numpy's bundled OpenBLAS, pinned it to one
+    thread, and the process may use two CPUs; so also on one CPU or another
+    BLAS. A row plan keeps the pieces it was built with, so only row plans
+    built under the fixture take them."""
     monkeypatch.setattr(model, "_USE_WORKER", True)

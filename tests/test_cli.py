@@ -277,6 +277,35 @@ def test_invalid_ablation_arm_is_named_in_the_error(tmp_path, base_config):
                                   "divisible by virtual_batch_size 7")
 
 
+# configs that parse but whose arrays no machine can hold: a batch buffer of
+# 2**50 rows or a dataset of 2 * 10**15 rows, of two float64 features each
+# (16 and 28 PiB), far past any machine's memory and the 47- or 48-bit address
+# space a 64-bit process's allocations get
+TOO_BIG = [pytest.param(_base_with(batch_size=2**50), id="batch"),
+           pytest.param(_data_with(per_class=10**15), id="dataset")]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("doc", TOO_BIG)
+def test_config_too_big_for_memory_exits_2_with_one_error_line(tmp_path, base_config,
+                                                              command, doc):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["config"], doc(base_config))
+    result = CliRunner().invoke(main, COMMANDS[command](paths))
+    assert_one_error_line(result, f"{paths['config']}: Unable to allocate")
+
+
+@pytest.mark.parametrize("doc", TOO_BIG)
+def test_tune_records_a_config_too_big_for_memory_as_an_error_trial(tmp_path, base_config,
+                                                                   doc):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["config"], doc(base_config))
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths))
+    assert result.exit_code == 0, result.output
+    record, = harness.read_results(tmp_path / "trials.jsonl")
+    assert record.status == "error" and "MemoryError: Unable to allocate" in record.error
+
+
 def test_unknown_ablation_path_names_the_arm_and_the_path(tmp_path, base_config):
     paths = _valid_inputs(tmp_path, base_config)
     write_json(paths["overrides"], [["bad", "model.nonexistent", 1]])

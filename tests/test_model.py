@@ -1,9 +1,13 @@
+import json
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,6 @@ from optparity.model import (
     init_mlp,
     layer_plan,
     smoothed_targets,
-    worker_allowed,
 )
 
 
@@ -534,23 +537,9 @@ def _poisoned_at_step_2(row):
 
 
 class TestWorker:
-    """Wide steps run in two row pieces, one on a worker thread, where BLAS is
-    pinned to one thread on two or more CPUs, with every result unchanged."""
-
-    @pytest.mark.parametrize("environ,n_cpus,allowed", [
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
-        ({"OPENBLAS_NUM_THREADS": "2"}, 4, False),
-        ({}, 2, False),
-        ({"OMP_NUM_THREADS": "1"}, 2, True),
-        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
-        ({"OPENBLAS_NUM_THREADS": " 1 thread"}, 2, True),
-        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "2"}, 2, False),
-    ])
-    def test_gate_reads_openblas_thread_count_and_cpus(self, environ, n_cpus, allowed):
-        assert worker_allowed(environ, n_cpus) is allowed
+    """Wide steps run in two row pieces, one on a worker thread, where the
+    process may use two or more CPUs beside numpy's bundled OpenBLAS, which
+    `model` pins to one thread, with every result unchanged."""
 
     # (widths, virtual batch size, rows, mode, blocks, pieces with the worker
     # on): the cut points of the large-batch and parity models at their eval
@@ -743,6 +732,67 @@ class TestWorker:
             child.kill()
             child.join()
         assert not hung and child.exitcode == 0
+
+
+# a 5-step run shaped like the large-batch benchmark; at 2 steps, two OpenBLAS
+# threads and one still gave the same bits
+PINNED_RUN = {
+    "model": {"layer_widths": LARGE_BATCH_WIDTHS, "use_bn": True, "virtual_batch_size": 64,
+              "init_seed": 1},
+    "data": {"classes": 10, "features": 16, "per_class": 512, "spread": 3.0, "seed": 11},
+    "optimizer": [{"tags": ["weight"], "config": {"kind": "lamb", "decay": 1e-4,
+                                                  "exclude_tags": ["bias", "bn_scale",
+                                                                   "bn_shift"]}},
+                  {"tags": ["bias", "bn_scale", "bn_shift"], "config": {"kind": "adam"}}],
+    "schedule": {"family": "poly_warmup_decay", "eta_peak": 0.01, "t_warmup": 2,
+                 "total_steps": 5},
+    "budget_steps": 5, "batch_size": 1024, "eval_every": 5,
+}
+
+# numpy's bundled OpenBLAS, found as `model` looks for it
+FIND_BLAS = ("import ctypes, glob, os, numpy as np; home = os.path.dirname(np.__file__); "
+             "blas = ctypes.CDLL((glob.glob(home + '.libs/*openblas*') "
+             "+ glob.glob(home + '/.dylibs/*openblas*'))[0]); ")
+
+
+def _in_child(code, *args, threads=None):
+    """The output of `code` run with `args` in a fresh interpreter, with none of
+    OpenBLAS's thread variables set but OPENBLAS_NUM_THREADS=`threads`, if given."""
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                           text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+class TestBlasPin:
+    """Importing `model` pins numpy's bundled OpenBLAS to one thread for the
+    process, so a config gives one result whatever the environment says."""
+
+    def test_wide_run_gives_one_result_whatever_the_thread_variables(self):
+        code = ("import json, sys; from optparity import harness; "
+                "print(repr(harness.run_training(harness.parse_config(json.loads(sys.argv[1])))))")
+        results = [_in_child(code, json.dumps(PINNED_RUN), threads=threads)
+                   for threads in (None, "2", "1")]
+        assert "completed" in results[0]
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("found", [True, False])
+    def test_pin_and_worker_follow_the_library_lookup(self, found):
+        """Set to two threads before the import, the bundled OpenBLAS runs one
+        after it; when the lookup finds no library, nothing is pinned and the
+        worker stays off."""
+        hide = "" if found else "glob.glob = lambda pattern, **kw: []; "
+        code = (FIND_BLAS + "blas.scipy_openblas_set_num_threads64_(2); " + hide +
+                "from optparity import model; "
+                "print(model._USE_WORKER, blas.scipy_openblas_get_num_threads64_())")
+        worker = found and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+        assert _in_child(code).split() == [str(worker), "1" if found else "2"]
 
 
 class TestFiniteDifference:
