@@ -15,7 +15,6 @@ import functools
 import io
 import json
 import math
-import os
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -43,6 +42,7 @@ from .model import (
     forward,
     gen_synthetic_dataset,
     init_mlp,
+    usable_cpus,
 )
 from .optim import OptimizerConfig, OptimizerState, RoutingRule, apply_step
 from .optim import composite_step  # noqa: F401  perfbench/tracing.py wraps this name
@@ -427,12 +427,15 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     updates them in place. Any NaN/Inf in the loss, gradients, or parameters,
     or at a BN input or the logits of a step's or an eval point's forward pass,
     marks the run diverged at that step; the history is truncated at the last
-    clean eval point and no non-finite value is recorded.
+    clean eval point and no non-finite value is recorded. A `data.spread` that
+    overflows the generated inputs raises ValidationError before any step.
     """
     d = config.data
-    train, eval_set = gen_synthetic_dataset(
-        d.classes, d.features, d.per_class, d.spread, d.seed
-    )
+    with np.errstate(over="ignore"):  # an overflowing spread is rejected below
+        train, eval_set = gen_synthetic_dataset(d.classes, d.features, d.per_class,
+                                                d.spread, d.seed)
+    if not (all_finite(train.inputs) and all_finite(eval_set.inputs)):
+        raise ValidationError("data.spread", f"{d.spread!r} overflows the generated inputs")
     params = init_mlp(config.model, rng_seed=config.model.init_seed + config.base_seed)
     theta = params.flat
     grad = np.empty_like(theta)
@@ -511,22 +514,31 @@ def expand_jobs(base: dict, assignments: list[dict]) -> list[Job]:
 
 def run_jobs(jobs: list[Job], workers: int = 1) -> list:
     """Each job's TrainResult, parse error or run's exception, in job order.
-    At most `os.cpu_count()` spawned processes run, and the results do not
+    At most `usable_cpus()` spawned processes run, and the results do not
     depend on their number."""
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
     configs = [job.config for job in jobs if job.error is None]
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, usable_cpus())
     if workers > 1:
         import multiprocessing  # here, so that a sequential run never loads it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_start_pool_process, initargs=(workers,)) as pool:
             ran = iter(list(pool.map(_run_job, configs)))
     else:
         ran = iter([_run_job(config) for config in configs])
     return [job.error or next(ran) for job in jobs]
+
+
+def _start_pool_process(workers: int):
+    """Run in each pool process: a pool filling the usable CPUs leaves no core
+    for the model's worker thread, so wide steps run in one piece there."""
+    if workers >= usable_cpus():
+        from . import model
+        model._USE_WORKER = False
 
 
 def _run_job(config: ExperimentConfig):

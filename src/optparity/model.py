@@ -225,9 +225,14 @@ def _pin_blas() -> bool:
     return False
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: os.sched_getaffinity where it exists."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 # beside a BLAS that spreads each product over every core the worker only contends
-_USE_WORKER = (_pin_blas() and hasattr(os, "sched_getaffinity")
-               and len(os.sched_getaffinity(0)) > 1)
+_USE_WORKER = _pin_blas() and usable_cpus() > 1
 
 
 class _Worker:
@@ -390,10 +395,11 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     of its pieces with `x` the piece's rows, the call reuses it: y is written
     over `x` and the running statistics are returned as given, since the
     caller updates every layer's at once from the sums the cache's stat rows
-    hold. A cache made here holds its own dx buffer, so it serves one
-    bn_backward.
+    hold, and `x` is not checked: forward checks the means in the stat rows.
+    A cache made here holds its own dx buffer, so it serves one bn_backward.
     """
-    _check_bn_input(x)
+    if mode == "eval" or cache is None:
+        _check_bn_input(x)
     n = x.shape[0]
     if mode == "eval":
         y = _bn_eval(np.array(x, dtype=np.float64), gamma, beta, running_mean, running_var,
@@ -709,7 +715,8 @@ def layer_plan(params: ParamStore, config: MlpConfig) -> LayerPlan:
 def _train_pass(piece, x, eps, config):
     """The train forward's hidden layers over one piece of `RowPlan.walk`,
     reading its rows of the input `x`. On the calling thread BN runs through
-    bn_forward; on the worker it checks and normalizes the piece directly."""
+    bn_forward; on the worker it normalizes the piece directly. Neither checks
+    BN's input: forward checks every layer's means once the pieces are done."""
     rows, layers, here = piece
     x = x[rows]
     for w, b, gamma, beta, act, mask, bn in layers:
@@ -719,7 +726,6 @@ def _train_pass(piece, x, eps, config):
             bn_forward(act, gamma, beta, eps, config.virtual_batch_size, "train",
                        None, None, config.bn_stats_decay, cache=bn)
         elif bn is not None:
-            _check_bn_input(act)
             _normalize(bn["blocks"], gamma, beta, eps, bn["vbs"])
         np.greater(act, _ZERO, out=mask)
         np.maximum(act, _ZERO, out=act)
@@ -790,10 +796,13 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
         work = plan.row_plan(n, "train")
         work.stamp += 1
         cache = {"mode": mode, "plan": plan, "work": work, "stamp": work.stamp, "inputs": x}
-        _walk(_train_pass, work.walk, x, plan.eps, config)
+        with np.errstate(invalid="ignore"):  # a non-finite BN input raises below
+            _walk(_train_pass, work.walk, x, plan.eps, config)
         if work.top is not None:
             x = work.top
         if work.decay is not None:
+            # a virtual batch's mean is non-finite where any of its inputs is
+            _check_bn_input(work.sub_stats[0])
             sums = np.add.accumulate(work.sub_stats, axis=1, out=work.stat_sums)[:, -1]
             new_stats = stats.updated(sums, work.decay)
         targets, buffers = work.targets, work.loss

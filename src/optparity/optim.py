@@ -13,6 +13,8 @@ composite step. Because the store's flat vector is ordered by tag, the
 groups one rule covers form a contiguous slice (one per run of adjacent
 tags), and each rule updates its whole slice with one fused call: per-
 element decay where exclusions differ, per-group LARS/LAMB trust ratios.
+Adjacent Adam and LAMB slices that share their moment settings advance
+their moments and take their direction in one pass before the rules run.
 `apply_step` updates a flat parameter vector and the optimizer state in
 place; `composite_step` is its copy-on-write form over a store and a
 gradient dict, returning a new store and state.
@@ -23,6 +25,7 @@ group and return new arrays, leaving their inputs untouched.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -161,7 +164,8 @@ class _Part:
     which groups are not excluded, i.e. get decay and trust ratios; `l2` and
     `wd` are the decay lambdas of the two modes, each a constant or a
     per-element vector, and `l2_on` and `wd_on` say whether they act.
-    `momentum` and `epsilon` are the config's as constants.
+    `momentum` and `epsilon` are the config's as constants, and `moments` what
+    an Adam-family rule's moment pass depends on (None for another rule).
     """
 
     def __init__(self, config: OptimizerConfig, segs: list[Segment]):
@@ -179,6 +183,8 @@ class _Part:
         else:
             (self.l2, self.l2_on), (self.wd, self.wd_on) = off, decay
         self.momentum, self.epsilon = const(config.momentum), const(config.epsilon)
+        self.moments = ((config.beta1, config.beta2, config.epsilon, config.bias_correction)
+                        if config.kind in ("adam", "lamb") else None)
 
 
 class _Plan:
@@ -194,21 +200,29 @@ class _Plan:
             else:
                 runs.append((cfg, [seg]))
         self.parts = [_Part(cfg, segs) for cfg, segs in runs]
+        # runs of adjacent Adam-family parts with equal moment settings take one
+        # moment pass each per step; a part with L2 decay takes its own
+        passes = [list(run) for key, run in itertools.groupby(
+            self.parts, lambda p: p.moments and (p.moments, p.l2_on and id(p))) if key]
+        self.moments = [(slice(run[0].slice.start, run[-1].slice.stop), run[0]) for run in passes]
         kinds = {part.config.kind for part in self.parts}
         self.writes_v = bool(kinds & {"heavy_ball", "nesterov", "lars"})
-        self.writes_ms = bool(kinds & {"adam", "lamb"})
+        self.writes_ms = bool(self.moments)
         self.grad_shapes = [(seg.stop - seg.start,) for seg in flat_order]
         self._vectors = None
 
-    def views(self, theta, g, v, m, s) -> list[tuple]:
-        """Per part (kind, then the part's slice of each vector, then the part),
-        built once per set of vectors."""
+    def views(self, theta, g, v, m, s) -> tuple[list[tuple], list[tuple]]:
+        """Per moment run its slices of theta, g, m, s and of a direction buffer,
+        and its first part; per part its kind, its slices of theta, g, v and the
+        direction, and the part. Built once per set of vectors."""
         vectors = self._vectors
         if (vectors is None or vectors[0] is not theta or vectors[1] is not g
                 or vectors[2] is not v or vectors[3] is not m or vectors[4] is not s):
-            self._vectors = (theta, g, v, m, s)
-            self._views = [(part.config.kind, *(x[part.slice] for x in self._vectors), part)
-                           for part in self.parts]
+            self._vectors, d = (theta, g, v, m, s), np.empty(theta.size)
+            self._views = (
+                [(theta[run], g[run], m[run], s[run], d[run], lead) for run, lead in self.moments],
+                [(part.config.kind, theta[part.slice], g[part.slice], v[part.slice],
+                  d[part.slice], part) for part in self.parts])
         return self._views
 
 
@@ -254,8 +268,9 @@ def _trust_ratios(theta, d, part: _Part, coefficient: float) -> np.ndarray:
     return np.array(ratios)
 
 
-def _adam_direction(g_eff, m, s, part: _Part, t: int):
-    """Advance (m, s) in place; the m_hat/(sqrt(s_hat)+eps) direction at step t+1."""
+def _adam_direction(g_eff, m, s, out, part: _Part, t: int):
+    """Advance (m, s) in place and write the m_hat/(sqrt(s_hat)+eps) direction
+    at step t+1 into `out`."""
     config = part.config
     kernels.adam_moments(m, s, g_eff, config.beta1, config.beta2)
     if config.bias_correction:
@@ -265,25 +280,23 @@ def _adam_direction(g_eff, m, s, part: _Part, t: int):
         c1 = c2 = 1.0
     if config.epsilon == 0.0 and np.logical_or.reduce(s == 0.0):
         raise DivisionHazard("epsilon=0 with a zero second-moment entry")
-    base = np.empty_like(m)
-    kernels.adam_direction(base, m, s, part.epsilon, c1, c2)
-    return base
+    kernels.adam_direction(out, m, s, part.epsilon, c1, c2)
 
 
-def _heavy_ball(theta, g, v, m, s, eta, part: _Part, t: int):
+# each rule takes its part's slices of theta, g, v and the Adam direction
+def _heavy_ball(theta, g, v, d, eta, part: _Part):
     kernels.heavy_ball_step(theta, _with_l2(g, theta, part), v, eta, part.momentum, part.wd)
 
 
-def _nesterov(theta, g, v, m, s, eta, part: _Part, t: int):
+def _nesterov(theta, g, v, d, eta, part: _Part):
     kernels.nesterov_step(theta, _with_l2(g, theta, part), v, eta, part.momentum, part.wd)
 
 
-def _adam(theta, g, v, m, s, eta, part: _Part, t: int):
-    base = _adam_direction(_with_l2(g, theta, part), m, s, part, t)
-    theta -= eta * (base + part.wd * theta)
+def _adam(theta, g, v, d, eta, part: _Part):
+    theta -= eta * (d + part.wd * theta) if part.wd_on else eta * d
 
 
-def _lars(theta, g, v, m, s, eta, part: _Part, t: int):
+def _lars(theta, g, v, d, eta, part: _Part):
     g_eff = _with_l2(g, theta, part)
     ratios = _trust_ratios(theta, g_eff, part, part.config.trust_coefficient)
     kernels.trust_momentum_step(theta, g_eff, v, (ratios * eta).repeat(part.sizes),
@@ -292,9 +305,8 @@ def _lars(theta, g, v, m, s, eta, part: _Part, t: int):
         theta -= eta * part.wd * theta
 
 
-def _lamb(theta, g, v, m, s, eta, part: _Part, t: int):
-    base = _adam_direction(_with_l2(g, theta, part), m, s, part, t)
-    u = base + part.wd * theta if part.wd_on else base
+def _lamb(theta, g, v, d, eta, part: _Part):
+    u = d + part.wd * theta if part.wd_on else d
     ratios = _trust_ratios(theta, u, part, 1.0)
     theta -= (eta * ratios).repeat(part.sizes) * u
 
@@ -316,7 +328,10 @@ def _update_one(kind, theta, g, state: GroupState, eta, config, group_tag):
     _check(g, theta)
     v, m, s = state.v.copy(), state.m.copy(), state.s.copy()
     part = _Part(config, [Segment("", group_tag, theta.shape, 0, theta.size)])
-    _UPDATE_FNS[kind](theta, g, v, m, s, eta, part, state.t)
+    d = np.empty_like(theta) if part.moments else None
+    if part.moments:
+        _adam_direction(_with_l2(g, theta, part), m, s, d, part, state.t)
+    _UPDATE_FNS[kind](theta, g, v, d, eta, part)
     return theta, GroupState(v, m, s, state.t + 1)
 
 
@@ -362,14 +377,18 @@ def apply_step(theta: np.ndarray, g: np.ndarray, routing: RoutingRule, eta: floa
 
     `theta` is a store's flat vector and `g` its gradient in the same layout;
     `theta` and the slots of `state` are updated in place. The global step
-    counter advances exactly once; every rule sees the pre-step count so
-    Adam bias correction stays aligned. A raised error leaves them part-way.
+    counter advances exactly once; every moment pass sees the pre-step count
+    so Adam bias correction stays aligned. Each run of Adam-family parts
+    advances its moments first, then each rule runs once over its part. A
+    raised error leaves them part-way.
     """
     _check(g, theta)
     t = state.t
-    for kind, theta_p, g_p, v, m, s, part in state.plan_for(routing).views(
-            theta, g, state.v, state.m, state.s):
-        _UPDATE_FNS[kind](theta_p, g_p, v, m, s, eta, part, t)
+    moments, parts = state.plan_for(routing).views(theta, g, state.v, state.m, state.s)
+    for theta_r, g_r, m, s, d, lead in moments:
+        _adam_direction(_with_l2(g_r, theta_r, lead), m, s, d, lead, t)
+    for kind, theta_p, g_p, v, d, part in parts:
+        _UPDATE_FNS[kind](theta_p, g_p, v, d, eta, part)
     state.t = t + 1
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,44 @@ def test_tune_records_a_config_too_big_for_memory_as_an_error_trial(tmp_path, ba
     assert result.exit_code == 0, result.output
     record, = harness.read_results(tmp_path / "trials.jsonl")
     assert record.status == "error" and "MemoryError: Unable to allocate" in record.error
+
+
+# a spread of 1e308 makes the generated inputs overflow to inf; 5e307 keeps them
+# finite (the largest is about 1.4e308), and the run diverges at step 1
+HUGE_SPREAD = _data_with(spread=1e308)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_spread_that_overflows_the_inputs_exits_2_with_one_error_line(tmp_path, base_config,
+                                                                      command):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["config"], HUGE_SPREAD(base_config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning is not printed
+        result = CliRunner().invoke(main, COMMANDS[command](paths))
+    assert_one_error_line(result, f"{paths['config']}: data.spread: 1e+308 overflows "
+                                  "the generated inputs")
+
+
+def test_tune_records_a_spread_that_overflows_the_inputs_as_an_error_trial(tmp_path,
+                                                                           base_config):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["config"], HUGE_SPREAD(base_config))
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths))
+    assert result.exit_code == 0, result.output
+    record, = harness.read_results(tmp_path / "trials.jsonl")
+    assert record.status == "error"
+    assert record.error == "ValidationError: data.spread: 1e+308 overflows the generated inputs"
+
+
+def test_spread_with_finite_inputs_runs_and_diverges(tmp_path, base_config):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["config"], _data_with(spread=5e307)(base_config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = CliRunner().invoke(main, COMMANDS["train"](paths))
+    assert result.exit_code == 3, result.output
+    assert json.loads(result.stdout)["status"] == "diverged"
 
 
 def test_unknown_ablation_path_names_the_arm_and_the_path(tmp_path, base_config):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import BASE_CONFIG
-from optparity import harness, tuner
+from optparity import harness, model, tuner
 from optparity.errors import (
     ConfigPathUnknown,
     CorruptRecord,
@@ -360,6 +360,33 @@ DEEP_ABLATION = {
     "schedule": {"family": "cosine", "eta_peak": 0.01, "total_steps": 30},
     "budget_steps": 30, "batch_size": 16, "eval_every": 10,
 }
+
+
+def _deep_ablation_with(*routes):
+    """DEEP_ABLATION with its routes replaced by (tags, config) pairs."""
+    return {**copy.deepcopy(DEEP_ABLATION),
+            "optimizer": [{"tags": tags, "config": config} for tags, config in routes]}
+
+
+# the edges of the optimizer's moment runs, where adjacent Adam-family parts
+# advance their moments in one pass only when they share beta1, beta2,
+# epsilon and bias correction and take no L2 decay: LAMB and Adam with
+# different beta2 (two passes), LAMB with L2 decay beside Adam (two passes),
+# and Adam / heavy-ball / Adam, whose Adam parts are not adjacent
+MOMENTS_APART = _deep_ablation_with(
+    (["weight"], {"kind": "lamb", "decay": 1e-3, "exclude_tags": _NON_WEIGHT}),
+    (_NON_WEIGHT, {"kind": "adam", "beta2": 0.99, "exclude_tags": _NON_WEIGHT}))
+LAMB_L2_BESIDE_ADAM = _deep_ablation_with(
+    (["weight"], {"kind": "lamb", "decay": 1e-3, "decay_mode": "l2_into_gradient"}),
+    (_NON_WEIGHT, {"kind": "adam", "decay": 1e-3, "exclude_tags": _NON_WEIGHT}))
+ADAM_HEAVY_BALL_ADAM = _deep_ablation_with(
+    (["weight"], {"kind": "adam", "decay": 1e-3}),
+    (["bias"], {"kind": "heavy_ball", "momentum": 0.9}),
+    (["bn_scale", "bn_shift"], {"kind": "adam", "decay": 1e-3}))
+# a spread whose generated inputs stay finite but overflow the first BN
+# layer's sums: the run diverges at step 1
+HUGE_SPREAD = {**copy.deepcopy(BASE_CONFIG),
+               "data": {**BASE_CONFIG["data"], "spread": 5e307}}
 # the parity study's lars_hybrid routing on the tests' base config at a
 # 40-step budget: LARS on the weights, heavy-ball on the rest, L2 on both
 LARS_HYBRID = {
@@ -403,6 +430,10 @@ class TestRunMatchesReference:
     @example(DEEP_ABLATION)
     @example(LARS_HYBRID)
     @example(LARGE_BATCH)
+    @example(MOMENTS_APART)
+    @example(LAMB_L2_BESIDE_ADAM)
+    @example(ADAM_HEAVY_BALL_ADAM)
+    @example(HUGE_SPREAD)
     def test_whole_run(self, doc):
         self._check(doc)
 
@@ -419,8 +450,10 @@ class TestRunMatchesReference:
     @pytest.mark.parametrize("doc,step", [(DIVERGES_AT_LOGITS, 81),
                                           (DIVERGES_AT_BN_INPUT, 18),
                                           (DIVISION_HAZARD, 1),
-                                          (DIVERGES_AT_EVAL_POINT, 10)],
-                             ids=["logits", "bn-input", "division-hazard", "eval-point"])
+                                          (DIVERGES_AT_EVAL_POINT, 10),
+                                          (HUGE_SPREAD, 1)],
+                             ids=["logits", "bn-input", "division-hazard", "eval-point",
+                                  "huge-spread"])
     def test_examples_diverge_where_stated(self, doc, step):
         result = harness.run_training(harness.parse_config(doc))
         assert (result.status, result.diverged_step) == ("diverged", step)
@@ -488,34 +521,54 @@ class TestStudy:
 
     def test_one_and_two_workers_give_identical_records(self, base_config, monkeypatch):
         space = [SearchDim("schedule.eta_peak", "discrete_set", values=[1e30, 0.1, 0.3])]
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
         one = tuner.run_study(space, base_config, 3, 30, "final_train_accuracy", workers=1)
         two = tuner.run_study(space, base_config, 3, 30, "final_train_accuracy", workers=2)
         assert [r.status for r in one] == ["completed", "diverged", "completed"]
         assert one == two
 
-    def test_workers_capped_at_cpu_count(self, base_config, monkeypatch):
+    class InProcessPool:
+        """A stand-in for ProcessPoolExecutor that starts no process: it records
+        its size and runs the initializer and the jobs in this process."""
         started = []
 
-        class RecordingPool:
-            def __init__(self, max_workers, mp_context):
-                started.append(max_workers)
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            self.started.append(max_workers)
+            initializer(*initargs)
 
-            def __enter__(self):
-                return self
+        def __enter__(self):
+            return self
 
-            def __exit__(self, *exc):
-                return False
+        def __exit__(self, *exc):
+            return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+        def map(self, fn, jobs):
+            return map(fn, jobs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    def test_workers_capped_at_cpu_count(self, base_config, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.InProcessPool)
+        monkeypatch.setattr(self.InProcessPool, "started", [])
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(model, "_USE_WORKER", False)
         records = tuner.run_study(self.SPACE, base_config, 2, 10, "final_train_accuracy",
                                   workers=64)
-        assert started == [3]
+        assert self.InProcessPool.started == [3]
         assert [r.trial_index for r in records] == [0, 1]
+
+    # (usable CPUs, workers asked for, whether a pool process keeps the model's
+    # worker thread): a pool that fills the CPUs leaves no core for it
+    @pytest.mark.parametrize("cpus,workers,keeps", [(2, 2, False), (2, 8, False),
+                                                    (3, 3, False), (4, 2, True)])
+    def test_pool_process_drops_the_model_worker_when_the_pool_fills_the_cpus(
+            self, base_config, monkeypatch, cpus, workers, keeps):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.InProcessPool)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(model, "_USE_WORKER", True)
+        seen, run = [], harness.run_training
+        monkeypatch.setattr(harness, "run_training",
+                            lambda config: seen.append(model._USE_WORKER) or run(config))
+        tuner.run_study(self.SPACE, base_config, 2, 10, "final_train_accuracy", workers=workers)
+        assert seen == [keeps, keeps]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, base_config, workers):

@@ -332,11 +332,14 @@ class TestTrainWorkspace:
         cfg = small_config(layer_widths=[2, 16, 8, 2])
         store = init_mlp(cfg)
         batch = random_batch(cfg, 16, seed=11)
-        # the second BN layer's input overflows once the first has run
+        # the second BN layer's input overflows once the first has run; the
+        # layers after it run on, and no warning comes before the error
         w2 = store["w2"].values
         kept = w2.copy()
         w2[:] = 1e308
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteInput, match="BN input"):
+        with np.errstate(over="ignore"), warnings.catch_warnings(), \
+                pytest.raises(NonFiniteInput, match="BN input"):
+            warnings.simplefilter("error")
             forward(store, BnRunningStats.for_config(cfg), batch, cfg)
         w2[:] = kept
         self._assert_same(self._step(store, cfg, batch),

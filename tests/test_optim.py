@@ -354,6 +354,53 @@ class TestComposite:
         composite_step(store, grads, routing, 0.1, OptimizerState.for_store(store))
         assert calls == ["lamb", "adam"]
 
+    # (routes as (tags, config settings), the sizes of the moment passes): the
+    # store holds 3 weights, 2 biases and 1 BN scale, in that flat order
+    WEIGHT, REST = frozenset({"weight"}), frozenset(TAGS)
+    MOMENT_RUNS = [
+        pytest.param([(WEIGHT, {"kind": "lamb"}), (REST, {"kind": "adam"})], [6], id="lamb-adam"),
+        pytest.param([(WEIGHT, {"kind": "lamb"}), (REST, {"kind": "adam", "beta2": 0.99})],
+                     [3, 3], id="beta2-apart"),
+        pytest.param([(WEIGHT, {"kind": "lamb", "decay": 0.01,
+                                "decay_mode": "l2_into_gradient"}),
+                      (REST, {"kind": "adam"})], [3, 3], id="l2-apart"),
+        pytest.param([(WEIGHT, {"kind": "lamb", "decay_mode": "l2_into_gradient"}),
+                      (REST, {"kind": "adam"})], [6], id="l2-without-decay"),
+        pytest.param([(WEIGHT, {"kind": "adam"}), (frozenset({"bias"}), {"kind": "heavy_ball"}),
+                      (REST, {"kind": "adam"})], [3, 1], id="adam-heavy-ball-adam"),
+        pytest.param([(REST, {"kind": "nesterov", "momentum": 0.9})], [], id="no-adam"),
+    ]
+
+    @pytest.mark.parametrize("routes,passes", MOMENT_RUNS)
+    def test_one_moment_pass_per_run_of_adjacent_adam_family_parts(self, monkeypatch,
+                                                                  routes, passes):
+        from optparity import kernels
+
+        sizes, moments = [], kernels.adam_moments
+        monkeypatch.setattr(kernels, "adam_moments",
+                            lambda m, *args: sizes.append(m.size) or moments(m, *args))
+        store = build_param_store([
+            ParamGroup("w1", "weight", arr(1.0, 2.0), (2,)),
+            ParamGroup("b1", "bias", arr(0.5), (1,)),
+            ParamGroup("w2", "weight", arr(3.0), (1,)),
+            ParamGroup("bn1_scale", "bn_scale", arr(1.0), (1,)),
+            ParamGroup("b2", "bias", arr(-0.5), (1,)),
+        ])
+        routes = [(tags, OptimizerConfig(**settings)) for tags, settings in routes]
+        grads = {n: np.linspace(-1.0, 1.0, store[n].values.size) + 0.3
+                 for n in store.names()}
+        state = OptimizerState.for_store(store)
+        new_store, new_state = composite_step(store, grads, RoutingRule(routes), 0.1, state)
+        assert sizes == passes
+        want = oracles.per_group_step(
+            [{"tag": store[n].tag, "theta": store[n].values, "g": grads[n],
+              **{key: getattr(state.slots[n], key) for key in ("v", "m", "s")}}
+             for n in store.names()], routes, 0.1, 0)
+        for name, group in zip(store.names(), want):
+            np.testing.assert_array_equal(new_store[name].values, group["theta"])
+            for key in ("v", "m", "s"):
+                np.testing.assert_array_equal(getattr(new_state.slots[name], key), group[key])
+
     def test_plan_follows_a_new_routing(self):
         store = self.make_store()
         grads = {n: np.ones_like(store[n].values) for n in store.names()}
