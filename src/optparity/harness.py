@@ -330,6 +330,14 @@ def parse_config(doc) -> ExperimentConfig:
     if data.classes > widths[-1]:
         raise ValidationError("data.classes", f"must be <= model.layer_widths[-1] "
                                               f"{widths[-1]}, got {data.classes}")
+    # the generated inputs and the logits over them are (classes * per_class, width)
+    # float64 arrays
+    width = max(widths[0], widths[-1])
+    most = np.iinfo(np.intp).max // (data.classes * width * 8)
+    if data.per_class > most:
+        raise ValidationError("data.per_class", f"must be <= {most}, the most rows per class "
+                                                f"for which {data.classes} classes of {width} "
+                                                "float64 values fit numpy's array size limit")
     if budget <= 0:
         raise ValidationError("budget_steps", "must be > 0")
     if config.schedule.total_steps != budget:

@@ -398,6 +398,8 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     hold, and `x` is not checked: forward checks the means in the stat rows.
     A cache made here holds its own dx buffer, so it serves one bn_backward.
     """
+    if mode not in ("train", "eval"):
+        raise InvalidConfig(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or cache is None:
         _check_bn_input(x)
     n = x.shape[0]
@@ -773,6 +775,8 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     piece, and the worker normalizes its own; the running statistics' sums,
     the output-layer product and the loss run over all rows on this thread.
     """
+    if mode not in ("train", "eval"):
+        raise InvalidConfig(f"mode must be 'train' or 'eval', got {mode!r}")
     x, labels = batch.inputs, batch.labels
     widths = config.layer_widths
     if x.shape[1] != widths[0]:

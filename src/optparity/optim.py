@@ -15,12 +15,14 @@ tags), and each rule updates its whole slice with one fused call: per-
 element decay where exclusions differ, per-group LARS/LAMB trust ratios.
 Adjacent Adam and LAMB slices that share their moment settings advance
 their moments and take their direction in one pass before the rules run.
-`apply_step` updates a flat parameter vector and the optimizer state in
-place; `composite_step` is its copy-on-write form over a store and a
-gradient dict, returning a new store and state.
+`apply_step` is the one code path that dispatches a rule: it updates a
+flat parameter vector and the optimizer state in place, over the layout
+the store keeps in ``flat_order``. `composite_step` runs it on copies of
+a store and of every slot vector, with the gradient given as a dict, and
+returns the new store and state.
 
-The public ``*_update`` functions apply the same fused rules to a single
-group and return new arrays, leaving their inputs untouched.
+The public ``*_update`` functions run `apply_step` over a one-group
+layout and return new arrays, leaving their inputs untouched.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import LengthMismatch, NonFiniteInput, DivisionHazard, UncoveredTag
+from .errors import DivisionHazard, InvalidConfig, LengthMismatch, NonFiniteInput, UncoveredTag
 from .param_store import ParamStore, Segment, TAGS, all_finite, const
 
 KINDS = ("heavy_ball", "nesterov", "adam", "lars", "lamb")
@@ -91,42 +93,36 @@ class GroupState:
 
 
 class OptimizerState:
-    """Flat slot vectors `v`, `m`, `s` laid out like the store's `flat`.
+    """Flat slot vectors `v`, `m`, `s` laid out like a store's `flat`.
 
-    `slots` maps each group name to a `GroupState` of views into them. The
-    state also carries the routing plan of the run it belongs to, so the
-    plan is built once per run and not per step.
+    `segments` is that layout in flat order (a store's `flat_order`), and
+    `slots` maps each group name to a `GroupState` of views into the slot
+    vectors. The state also carries the routing plan of the run it belongs
+    to, so the plan is built once per run and not per step.
     """
 
-    def __init__(self, v, m, s, t: int = 0, segments: tuple[Segment, ...] = (),
-                 plan: "_Plan | None" = None):
+    def __init__(self, v, m, s, t: int = 0, segments: tuple[Segment, ...] = ()):
         self.v, self.m, self.s, self.t = v, m, s, t
         self.segments = segments
-        self._plan = plan
-        self._slots = (None, {})
+        self._plan = None
 
     @classmethod
     def for_store(cls, store: ParamStore) -> "OptimizerState":
         n = store.flat.size
-        return cls(np.zeros(n), np.zeros(n), np.zeros(n), 0, store.segments)
+        return cls(np.zeros(n), np.zeros(n), np.zeros(n), 0, store.flat_order)
 
     @property
     def slots(self) -> dict[str, GroupState]:
-        """Per-group views of the slot vectors, rebuilt when the step count moves."""
-        if self._slots[0] != self.t:
-            self._slots = (self.t, {
-                seg.name: GroupState(self.v[seg.start:seg.stop], self.m[seg.start:seg.stop],
+        """Per-group views of the slot vectors at the current step count."""
+        return {seg.name: GroupState(self.v[seg.start:seg.stop], self.m[seg.start:seg.stop],
                                      self.s[seg.start:seg.stop], self.t)
-                for seg in self.segments
-            })
-        return self._slots[1]
+                for seg in self.segments}
 
     def plan_for(self, routing: "RoutingRule") -> "_Plan":
         """The parts `routing` makes of this state's layout, built once per routing."""
         plan = self._plan
         if plan is None or plan.routing is not routing:
-            plan = self._plan = _Plan(routing,
-                                      tuple(sorted(self.segments, key=lambda s: s.start)))
+            plan = self._plan = _Plan(routing, self.segments)
         return plan
 
 
@@ -191,7 +187,7 @@ class _Plan:
     """The parts a routing makes of one store layout, in flat order."""
 
     def __init__(self, routing: RoutingRule, flat_order: tuple[Segment, ...]):
-        self.routing, self.flat_order = routing, flat_order
+        self.routing = routing
         runs: list[tuple[OptimizerConfig, list[Segment]]] = []
         for seg in flat_order:
             cfg = routing.config_for(seg.tag)
@@ -205,10 +201,6 @@ class _Plan:
         passes = [list(run) for key, run in itertools.groupby(
             self.parts, lambda p: p.moments and (p.moments, p.l2_on and id(p))) if key]
         self.moments = [(slice(run[0].slice.start, run[-1].slice.stop), run[0]) for run in passes]
-        kinds = {part.config.kind for part in self.parts}
-        self.writes_v = bool(kinds & {"heavy_ball", "nesterov", "lars"})
-        self.writes_ms = bool(self.moments)
-        self.grad_shapes = [(seg.stop - seg.start,) for seg in flat_order]
         self._vectors = None
 
     def views(self, theta, g, v, m, s) -> tuple[list[tuple], list[tuple]]:
@@ -320,19 +312,17 @@ _UPDATE_FNS = {
 }
 
 
-# -- one-group updates: pure functions over the same fused rules ------------
+# -- one-group updates: apply_step over a one-segment layout ---------------
 
 def _update_one(kind, theta, g, state: GroupState, eta, config, group_tag):
+    if config.kind != kind:
+        raise InvalidConfig(f"{kind}_update got a config of kind {config.kind!r}")
     theta = np.array(theta, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    _check(g, theta)
-    v, m, s = state.v.copy(), state.m.copy(), state.s.copy()
-    part = _Part(config, [Segment("", group_tag, theta.shape, 0, theta.size)])
-    d = np.empty_like(theta) if part.moments else None
-    if part.moments:
-        _adam_direction(_with_l2(g, theta, part), m, s, d, part, state.t)
-    _UPDATE_FNS[kind](theta, g, v, d, eta, part)
-    return theta, GroupState(v, m, s, state.t + 1)
+    one = OptimizerState(state.v.copy(), state.m.copy(), state.s.copy(), state.t,
+                         (Segment("", group_tag, theta.shape, 0, theta.size),))
+    apply_step(theta, np.asarray(g, dtype=np.float64),
+               RoutingRule([(frozenset({group_tag}), config)]), eta, one)
+    return theta, GroupState(one.v, one.m, one.s, one.t)
 
 
 def heavy_ball_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig,
@@ -358,17 +348,6 @@ def lars_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig
 def lamb_update(theta, g, state: GroupState, eta: float, config: OptimizerConfig,
                 group_tag: str = "weight"):
     return _update_one("lamb", theta, g, state, eta, config, group_tag)
-
-
-def _flat_gradient(grads: dict[str, np.ndarray], plan: _Plan) -> np.ndarray:
-    """The gradients concatenated in flat order, each checked for length."""
-    parts = [grads[seg.name] for seg in plan.flat_order]
-    shapes = [p.shape for p in parts]
-    if shapes != plan.grad_shapes:
-        for seg, shape, want in zip(plan.flat_order, shapes, plan.grad_shapes):
-            if shape != want:
-                raise LengthMismatch(f"gradient of {seg.name!r}: {shape} vs {want}")
-    return np.concatenate(parts, dtype=np.float64)
 
 
 def apply_step(theta: np.ndarray, g: np.ndarray, routing: RoutingRule, eta: float,
@@ -402,13 +381,16 @@ def composite_step(
     """`apply_step` on copies: returns a new store and state.
 
     `grads` maps every group name to its flat gradient. Neither `store`
-    nor `state` is modified; slot vectors no routed rule writes are shared.
+    nor `state` is modified.
     """
-    plan = state.plan_for(routing)
-    g = _flat_gradient(grads, plan)
+    g = np.empty(store.flat.size)
+    for seg in store.flat_order:
+        grad, want = grads[seg.name], (seg.stop - seg.start,)
+        if grad.shape != want:
+            raise LengthMismatch(f"gradient of {seg.name!r}: {grad.shape} vs {want}")
+        g[seg.start:seg.stop] = grad
     new_store = store.copy()
-    v = state.v.copy() if plan.writes_v else state.v
-    m, s = (state.m.copy(), state.s.copy()) if plan.writes_ms else (state.m, state.s)
-    new_state = OptimizerState(v, m, s, state.t, state.segments, plan)
+    new_state = OptimizerState(state.v.copy(), state.m.copy(), state.s.copy(), state.t,
+                               state.segments)
     apply_step(new_store.flat, g, routing, eta, new_state)
     return new_store, new_state

@@ -5,16 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_one_traced_deep_ablation_round_checks_out():
-    """One untraced and one traced round of deep_ablation: the benchmark checks
+@pytest.mark.parametrize("workload", ["parity_study", "large_batch", "deep_ablation"])
+def test_one_traced_round_checks_out(workload):
+    """One untraced and one traced round of a workload: the benchmark checks
     the program's outputs, its call counts, the composite step against its
-    vector reference and the tracer's span stack, and exits 1 when one fails.
-    It writes only into the git-ignored perfbench-out/."""
+    vector reference on the workload's routing and the tracer's span stack,
+    and exits 1 when one fails. It writes only into the git-ignored
+    perfbench-out/."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "deep_ablation", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,14 +1,18 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import optparity
+from conftest import BASE_CONFIG
 from optparity import harness
 from optparity.cli import main
 
@@ -307,6 +311,34 @@ def test_tune_records_a_config_too_big_for_memory_as_an_error_trial(tmp_path, ba
     assert record.status == "error" and "MemoryError: Unable to allocate" in record.error
 
 
+# per_class values whose dataset numpy cannot describe: 2**62 rows per class make
+# an array too big, and 10**30 or 1e308 a dimension past numpy's index type
+PAST_ARRAY_LIMIT = [2**62, 10**30, 1e308]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "tune"])
+@pytest.mark.parametrize("per_class", PAST_ARRAY_LIMIT)
+def test_per_class_past_the_array_limit_exits_2_with_one_error_line(tmp_path, base_config,
+                                                                    command, per_class):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["config"], _data_with(per_class=per_class)(base_config))
+    result = CliRunner().invoke(main, COMMANDS[command](paths))
+    assert_one_error_line(result, f"{paths['config']}: data.per_class: must be <= "
+                                  f"{(2**63 - 1) // 32}, the most rows per class for which 2 "
+                                  "classes of 2 float64 values fit numpy's array size limit")
+    assert not (tmp_path / "trials.jsonl").exists()
+
+
+@pytest.mark.parametrize("per_class", PAST_ARRAY_LIMIT)
+def test_ablation_arm_past_the_array_limit_exits_2_with_one_error_line(tmp_path, base_config,
+                                                                       per_class):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["overrides"], [["a", "data.per_class", per_class]])
+    result = CliRunner().invoke(main, COMMANDS["ablate"](paths))
+    assert_one_error_line(result, f"{paths['config']}: arm 'a' (data.per_class = "
+                                  f"{per_class!r}): data.per_class: ")
+
+
 # a spread of 1e308 makes the generated inputs overflow to inf; 5e307 keeps them
 # finite (the largest is about 1.4e308), and the run diverges at step 1
 HUGE_SPREAD = _data_with(spread=1e308)
@@ -499,3 +531,45 @@ def test_import_loads_no_process_pool():
                            text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+
+
+def _leaves(doc, path=()):
+    """The path of every scalar in a JSON document, as a tuple of keys and indices."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+    return [path]
+
+
+# the tests' base config cut to 4 steps, and values a document may hold in any leaf
+FUZZ_BASE = {**copy.deepcopy(BASE_CONFIG), "budget_steps": 4,
+             "schedule": {**BASE_CONFIG["schedule"], "total_steps": 4}}
+FUZZ_VALUES = [0, -1, 2**62, 10**30, 1e308, 5e-324, float("nan"), float("inf"), "x", None,
+               [], {}, True]
+FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(_leaves(FUZZ_BASE)),
+                                st.sampled_from(FUZZ_VALUES)),
+                      min_size=1, max_size=2, unique_by=lambda edit: edit[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(FUZZ_EDITS)
+@example([(("data", "per_class"), 2**62)])
+@example([(("data", "per_class"), 10**30)])
+@example([(("data", "per_class"), 1e308)])
+def test_train_on_a_config_with_odd_leaves_ends_in_a_result_or_one_error_line(edits):
+    """Whatever one or two leaves hold, train completes (0), diverges (3), or
+    exits 2 with one `error:` line; it never ends in a traceback."""
+    doc = copy.deepcopy(FUZZ_BASE)
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        write_json(config, doc)
+        result = CliRunner().invoke(main, ["train", "--config", str(config)])
+    if result.exit_code not in (0, 3):
+        assert result.exit_code == 2, (edits, result.exception, result.output)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (edits, result.stderr)

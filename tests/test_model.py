@@ -125,6 +125,12 @@ class TestBnForward:
         assert cache is None
         np.testing.assert_allclose(y.ravel(), [-1.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["Eval", "evaluate", "TRAIN", None])
+    def test_unknown_mode_rejected(self, mode):
+        x = np.full((4, 1), 10.0)
+        with pytest.raises(InvalidConfig, match="mode must be 'train' or 'eval'"):
+            bn_forward(x, np.ones(1), np.zeros(1), 1e-5, 4, mode, np.zeros(1), np.ones(1), 0.9)
+
     def test_running_stats_update_direction(self):
         x = np.full((4, 1), 10.0)
         _, _, m, v = bn_forward(x, np.ones(1), np.zeros(1), 1e-5, 4, "train",
@@ -225,6 +231,23 @@ class TestForward:
         bad = Batch(np.zeros((8, 2)), np.array([0, 1, 0, 1, 2, 0, 1, 0]))
         with pytest.raises(InvalidConfig, match="label out of range"):
             forward(store, BnRunningStats.for_config(cfg), bad, cfg, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["Eval", "evaluate", "TRAIN"])
+    def test_unknown_mode_rejected_before_the_pass(self, mode):
+        """No pass runs: the last train forward's cache stays fresh and backward
+        still takes it."""
+        cfg = small_config()
+        store = init_mlp(cfg)
+        stats = BnRunningStats.for_config(cfg)
+        batch = random_batch(cfg, 16)
+        _, _, cache, _ = forward(store, stats, batch, cfg)
+        want = backward(cache, store, cfg)
+        _, _, cache, _ = forward(store, stats, batch, cfg)
+        with pytest.raises(InvalidConfig, match="mode must be 'train' or 'eval'"):
+            forward(store, stats, batch, cfg, mode=mode)
+        got = backward(cache, store, cfg)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
 
     def test_determinism_bitwise(self):
         cfg = small_config(label_smoothing=0.1)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from optparity.errors import DivisionHazard, LengthMismatch, NonFiniteInput, UncoveredTag
+from optparity.errors import (DivisionHazard, InvalidConfig, LengthMismatch, NonFiniteInput,
+                              UncoveredTag)
 from optparity.optim import (
     KINDS,
     GroupState,
@@ -209,6 +210,21 @@ class TestDecayModes:
             t1, s1 = heavy_ball_update(t1, g, s1, 0.05, l2)
             t2, s2 = heavy_ball_update(t2, g, s2, 0.05, dec)
         assert np.max(np.abs(t1 - t2)) > 1e-8
+
+
+UPDATES = {"heavy_ball": heavy_ball_update, "nesterov": nesterov_update,
+           "adam": adam_update, "lars": lars_update, "lamb": lamb_update}
+
+
+@pytest.mark.parametrize("kind,other", [(k, o) for k in KINDS for o in KINDS if o != k])
+def test_one_group_update_rejects_a_config_of_another_kind(kind, other):
+    """A rule's one-group update runs that rule only: a config of another kind
+    is an error naming both, not that other rule's state or a TypeError."""
+    state = GroupState.zeros(2)
+    with pytest.raises(InvalidConfig, match=f"{kind}_update .*'{other}'"):
+        UPDATES[kind](arr(1.0, -2.0), arr(0.5, 0.25), state, 0.1, OptimizerConfig(kind=other))
+    for slot in (state.v, state.m, state.s):
+        np.testing.assert_array_equal(slot, 0.0)
 
 
 class TestOracleTrajectories:
