@@ -1,38 +1,62 @@
 """Command-line surface: train, tune, ablate, schedule export, report.
 
-Exit codes: 0 success, 2 config/validation error, 3 a single `train` run
-diverged.
+Exit codes: 0 success, 3 a single `train` run diverged, and 2 with one
+`error:` line for any input the package rejects or cannot hold in memory.
+Every command body runs inside `_boundary`, the one place where an error
+becomes an exit code. A command checks its options first, then its
+documents, the config last, so that the config names the errors of runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
 import sys
+import types
 from dataclasses import asdict
 
 import click
 
 from . import harness, tuner
-from .errors import OptparityError, ParseError, ValidationError
+from .errors import IoFailure, OptparityError, ParseError, ValidationError
 from .schedule import ScheduleSpec, export_schedule
 
 
+@contextlib.contextmanager
+def _boundary(doc=None):
+    """Run a command body: a package error or MemoryError raised in it writes
+    one `error:` line and exits 2. A ParseError, ValidationError or
+    MemoryError is prefixed with the path of the document the yielded `doc`
+    names, if any; every other package error names what it concerns."""
+    at = types.SimpleNamespace(doc=doc)
+    try:
+        yield at
+    except (OptparityError, MemoryError) as exc:
+        if at.doc and isinstance(exc, (ParseError, ValidationError, MemoryError)):
+            exc = f"{at.doc}: {exc}"
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+
+
 def _load_json(path):
-    """The JSON document at `path`; an unreadable or malformed file exits 2."""
+    """The JSON document at `path`; IoFailure if it cannot be read, ParseError
+    if it is no JSON."""
     try:
         with open(path) as f:
             return json.load(f)
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
-        _fail(f"{path}: {exc}")
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+    except ValueError as exc:  # JSON and UTF-8 errors
+        raise ParseError(str(exc)) from exc
 
 
 def _load_config(path, seed=None):
     """The JSON object at `path` (a config or schedule spec), `seed` as base_seed."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
-        _fail(f"{path}: expected a JSON object")
+        raise ParseError("expected a JSON object")
     if seed is not None:
         doc["base_seed"] = seed
     return doc
@@ -46,29 +70,24 @@ def _json_or_text(text):
 
 
 def _check_out(path):
-    """Exit 2 if no file can be written at `path`, so that a command fails
+    """IoFailure if no file can be written at `path`, so that a command fails
     before its first run; creates and truncates nothing."""
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
-        _fail(f"{path}: {os.strerror(errno.EISDIR)}")
+        raise IoFailure(f"{path}: {os.strerror(errno.EISDIR)}")
     if not os.path.isdir(folder):
-        _fail(f"{path}: {os.strerror(errno.ENOENT)}")
+        raise IoFailure(f"{path}: {os.strerror(errno.ENOENT)}")
     if not os.access(path if os.path.exists(path) else folder, os.W_OK):
-        _fail(f"{path}: {os.strerror(errno.EACCES)}")
+        raise IoFailure(f"{path}: {os.strerror(errno.EACCES)}")
 
 
 def _write_text(path, text):
-    """Write `text` to the file at `path`; an unwritable path exits 2."""
+    """Write `text` to the file at `path`; IoFailure if it cannot be written."""
     try:
         with open(path, "w") as f:
             f.write(text)
     except OSError as exc:
-        _fail(f"{path}: {exc.strerror}")
-
-
-def _fail(exc, code=2):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
+        raise IoFailure(f"{path}: {exc.strerror}") from exc
 
 
 @click.group()
@@ -82,16 +101,13 @@ def main():
 @click.option("--seed", default=None, type=int, help="Override base_seed.")
 def train(config_path, out_path, seed):
     """Run one training job and print/write its result."""
-    doc = _load_config(config_path, seed)
-    try:
-        config = harness.parse_config(doc)
+    with _boundary(config_path):
+        config = harness.parse_config(_load_config(config_path, seed))
         if out_path:
             _check_out(out_path)
         result = harness.run_training(config)
-    except (ParseError, ValidationError, MemoryError) as exc:  # invalid, or too big to run
-        _fail(f"{config_path}: {exc}")
-    if out_path:
-        _write_text(out_path, json.dumps(asdict(result), indent=2))
+        if out_path:
+            _write_text(out_path, json.dumps(asdict(result), indent=2))
     click.echo(json.dumps({
         "status": result.status,
         "steps_run": result.steps_run,
@@ -117,26 +133,18 @@ def train(config_path, out_path, seed):
               help="Worker processes (>= 1); at most one per usable CPU runs.")
 def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed, workers):
     """Quasi-random search; appends trial records to a JSONL log."""
-    try:
+    with _boundary() as at:
         harness.check_metric(metric, "--metric")
-    except ValidationError as exc:
-        _fail(exc)
-    doc = _load_config(config_path, seed)
-    try:
+        at.doc = space_path
         space = harness.read_as(_load_json(space_path), list[tuner.SearchDim], "space")
-    except ValidationError as exc:
-        _fail(f"{space_path}: {exc}")
-    if budget is None:
-        budget = doc.get("budget_steps")  # run_study reads it as an integer
-    _check_out(out_path)
-    try:
+        at.doc = config_path  # which also names the study's errors
+        doc = _load_config(config_path, seed)
+        if budget is None:
+            budget = doc.get("budget_steps")  # run_study reads it as an integer
+        _check_out(out_path)
         records = tuner.run_study(space, doc, trials, budget, metric,
                                   offset=offset, workers=workers)
         harness.write_results(records, out_path)
-    except (ParseError, ValidationError) as exc:  # no trial's config is valid
-        _fail(f"{config_path}: {exc}")
-    except OptparityError as exc:
-        _fail(exc)
     try:
         best = tuner.select_best(records, metric)
         click.echo(json.dumps({"best_trial": best.trial_index,
@@ -154,29 +162,21 @@ def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed
 @click.option("--out", "out_path", default=None, type=click.Path())
 def ablate(config_path, overrides_path, seeds, out_path):
     """One-at-a-time ablation arms, each evaluated over the seed list."""
-    doc = _load_config(config_path)
-    try:
-        overrides = harness.read_as(_load_json(overrides_path), list[harness.Override],
-                                    "overrides")
-    except ValidationError as exc:
-        _fail(f"{overrides_path}: {exc}")
-    try:
+    with _boundary() as at:
         # each entry as a JSON value, so that "1.5" reads as a number and is rejected
         # as one; an entry that is no JSON value stays text, which read_as rejects
         seed_list = harness.read_as([_json_or_text(s) for s in seeds.split(",") if s.strip()],
                                     list[int], "--seeds")
-    except ValidationError as exc:
-        _fail(exc)
-    if out_path:
-        _check_out(out_path)
-    try:
+        at.doc = overrides_path
+        overrides = harness.read_as(_load_json(overrides_path), list[harness.Override],
+                                    "overrides")
+        at.doc = config_path  # which also names an invalid or too big arm
+        doc = _load_config(config_path)
+        if out_path:
+            _check_out(out_path)
         rows = harness.run_ablation(doc, overrides, seed_list)
         if out_path:
             harness.write_summaries(rows, out_path)
-    except (ParseError, ValidationError, MemoryError) as exc:  # an arm is invalid or too big
-        _fail(f"{config_path}: {exc}")
-    except OptparityError as exc:
-        _fail(exc)
     text, _ = harness.report(rows)
     click.echo(text, nl=False)
 
@@ -192,15 +192,10 @@ def schedule():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def schedule_export(config_path, out_path):
     """Write the full step,lr curve as CSV."""
-    doc = _load_config(config_path)
-    try:
+    with _boundary(config_path):
+        doc = _load_config(config_path)
         spec = harness.read_as(doc.get("schedule", doc), ScheduleSpec, "schedule")
-    except ValidationError as exc:
-        _fail(f"{config_path}: {exc}")
-    try:
         export_schedule(spec, out_path)
-    except OptparityError as exc:
-        _fail(exc)
     click.echo(f"wrote {spec.total_steps + 1} rows to {out_path}")
 
 
@@ -211,13 +206,11 @@ def schedule_export(config_path, out_path):
               help="Optional CSV output path.")
 def report(results_path, out_path):
     """Render a persisted summary file as a table."""
-    try:
+    with _boundary():  # read_summaries puts the path in its ParseError itself
         rows = harness.read_summaries(results_path)
         text, csv_text = harness.report(rows)
-    except OptparityError as exc:
-        _fail(exc)
-    if out_path:
-        _write_text(out_path, csv_text)
+        if out_path:
+            _write_text(out_path, csv_text)
     click.echo(text, nl=False)
 
 

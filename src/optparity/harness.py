@@ -480,7 +480,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                     raise NonFiniteInput("non-finite parameters")
                 if t % every == 0 or t == budget:
                     evaluate(t, lr)
-            except (NonFiniteInput, DivisionHazard, FloatingPointError):
+            except (NonFiniteInput, DivisionHazard):
                 result.status = "diverged"
                 result.diverged_step = t
                 result.steps_run = t - 1
@@ -494,17 +494,11 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     return result
 
 
-@dataclass
-class Job:
-    """One run of a batch: its parsed config, or why the config did not parse."""
-    config: ExperimentConfig | None = None
-    error: ParseError | ValidationError | None = None
-
-
-def expand_jobs(base: dict, assignments: list[dict]) -> list[Job]:
-    """A Job per assignment of dotted path -> value on a copy of `base`, every
-    config parsed before any job runs; one whose path is unknown or whose
-    config does not parse is kept as its error."""
+def expand_jobs(base: dict, assignments: list[dict]
+                ) -> list[ExperimentConfig | ParseError | ValidationError]:
+    """Per assignment of dotted path -> value on a copy of `base`, its parsed
+    ExperimentConfig, or the ParseError or ValidationError of an unknown path
+    or a config that does not parse; every config is parsed before any job runs."""
     jobs = []
     for assignment in assignments:
         doc = deep_copy_config(base)
@@ -514,19 +508,20 @@ def expand_jobs(base: dict, assignments: list[dict]) -> list[Job]:
                     doc[path] = value
                 else:
                     patch_config(doc, path, value)
-            jobs.append(Job(parse_config(doc)))
+            jobs.append(parse_config(doc))
         except (ParseError, ValidationError) as exc:
-            jobs.append(Job(error=exc))
+            jobs.append(exc)
     return jobs
 
 
-def run_jobs(jobs: list[Job], workers: int = 1) -> list:
-    """Each job's TrainResult, parse error or run's exception, in job order.
-    At most `usable_cpus()` spawned processes run, and the results do not
-    depend on their number."""
+def run_jobs(jobs: list[ExperimentConfig | ParseError | ValidationError],
+             workers: int = 1) -> list:
+    """Each job's TrainResult or run's exception, and a job that is an error
+    as it is, in job order. At most `usable_cpus()` spawned processes run,
+    and the results do not depend on their number."""
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    configs = [job.config for job in jobs if job.error is None]
+    configs = [job for job in jobs if not isinstance(job, Exception)]
     workers = min(workers, usable_cpus())
     if workers > 1:
         import multiprocessing  # here, so that a sequential run never loads it
@@ -538,7 +533,7 @@ def run_jobs(jobs: list[Job], workers: int = 1) -> list:
             ran = iter(list(pool.map(_run_job, configs)))
     else:
         ran = iter([_run_job(config) for config in configs])
-    return [job.error or next(ran) for job in jobs]
+    return [job if isinstance(job, Exception) else next(ran) for job in jobs]
 
 
 def _start_pool_process(workers: int):
@@ -567,15 +562,15 @@ def _arm_summaries(base: dict, arms: list[dict], seeds: list[int], target=None,
         raise InvalidConfig("seeds must be non-empty and distinct")
     jobs = expand_jobs(base, [{**arm, "base_seed": seed} for arm in arms for seed in seeds])
     for i, job in enumerate(jobs):
-        if job.error is not None:
+        if isinstance(job, Exception):
             arm = arms[i // len(seeds)]
             if labels is None or not arm:
-                raise job.error
+                raise job
             patches = ", ".join(f"{path} = {value!r}" for path, value in arm.items())
             raise ValidationError(f"arm {labels[i // len(seeds)]!r} ({patches})",
-                                  str(job.error)) from job.error
-    target = jobs[0].config.target_value if target is None else target
-    metric = check_metric(metric or jobs[0].config.target_metric, "metric")
+                                  str(job)) from job
+    target = jobs[0].target_value if target is None else target
+    metric = check_metric(metric or jobs[0].target_metric, "metric")
     fallback = -math.inf if mode == "max" else math.inf
     values = []
     for result in run_jobs(jobs):

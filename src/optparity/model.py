@@ -346,16 +346,16 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, dx, scratch, mask=
     """A train-mode BN cache over the (n, c) buffer `y`, walked in `pieces`,
     row slices each of which begins where one of `blocks` (`_bn_blocks`) does.
 
-    bn_forward normalizes `y` in place through the cache, or through one of
-    its "pieces" on the piece's rows: it writes x-hat and the
-    per-virtual-batch inverse standard deviations into the cache's own
-    buffers and each virtual batch's mean and variance into `stat_rows`, a
-    (2, n // vbs, c) view. bn_backward writes dx over dy in the (n, c) buffer
-    `dx`, with the (n, c) `scratch`; given the boolean `mask` of the ReLU
-    that reads BN's output, it first multiplies dy there by the mask. "back"
-    holds its views per piece: the piece's rows of dx, of the mask (or None),
-    of x-hat and of scratch, then per block (dx, x-hat, scratch, a
-    (blocks, 1, c) column buffer, 1/std as a column).
+    bn_forward normalizes `y`, the cache's "x", in place through the cache,
+    or through one of its "pieces" on its "x", its view of the piece's rows:
+    it writes x-hat and the per-virtual-batch inverse standard deviations
+    into the cache's own buffers and each virtual batch's mean and variance
+    into `stat_rows`, a (2, n // vbs, c) view. bn_backward writes dx over
+    dy in the (n, c) buffer `dx`, with the (n, c) `scratch`; given the
+    boolean `mask` of the ReLU that reads BN's output, it first multiplies
+    dy there by the mask. "back" holds its views per piece: the piece's rows
+    of dx, of the mask (or None), of x-hat and of scratch, then per block
+    (dx, x-hat, scratch, a (blocks, 1, c) column buffer, 1/std as a column).
     """
     n, c = y.shape
     n_sub = n // vbs
@@ -373,10 +373,10 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, dx, scratch, mask=
             forward_blocks.append((y3[sub], xhat3[sub], mu, mu[:, None], var, inv,
                                    inv[:, None]))
             back_blocks.append((dx3[sub], xhat3[sub], scratch3[sub], cols[sub], inv[:, None]))
-        forward_pieces.append({"blocks": forward_blocks, "vbs": vbs_const})
+        forward_pieces.append({"x": y[rows], "blocks": forward_blocks, "vbs": vbs_const})
         back.append((dx[rows], None if mask is None else mask[rows], xhat[rows],
                      scratch[rows], back_blocks))
-    return {"xhat": xhat, "inv_stds": inv_stds, "vbs": vbs_const, "gamma": gamma,
+    return {"x": y, "xhat": xhat, "inv_stds": inv_stds, "vbs": vbs_const, "gamma": gamma,
             "blocks": [blk for piece in forward_pieces for blk in piece["blocks"]],
             "pieces": forward_pieces, "dx": dx, "scratch": scratch, "back": back}
 
@@ -392,7 +392,8 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     Returns (y, cache, running_mean', running_var').
 
     Given a train-mode `cache` built over `x` (see `_ghost_bn_cache`), or one
-    of its pieces with `x` the piece's rows, the call reuses it: y is written
+    of its pieces with `x` the piece's own view of its rows, the call reuses
+    it; any other `x` raises StaleCache before any write. y is written
     over `x` and the running statistics are returned as given, since the
     caller updates every layer's at once from the sums the cache's stat rows
     hold, and `x` is not checked: forward checks the means in the stat rows.
@@ -410,6 +411,8 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     if n % virtual_batch_size != 0:
         raise IndivisibleBatch(f"{n} rows vs virtual batch {virtual_batch_size}")
     if cache is not None:
+        if cache["x"] is not x:
+            raise StaleCache("a BN cache serves only the array it was built over")
         _normalize(cache["blocks"], gamma, beta, bn_epsilon, cache["vbs"])
         return x, cache, running_mean, running_var
     n_sub = n // virtual_batch_size
@@ -629,10 +632,11 @@ class RowPlan:
     A train plan splits its n rows where a block of each BN layer begins, and
     `blocks` holds per BN layer its `_bn_blocks`; `walk` holds the pieces as
     `_train_pass` takes them: (the piece's rows, per hidden layer (weight,
-    bias, BN scale, BN shift, the piece's rows of the activation and mask,
-    its piece of the BN cache or None), whether it runs on this thread). Its
-    buffers serve every train forward and backward at this batch size, and
-    each train forward overwrites them. Per hidden layer there is an
+    bias, BN scale, BN shift, the piece's rows of the activation (for a BN
+    layer its BN piece's "x") and of the mask, its piece of the BN cache or
+    None), whether it runs on this thread). Its buffers serve every train
+    forward and backward at this batch size, and each train forward
+    overwrites them. Per hidden layer there is an
     activation buffer, over which BN writes y and the ReLU its output, which
     the next layer reads; the ReLU mask; the gradient at the affine output,
     over which BN's backward writes dx; and for a BN layer a cache holding
@@ -696,7 +700,8 @@ class RowPlan:
                 bn_pieces = bn_cache["pieces"]
                 start += c
             for rows, layers, bn in zip(self.pieces, piece_layers, bn_pieces):
-                layers.append((w, b, gamma, beta, act[rows], mask[rows], bn))
+                layers.append((w, b, gamma, beta, act[rows] if bn is None else bn["x"],
+                               mask[rows], bn))
             self.back.append((act.T, w_next.T, mask, dz, bn_cache))
             self.top = act
         self.walk = [(rows, layers, rows is self.pieces[-1])
@@ -799,7 +804,8 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     else:
         work = plan.row_plan(n, "train")
         work.stamp += 1
-        cache = {"mode": mode, "plan": plan, "work": work, "stamp": work.stamp, "inputs": x}
+        cache = {"mode": mode, "params": params, "plan": plan, "work": work,
+                 "stamp": work.stamp, "inputs": x}
         with np.errstate(invalid="ignore"):  # a non-finite BN input raises below
             _walk(_train_pass, work.walk, x, plan.eps, config)
         if work.top is not None:
@@ -834,6 +840,8 @@ def backward(cache, params: ParamStore, config: MlpConfig,
     """
     if cache.get("mode") != "train":
         raise StaleCache("backward needs a train-mode forward cache")
+    if cache["params"] is not params:
+        raise StaleCache("the cache comes from a forward on another store")
     work = cache["work"]
     if cache["stamp"] != work.stamp:
         raise StaleCache("a backward or a later train forward at this batch size "

@@ -362,6 +362,8 @@ def apply_step(theta: np.ndarray, g: np.ndarray, routing: RoutingRule, eta: floa
     raised error leaves them part-way.
     """
     _check(g, theta)
+    if theta.shape != state.v.shape:
+        raise LengthMismatch(f"theta {theta.shape} vs the state's {state.v.shape}")
     t = state.t
     moments, parts = state.plan_for(routing).views(theta, g, state.v, state.m, state.s)
     for theta_r, g_r, m, s, d, lead in moments:

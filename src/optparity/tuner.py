@@ -103,8 +103,8 @@ def run_study(space, base_config: dict, n_trials: int, budget_steps: int,
         {**assignment, "budget_steps": budget_steps, "schedule.total_steps": budget_steps,
          "base_seed": base_seed + i}
         for i, assignment in enumerate(assignments)])
-    if all(job.config is None for job in jobs):
-        raise jobs[0].error
+    if all(isinstance(job, Exception) for job in jobs):
+        raise jobs[0]
     results = harness.run_jobs(jobs, workers)
     return [_trial_record(i, assignment, base_seed + i, result)
             for i, (assignment, result) in enumerate(zip(assignments, results))]

@@ -15,6 +15,7 @@ import optparity
 from conftest import BASE_CONFIG
 from optparity import harness
 from optparity.cli import main
+from optparity.errors import IoFailure
 
 
 def write_json(path, doc):
@@ -464,6 +465,18 @@ def test_unwritable_out_fails_before_the_first_run(tmp_path, base_config, monkey
     assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in paths.values())
 
 
+def test_train_exits_2_on_any_package_error_of_its_run(tmp_path, base_config, monkeypatch):
+    """A run's package error other than a parse or validation error ends in
+    one error line too, which names what it concerns, not the config."""
+    def failing(config):
+        raise IoFailure("spill.bin: No space left on device")
+    monkeypatch.setattr(harness, "run_training", failing)
+    paths = _valid_inputs(tmp_path, base_config)
+    result = CliRunner().invoke(main, COMMANDS["train"](paths))
+    assert_one_error_line(result, "spill.bin")
+    assert result.stderr == "error: spill.bin: No space left on device\n"
+
+
 def test_train_has_no_workers_option(tmp_path, base_config):
     paths = _valid_inputs(tmp_path, base_config)
     result = CliRunner().invoke(main, COMMANDS["train"](paths) + ["--workers", "2"])
@@ -573,3 +586,55 @@ def test_train_on_a_config_with_odd_leaves_ends_in_a_result_or_one_error_line(ed
         assert result.exit_code == 2, (edits, result.exception, result.output)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (edits, result.stderr)
+
+
+# a document of each of the other JSON options, the command that reads it with
+# its other arguments, and what a leaf or the whole document may be replaced by
+FUZZED_DOCS = {
+    "space-continuous": ("tune", [{"name": "schedule.eta_peak", "kind": "continuous",
+                                   "lo": 0.01, "hi": 1.0, "scaling": "log"}]),
+    "space-discrete-set": ("tune", [{"name": "schedule.eta_peak", "kind": "discrete_set",
+                                     "values": [0.1, 0.3]}]),
+    "overrides": ("ablate", [["BN init", "model.bn_gamma_init", 0.5]]),
+    "results": ("report", [SUMMARY]),
+}
+DOC_OPTION = {"tune": "--space", "ablate": "--overrides", "report": "--results"}
+DOC_FUZZ_VALUES = FUZZ_VALUES + [float("-inf"), ""]
+
+
+def _fuzz_doc_args(command, tmp, doc_path):
+    config = tmp / "config.json"
+    write_json(config, FUZZ_BASE)
+    return {"tune": ["--config", str(config), "--out", str(tmp / "trials.jsonl"),
+                     "--trials", "1"],
+            "ablate": ["--config", str(config), "--seeds", "0"],
+            "report": []}[command] + [DOC_OPTION[command], str(doc_path)]
+
+
+@pytest.mark.parametrize("name", list(FUZZED_DOCS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_other_documents_with_an_odd_leaf_end_in_a_result_or_one_error_line(name, data):
+    """Whatever one leaf of a search space, an override list or a summaries
+    file holds, or the whole document, tune, ablate and report exit 0, or 2
+    with one `error:` line; they never end in a traceback."""
+    command, doc = FUZZED_DOCS[name]
+    path = data.draw(st.sampled_from([()] + _leaves(doc)), label="path")
+    value = data.draw(st.sampled_from(DOC_FUZZ_VALUES), label="value")
+    doc = copy.deepcopy(doc)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = Path(tmp) / "doc.json"
+        write_json(doc_path, doc)
+        result = CliRunner().invoke(main, [command] + _fuzz_doc_args(command, Path(tmp),
+                                                                      doc_path))
+    if result.exit_code != 0:
+        assert result.exit_code == 2, (path, value, result.exception, result.output)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (path, value, result.stderr)

@@ -204,9 +204,9 @@ class TestPatchConfig:
     def test_unknown_path_is_its_jobs_error(self, base_config):
         jobs = harness.expand_jobs(base_config, [{"model.nonexistent": 1},
                                                  {"schedule.eta_peak": 0.1}])
-        assert jobs[0].config is None and isinstance(jobs[0].error, ValidationError)
-        assert str(jobs[0].error) == "model.nonexistent: unknown config path"
-        assert jobs[1].error is None and jobs[1].config.schedule.eta_peak == 0.1
+        assert isinstance(jobs[0], ValidationError)
+        assert str(jobs[0]) == "model.nonexistent: unknown config path"
+        assert isinstance(jobs[1], harness.ExperimentConfig) and jobs[1].schedule.eta_peak == 0.1
 
 
 class TestRunTraining:

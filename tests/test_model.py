@@ -131,6 +131,21 @@ class TestBnForward:
         with pytest.raises(InvalidConfig, match="mode must be 'train' or 'eval'"):
             bn_forward(x, np.ones(1), np.zeros(1), 1e-5, 4, mode, np.zeros(1), np.ones(1), 0.9)
 
+    def test_cache_serves_only_the_array_it_was_built_over(self):
+        """Given a cache, or a piece of one, with another array, bn_forward
+        raises before any write: neither that array nor the cache's is changed."""
+        rng = np.random.default_rng(27)
+        x1, x2 = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+        args = (np.ones(3), np.zeros(3), 1e-5, 4, "train", np.zeros(3), np.ones(3), 0.9)
+        y1, cache, _, _ = bn_forward(x1, *args)
+        kept1, kept2 = y1.copy(), x2.copy()
+        for x, given in [(x2, cache), (y1[:4], cache), (y1.copy(), cache),
+                         (y1, cache["pieces"][0])]:
+            with pytest.raises(StaleCache):
+                bn_forward(x, *args, cache=given)
+        np.testing.assert_array_equal(y1, kept1)
+        np.testing.assert_array_equal(x2, kept2)
+
     def test_running_stats_update_direction(self):
         x = np.full((4, 1), 10.0)
         _, _, m, v = bn_forward(x, np.ones(1), np.zeros(1), 1e-5, 4, "train",
@@ -288,6 +303,16 @@ class TestBackward:
                                  mode="eval")
         with pytest.raises(StaleCache):
             backward(cache, store, cfg)
+
+    def test_cache_of_another_store_rejected(self):
+        cfg = small_config()
+        store, other = init_mlp(cfg, rng_seed=1), init_mlp(cfg, rng_seed=2)
+        _, _, cache, _ = forward(store, BnRunningStats.for_config(cfg), random_batch(cfg, 8),
+                                 cfg)
+        with pytest.raises(StaleCache, match="another store"):
+            backward(cache, other, cfg)
+        # a rejected store leaves the cache usable
+        backward(cache, store, cfg)
 
     def test_out_of_the_wrong_length_rejected(self):
         cfg = small_config(layer_widths=[2, 4, 2])

@@ -12,6 +12,7 @@ from optparity.optim import (
     OptimizerState,
     RoutingRule,
     adam_update,
+    apply_step,
     composite_step,
     effective_gradient,
     heavy_ball_update,
@@ -337,6 +338,21 @@ class TestComposite:
         grads["b1"] = arr(1.0, 2.0)  # the total length still matches
         with pytest.raises(LengthMismatch):
             composite_step(store, grads, routing, 0.1, OptimizerState.for_store(store))
+
+    @pytest.mark.parametrize("extra", [2, -2], ids=["longer", "shorter"])
+    def test_theta_off_the_states_layout_rejected_before_any_write(self, extra):
+        """A theta longer or shorter than the state's layout, with a gradient
+        of its own length, raises and leaves theta and the state as they were."""
+        store = self.make_store()
+        routing = RoutingRule([(frozenset(TAGS), OptimizerConfig(kind="adam"))])
+        state = OptimizerState.for_store(store)
+        theta = np.arange(1.0, store.flat.size + extra + 1)
+        kept = theta.copy()
+        with pytest.raises(LengthMismatch, match="state"):
+            apply_step(theta, np.ones_like(theta), routing, 0.1, state)
+        np.testing.assert_array_equal(theta, kept)
+        assert state.t == 0
+        assert not (state.v.any() or state.m.any() or state.s.any())
 
     def test_nan_gradient(self):
         store = self.make_store()
