@@ -5,6 +5,9 @@ Exit codes: 0 success, 3 a single `train` run diverged, and 2 with one
 Every command body runs inside `_boundary`, the one place where an error
 becomes an exit code. A command checks its options first, then its
 documents, the config last, so that the config names the errors of runs.
+Files are read and written only through harness (`read_json`, `write_text`
+and the functions on them); `_boundary` adds the document's path to a parse
+or validation error, which names only the field or line.
 """
 
 from __future__ import annotations
@@ -40,21 +43,9 @@ def _boundary(doc=None):
         sys.exit(2)
 
 
-def _load_json(path):
-    """The JSON document at `path`; IoFailure if it cannot be read, ParseError
-    if it is no JSON."""
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
-    except ValueError as exc:  # JSON and UTF-8 errors
-        raise ParseError(str(exc)) from exc
-
-
 def _load_config(path, seed=None):
     """The JSON object at `path` (a config or schedule spec), `seed` as base_seed."""
-    doc = _load_json(path)
+    doc = harness.read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object")
     if seed is not None:
@@ -81,15 +72,6 @@ def _check_out(path):
         raise IoFailure(f"{path}: {os.strerror(errno.EACCES)}")
 
 
-def _write_text(path, text):
-    """Write `text` to the file at `path`; IoFailure if it cannot be written."""
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc.strerror}") from exc
-
-
 @click.group()
 def main():
     """Optimizer parity benchmarking toolkit."""
@@ -107,7 +89,7 @@ def train(config_path, out_path, seed):
             _check_out(out_path)
         result = harness.run_training(config)
         if out_path:
-            _write_text(out_path, json.dumps(asdict(result), indent=2))
+            harness.write_text(out_path, json.dumps(asdict(result), indent=2))
     click.echo(json.dumps({
         "status": result.status,
         "steps_run": result.steps_run,
@@ -136,7 +118,7 @@ def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed
     with _boundary() as at:
         harness.check_metric(metric, "--metric")
         at.doc = space_path
-        space = harness.read_as(_load_json(space_path), list[tuner.SearchDim], "space")
+        space = harness.read_as(harness.read_json(space_path), list[tuner.SearchDim], "space")
         at.doc = config_path  # which also names the study's errors
         doc = _load_config(config_path, seed)
         if budget is None:
@@ -168,7 +150,7 @@ def ablate(config_path, overrides_path, seeds, out_path):
         seed_list = harness.read_as([_json_or_text(s) for s in seeds.split(",") if s.strip()],
                                     list[int], "--seeds")
         at.doc = overrides_path
-        overrides = harness.read_as(_load_json(overrides_path), list[harness.Override],
+        overrides = harness.read_as(harness.read_json(overrides_path), list[harness.Override],
                                     "overrides")
         at.doc = config_path  # which also names an invalid or too big arm
         doc = _load_config(config_path)
@@ -206,11 +188,11 @@ def schedule_export(config_path, out_path):
               help="Optional CSV output path.")
 def report(results_path, out_path):
     """Render a persisted summary file as a table."""
-    with _boundary():  # read_summaries puts the path in its ParseError itself
+    with _boundary(results_path):
         rows = harness.read_summaries(results_path)
         text, csv_text = harness.report(rows)
         if out_path:
-            _write_text(out_path, csv_text)
+            harness.write_text(out_path, csv_text)
     click.echo(text, nl=False)
 
 

@@ -41,8 +41,8 @@ class IoFailure(OptparityError):
     pass
 
 
-class InvalidConfig(OptparityError):
-    pass
+class InvalidConfig(OptparityError, ValueError):
+    """A value out of its range; also a ValueError, for callers that catch one."""
 
 
 class IndivisibleBatch(OptparityError):

@@ -5,6 +5,9 @@ Every JSON input (configs, search spaces, summaries, trial logs) is read by
 an unknown or missing key named by its dotted path, each range by the
 dataclass's own `__post_init__`. `parse_config` adds the cross-field rules
 (step budget vs schedule length, batch vs virtual batch, routing coverage).
+Every file is read by `_read_bytes` (under `read_json` and `read_results`)
+and written by `write_text`, as UTF-8. An IoFailure names the file once; a
+parse or validation error names the field or line, and the caller the file.
 """
 
 from __future__ import annotations
@@ -290,7 +293,7 @@ def _section(doc, cls, path: str):
             raise ValidationError(prefix + name, "missing")
     try:
         return cls(**values)
-    except (ValueError, OptparityError) as exc:  # what the range checks raise
+    except OptparityError as exc:  # what the range checks raise
         raise ValidationError(path, str(exc)) from exc
 
 
@@ -633,22 +636,42 @@ def summarize(values: list[float], target: float, mode: str = "max") -> SeedSumm
     )
 
 
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at `path`; IoFailure naming it if it cannot be read."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc.strerror}") from exc
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at `path`: IoFailure if it cannot
+    be read, ParseError if it is no UTF-8 or no JSON."""
+    try:
+        return json.loads(_read_bytes(path).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON, or nested too deep
+        raise ParseError(str(exc)) from exc
+
+
+def write_text(path, text: str | typing.Iterable[str], mode: str = "w") -> None:
+    """Write `text`, a string or strings in turn, to `path` as UTF-8 with no
+    newline translation ("a" appends); IoFailure naming the file if it fails."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as f:
+            f.writelines([text] if isinstance(text, str) else text)
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc.strerror}") from exc
+
+
 def write_results(records: list[TrialRecord], path) -> None:
     """Append trial records to a JSON Lines log."""
-    try:
-        with open(path, "a") as f:
-            for rec in records:
-                f.write(json.dumps(asdict(rec)) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_text(path, (json.dumps(asdict(rec)) + "\n" for rec in records), mode="a")
 
 
 def read_results(path) -> list[TrialRecord]:
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    """A JSON Lines trial log's records; CorruptRecord at its first bad line."""
+    data = _read_bytes(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -660,28 +683,19 @@ def read_results(path) -> list[TrialRecord]:
             continue
         try:
             records.append(_section(json.loads(line), TrialRecord, "record"))
-        except (ValueError, ValidationError) as exc:  # ValueError: malformed JSON
+        except (ValueError, RecursionError, ValidationError) as exc:  # not JSON, or too deep
             raise CorruptRecord(i, str(exc)) from exc
     return records
 
 
 def write_summaries(rows: list[tuple[str, SeedSummary]], path) -> None:
     doc = [{"label": label, **asdict(s)} for label, s in rows]
-    try:
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=2)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_text(path, json.dumps(doc, indent=2))
 
 
 def read_summaries(path) -> list[tuple[str, SeedSummary]]:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    except ValueError as exc:  # malformed JSON or UTF-8
-        raise CorruptRecord(1, str(exc)) from exc
+    """A summaries file's rows; ParseError naming the field of a bad row."""
+    doc = read_json(path)
     rows = []
     try:
         for i, row in enumerate(read_as(doc, list[dict], "summaries")):
@@ -691,7 +705,7 @@ def read_summaries(path) -> list[tuple[str, SeedSummary]]:
             summary = {key: value for key, value in row.items() if key != "label"}
             rows.append((label, _section(summary, SeedSummary, f"summaries.{i}")))
     except ValidationError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(str(exc)) from exc
     return rows
 
 

@@ -55,27 +55,27 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+            raise InvalidConfig(f"unknown optimizer kind {self.kind!r}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+            raise InvalidConfig("momentum must be in [0, 1)")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("beta1/beta2 must be in [0, 1)")
+            raise InvalidConfig("beta1/beta2 must be in [0, 1)")
         # epsilon=0 is tolerated for analytical tests; flagged at use time
         if self.trust_coefficient <= 0.0:
-            raise ValueError("trust_coefficient must be > 0")
+            raise InvalidConfig("trust_coefficient must be > 0")
         if self.decay < 0.0:
-            raise ValueError("decay must be >= 0")
+            raise InvalidConfig("decay must be >= 0")
         if self.decay_mode is None:
             # L2 for the momentum family, decoupled for the Adam family
             self.decay_mode = (
                 "decoupled" if self.kind in ("adam", "lamb") else "l2_into_gradient"
             )
         if self.decay_mode not in ("l2_into_gradient", "decoupled"):
-            raise ValueError(f"unknown decay_mode {self.decay_mode!r}")
+            raise InvalidConfig(f"unknown decay_mode {self.decay_mode!r}")
         self.exclude_tags = frozenset(self.exclude_tags)
         if not self.exclude_tags <= set(TAGS):
-            raise ValueError(f"exclude_tags must be among {', '.join(TAGS)}, "
-                             f"got {sorted(self.exclude_tags)}")
+            raise InvalidConfig(f"exclude_tags must be among {', '.join(TAGS)}, "
+                                f"got {sorted(self.exclude_tags)}")
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DuplicateGroupName, ShapeMismatch, UnknownGroupName
+from .errors import DuplicateGroupName, InvalidConfig, ShapeMismatch, UnknownGroupName
 
 TAGS = ("weight", "bias", "bn_scale", "bn_shift")
 
@@ -50,7 +50,7 @@ class ParamGroup:
 
     def __post_init__(self):
         if self.tag not in TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}")
+            raise InvalidConfig(f"unknown tag {self.tag!r}")
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         self.shape = tuple(int(d) for d in self.shape)
         if self.values.size == 0:

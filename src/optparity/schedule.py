@@ -15,11 +15,11 @@ Schedules are pure functions of the integer step.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import IoFailure, OutOfRangeStep
+from .errors import InvalidConfig, OutOfRangeStep
 
 FAMILIES = ("poly_warmup_decay", "cosine", "legacy_bert", "constant")
 
@@ -37,17 +37,19 @@ class ScheduleSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown schedule family {self.family!r}")
+            raise InvalidConfig(f"unknown schedule family {self.family!r}")
         for name in ("eta_init", "eta_peak", "eta_final"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
+                raise InvalidConfig(f"{name} must be finite and >= 0")
         if self.eta_peak <= 0:
-            raise ValueError("eta_peak must be > 0")
+            raise InvalidConfig("eta_peak must be > 0")
         if self.p_warmup <= 0 or self.p_decay <= 0:
-            raise ValueError("powers must be > 0")
+            raise InvalidConfig("powers must be > 0")
         if not 0 <= self.t_warmup < self.total_steps:
-            raise ValueError("need total_steps > t_warmup >= 0")
+            raise InvalidConfig("need total_steps > t_warmup >= 0")
+        if self.total_steps > 2**53:  # past it, float64 tells no neighbouring steps apart
+            raise InvalidConfig(f"total_steps must be <= 2**53, got {self.total_steps}")
 
 
 def eval_schedule(spec: ScheduleSpec, t: int) -> float:
@@ -95,12 +97,7 @@ def max_discontinuity(spec: ScheduleSpec) -> tuple[int, float]:
 
 
 def export_schedule(spec: ScheduleSpec, path) -> None:
-    """Write `step,lr` rows for every step in [0, total_steps]."""
-    try:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["step", "lr"])
-            for t in range(spec.total_steps + 1):
-                writer.writerow([t, format(eval_schedule(spec, t), ".17g")])
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    """Write the `step,lr` CSV rows (CRLF-ended) of every step in [0, total_steps]."""
+    from .harness import write_text  # here, as harness imports this module
+    rows = (f"{t},{eval_schedule(spec, t):.17g}\r\n" for t in range(spec.total_steps + 1))
+    write_text(path, itertools.chain(["step,lr\r\n"], rows))

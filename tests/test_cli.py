@@ -146,14 +146,25 @@ def assert_one_error_line(result, needle):
     ("tune", "space"),
     ("ablate", "config"),
     ("ablate", "overrides"),
+    ("report", "results"),
+    ("schedule export", "config"),
 ])
-@pytest.mark.parametrize("content", [b"{bad", b"", b"\xff\xfe{"])
+@pytest.mark.parametrize("content", [b"{bad", b"", b"\xff\xfe{",
+                                     pytest.param(b"[" * 100_000, id="nested"),
+                                     pytest.param(None, id="directory")])
 def test_unreadable_json_exits_2_with_one_error_line(tmp_path, base_config, command,
                                                      bad_file, content):
+    """A document that is no JSON, no UTF-8, nested past the recursion limit
+    or no file: one error line that names its path exactly once."""
     paths = _valid_inputs(tmp_path, base_config)
-    paths[bad_file].write_bytes(content)
+    if content is None:
+        paths[bad_file].unlink()
+        paths[bad_file].mkdir()
+    else:
+        paths[bad_file].write_bytes(content)
     result = CliRunner().invoke(main, COMMANDS[command](paths))
     assert_one_error_line(result, str(paths[bad_file]))
+    assert result.stderr.count(str(paths[bad_file])) == 1
 
 
 def _base_with(**fields):
@@ -177,6 +188,12 @@ def _route_with(**fields):
         route = base["optimizer"][0]
         return {**base, "optimizer": [{**route, "config": {**route["config"], **fields}}]}
     return patched
+
+
+def _steps(n):
+    """The base config with a step budget and schedule length of `n`."""
+    return lambda base: {**base, "budget_steps": n,
+                         "schedule": {**base["schedule"], "total_steps": n}}
 
 
 @pytest.mark.parametrize("command,bad_file,doc,extra", [
@@ -239,6 +256,9 @@ def _route_with(**fields):
     ("ablate", "overrides", [["BN init", "model.bn_gamma_init", 0.5, 1]], []),
     ("ablate", None, None, ["--seeds", "0,1.5"]),
     ("report", "results", [{**SUMMARY, "label": 1}], []),
+    # past the 2**53 steps a float64 tells apart; unbounded, these never end
+    ("train", "config", _steps(10**30), []),
+    ("schedule export", "config", _steps(10**30), []),
 ], ids=["tune-space-unknown-key", "tune-space-object", "tune-space-name-not-text",
         "tune-config-list", "tune-no-budget",
         "ablate-two-element-override", "ablate-overrides-object", "ablate-seeds-not-int",
@@ -260,7 +280,8 @@ def _route_with(**fields):
         "train-target-nan", "tune-space-values-number", "tune-space-lo-bool",
         "tune-budget-fraction", "tune-budget-bool", "report-median-text",
         "report-n-seeds-text", "ablate-label-number", "ablate-four-element-override",
-        "ablate-seeds-fraction", "report-label-number"])
+        "ablate-seeds-fraction", "report-label-number", "train-steps-past-float64",
+        "schedule-steps-past-float64"])
 def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command,
                                                   bad_file, doc, extra):
     paths = _valid_inputs(tmp_path, base_config)

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import copy
 import dataclasses
@@ -18,6 +19,7 @@ from optparity.errors import (
     CorruptRecord,
     EmptyInput,
     InvalidConfig,
+    IoFailure,
     ParseError,
     ValidationError,
 )
@@ -703,6 +705,14 @@ class TestPersistence:
             harness.read_results(path)
         assert exc.value.line_number == 4
 
+    def test_line_nested_past_the_recursion_limit_is_a_corrupt_record(self, tmp_path):
+        path = tmp_path / "trials.jsonl"
+        harness.write_results(self.records(), path)
+        harness.write_text(path, "[" * 100_000 + "\n", mode="a")
+        with pytest.raises(CorruptRecord) as exc:
+            harness.read_results(path)
+        assert exc.value.line_number == 4
+
     @pytest.mark.parametrize("line,match", [
         ({"trial_index": 0, "assignment": {}, "seed": 0, "status": "completed",
           "steps_run": 5},
@@ -770,6 +780,59 @@ class TestPersistence:
         _, csv_text = harness.report(back)
         assert csv_text.splitlines()[2].split(",") == ["Diverged", "-inf", "-inf", "0.9",
                                                        "0.000", "5"]
+
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{"], ids=["no-json", "no-utf8"])
+    def test_summaries_that_are_no_json_raise_a_parse_error(self, tmp_path, content):
+        """The error names no file: the caller adds it."""
+        path = tmp_path / "summary.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as exc:
+            harness.read_summaries(path)
+        assert str(path) not in str(exc.value)
+
+    def test_unreadable_file_is_an_io_failure_naming_it_once(self, tmp_path):
+        missing, folder = tmp_path / "missing.json", tmp_path / "folder"
+        folder.mkdir()
+        for call, path, reason in [(harness.read_json, missing, "No such file or directory"),
+                                   (harness.read_results, folder, "Is a directory"),
+                                   (harness.read_summaries, folder, "Is a directory"),
+                                   (lambda p: harness.write_text(p, "x"), folder,
+                                    "Is a directory"),
+                                   (lambda p: harness.write_summaries([], p),
+                                    tmp_path / "no" / "summary.json",
+                                    "No such file or directory")]:
+            with pytest.raises(IoFailure) as exc:
+                call(path)
+            assert str(exc.value) == f"{path}: {reason}"
+
+    def test_text_is_written_and_read_as_utf8_as_given(self, tmp_path):
+        path = tmp_path / "out.txt"
+        harness.write_text(path, "a\r\n\u03b2\n")
+        harness.write_text(path, iter(["c", "d\n"]), mode="a")
+        assert path.read_bytes() == "a\r\n\u03b2\ncd\n".encode("utf-8")
+        doc = tmp_path / "doc.json"
+        harness.write_text(doc, '{"label": "\u03b2"}')
+        assert harness.read_json(doc) == {"label": "\u03b2"}
+
+
+def test_only_the_harness_reader_and_writer_open_files():
+    """Every call of `open` (the builtin, or any `.open` attribute) in the
+    package sits in harness._read_bytes or harness.write_text."""
+    openers = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "open"):
+            openers.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for source in sorted(Path(harness.__file__).parent.glob("*.py")):
+        visit(ast.parse(source.read_text(encoding="utf-8")), source.stem, None)
+    assert openers == {("harness", "_read_bytes"), ("harness", "write_text")}
 
 
 class TestReport:

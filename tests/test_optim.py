@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from optparity.errors import (DivisionHazard, InvalidConfig, LengthMismatch, NonFiniteInput,
-                              UncoveredTag)
+                              OptparityError, UncoveredTag)
 from optparity.optim import (
     KINDS,
     GroupState,
@@ -226,6 +226,11 @@ def test_one_group_update_rejects_a_config_of_another_kind(kind, other):
         UPDATES[kind](arr(1.0, -2.0), arr(0.5, 0.25), state, 0.1, OptimizerConfig(kind=other))
     for slot in (state.v, state.m, state.s):
         np.testing.assert_array_equal(slot, 0.0)
+
+
+def test_config_out_of_range_raises_a_package_error():
+    with pytest.raises(OptparityError, match="unknown optimizer kind 'bogus'"):
+        OptimizerConfig(kind="bogus")
 
 
 class TestOracleTrajectories:

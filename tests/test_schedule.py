@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from optparity.errors import OutOfRangeStep
+from optparity.errors import InvalidConfig, OutOfRangeStep
 from optparity.schedule import (
     ScheduleSpec,
     eval_schedule,
@@ -145,3 +145,10 @@ def test_invalid_specs_rejected():
         ScheduleSpec("mystery", eta_peak=1.0, total_steps=10)
     with pytest.raises(ValueError):
         ScheduleSpec("cosine", eta_peak=math.nan, total_steps=10)
+
+
+def test_total_steps_bounded_where_float64_tells_steps_apart():
+    """Past 2**53, t / total_steps of neighbouring steps coincide."""
+    assert ScheduleSpec("cosine", eta_peak=1.0, total_steps=2**53).total_steps == 2**53
+    with pytest.raises(InvalidConfig, match=r"total_steps must be <= 2\*\*53"):
+        ScheduleSpec("cosine", eta_peak=1.0, total_steps=2**53 + 1)
