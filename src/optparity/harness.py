@@ -52,8 +52,9 @@ from .optim import composite_step  # noqa: F401  perfbench/tracing.py wraps this
 from .param_store import TAGS, all_finite
 from .schedule import ScheduleSpec, eval_schedule
 
-# the TrainResult fields a study selects on and a summary reduces
-RESULT_METRICS = ("final_train_accuracy", "final_eval_accuracy", "final_loss")
+# the TrainResult fields a study selects on and a summary reduces, each with
+# the way it gets better: +1 when higher is better, -1 when lower is
+RESULT_METRICS = {"final_train_accuracy": 1, "final_eval_accuracy": 1, "final_loss": -1}
 
 
 @dataclass
@@ -139,8 +140,8 @@ class TrialRecord:
                 raise InvalidConfig(f"a completed trial needs {', '.join(missing)}")
 
 
-# An order statistic over seeds, where a diverged seed counts as -inf (+inf
-# when minimizing): the one kind of float field that may be infinite.
+# An order statistic over seeds, where a diverged seed counts as the metric's
+# worst value, -inf or +inf: the one kind of float field that may be infinite.
 OrderStat = typing.NewType("OrderStat", float)
 # one `ablate --overrides` item: [label, dotted path, value], the value any JSON value
 Override = tuple[str, str, object]
@@ -155,6 +156,15 @@ class SeedSummary:
     max: OrderStat
     target_fraction: float
     n_seeds: int
+
+    def __post_init__(self):
+        if self.n_seeds < 1:
+            raise InvalidConfig(f"n_seeds must be >= 1, got {self.n_seeds}")
+        if not 0.0 <= self.target_fraction <= 1.0:
+            raise InvalidConfig(f"target_fraction must be in [0, 1], got {self.target_fraction}")
+        stats = (self.min, self.q1, self.median, self.q3, self.max)
+        if not stats[0] <= stats[1] <= stats[2] <= stats[3] <= stats[4]:
+            raise InvalidConfig(f"min <= q1 <= median <= q3 <= max must hold, got {stats}")
 
 
 def _typed(value, kind, path: str, what: str):
@@ -555,12 +565,12 @@ def _run_job(config: ExperimentConfig):
 
 
 def _arm_summaries(base: dict, arms: list[dict], seeds: list[int], target=None,
-                   metric=None, mode: str = "max", labels=None) -> list[SeedSummary]:
+                   metric=None, labels=None) -> list[SeedSummary]:
     """Each arm (patches on `base`) once per seed, arm-major, summarized; the
     first invalid config raises before any run, naming the arm by its label
     and patches when `labels` are given and the arm has patches. `target`
-    and `metric` default to the first arm's. A diverged seed counts as -inf
-    (+inf for min)."""
+    and `metric` default to the first arm's. A diverged seed counts as the
+    metric's worst value."""
     if not seeds or len(set(seeds)) != len(seeds):
         raise InvalidConfig("seeds must be non-empty and distinct")
     jobs = expand_jobs(base, [{**arm, "base_seed": seed} for arm in arms for seed in seeds])
@@ -574,20 +584,20 @@ def _arm_summaries(base: dict, arms: list[dict], seeds: list[int], target=None,
                                   str(job)) from job
     target = jobs[0].target_value if target is None else target
     metric = check_metric(metric or jobs[0].target_metric, "metric")
-    fallback = -math.inf if mode == "max" else math.inf
+    worst = -math.inf * RESULT_METRICS[metric]
     values = []
     for result in run_jobs(jobs):
         if isinstance(result, Exception):
             raise result
-        values.append(fallback if result.status == "diverged" else getattr(result, metric))
+        values.append(worst if result.status == "diverged" else getattr(result, metric))
     n = len(seeds)
-    return [summarize(values[i:i + n], target, mode) for i in range(0, len(values), n)]
+    return [summarize(values[i:i + n], target, metric) for i in range(0, len(values), n)]
 
 
 def multi_seed_eval(config: dict, seeds: list[int], target: float,
-                    metric: str = "final_eval_accuracy", mode: str = "max") -> SeedSummary:
+                    metric: str = "final_eval_accuracy") -> SeedSummary:
     """Train once per seed and summarize the metric's order statistics."""
-    return _arm_summaries(config, [{}], seeds, target, metric, mode)[0]
+    return _arm_summaries(config, [{}], seeds, target, metric)[0]
 
 
 def run_ablation(base_config: dict, overrides: list[Override],
@@ -619,12 +629,11 @@ def _percentile(xs: np.ndarray, q: float) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
-def summarize(values: list[float], target: float, mode: str = "max") -> SeedSummary:
+def summarize(values: list[float], target: float, metric="final_eval_accuracy") -> SeedSummary:
+    """The values' order statistics and the share at or beyond `target` for `metric`."""
+    better = RESULT_METRICS[check_metric(metric, "metric")]
     arr = np.sort(np.asarray(values, dtype=np.float64))
-    if mode == "max":
-        frac = float((arr >= target).mean())
-    else:
-        frac = float((arr <= target).mean())
+    frac = float((better * arr >= better * target).mean())
     return SeedSummary(
         median=float(np.median(arr)),
         q1=_percentile(arr, 25),

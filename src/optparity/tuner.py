@@ -118,10 +118,10 @@ def _trial_record(i: int, assignment: dict, seed: int, result) -> TrialRecord:
                        **{k: v for k, v in vars(result).items() if k != "history"})
 
 
-def select_best(records: list[TrialRecord], metric: str, mode: str = "max") -> TrialRecord:
+def select_best(records: list[TrialRecord], metric: str) -> TrialRecord:
     """Best completed trial by `metric`; ties go to the lower trial index."""
+    better = harness.RESULT_METRICS[harness.check_metric(metric, "metric")]
     completed = [r for r in records if r.status == "completed"]
     if not completed:
         raise NoCompletedTrials("no completed trials")
-    sign = 1.0 if mode == "max" else -1.0
-    return max(completed, key=lambda r: (sign * getattr(r, metric), -r.trial_index))
+    return max(completed, key=lambda r: (better * getattr(r, metric), -r.trial_index))

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,6 +72,58 @@ def test_tune_writes_jsonl(tmp_path, base_config):
     lines = out_path.read_text().strip().splitlines()
     assert len(lines) == 3
     assert json.loads(result.output)["best_trial"] is not None
+
+
+def _steps_of(config, n):
+    config["budget_steps"] = config["schedule"]["total_steps"] = n
+    return config
+
+
+def test_tune_on_final_loss_prints_the_lowest_loss_trial(tmp_path, base_config):
+    cfg_path, space_path = tmp_path / "config.json", tmp_path / "space.json"
+    out_path = tmp_path / "trials.jsonl"
+    write_json(cfg_path, _steps_of(base_config, 40))
+    write_json(space_path, [{"name": "schedule.eta_peak", "kind": "continuous",
+                             "lo": 0.01, "hi": 3.0, "scaling": "log"}])
+    result = CliRunner().invoke(main, [
+        "tune", "--config", str(cfg_path), "--space", str(space_path),
+        "--out", str(out_path), "--trials", "5", "--metric", "final_loss"])
+    assert result.exit_code == 0, result.output
+    completed = [r for r in harness.read_results(out_path) if r.status == "completed"]
+    assert len({r.final_loss for r in completed}) > 1  # so that the direction matters
+    lowest = min(completed, key=lambda r: (r.final_loss, r.trial_index))
+    printed = json.loads(result.output)
+    assert (printed["best_trial"], printed["final_loss"]) == (lowest.trial_index,
+                                                              lowest.final_loss)
+
+
+def test_ablate_on_final_loss_counts_a_diverged_arm_as_infinite_loss(tmp_path, base_config):
+    cfg_path, ovr_path = tmp_path / "config.json", tmp_path / "overrides.json"
+    out_path = tmp_path / "summary.json"
+    config = {**_steps_of(base_config, 40), "target_metric": "final_loss", "target_value": 0.1}
+    write_json(cfg_path, config)
+    write_json(ovr_path, [["Diverges", "schedule.eta_peak", 1e30]])
+    result = CliRunner().invoke(main, [
+        "ablate", "--config", str(cfg_path), "--overrides", str(ovr_path),
+        "--seeds", "0,1,2", "--out", str(out_path)])
+    assert result.exit_code == 0, result.output
+    rows = dict(harness.read_summaries(out_path))
+    diverged = rows["Diverges"]
+    assert diverged.min == diverged.median == diverged.max == math.inf
+    assert diverged.target_fraction == 0.0
+    # over three seeds, min, median and max are the three losses
+    losses = (rows["Base"].min, rows["Base"].median, rows["Base"].max)
+    assert math.isfinite(losses[2]) and losses[0] <= 0.1
+    assert rows["Base"].target_fraction == sum(loss <= 0.1 for loss in losses) / 3
+
+
+def test_report_on_an_impossible_summary_exits_2_naming_the_row_and_file(tmp_path):
+    path = tmp_path / "summary.json"
+    write_json(path, [{"label": "x", "median": 5, "q1": 9, "q3": -2, "min": 100, "max": -100,
+                       "target_fraction": 7.5, "n_seeds": -3}])
+    result = CliRunner().invoke(main, ["report", "--results", str(path)])
+    assert_one_error_line(result, "summaries.0")
+    assert str(path) in result.stderr
 
 
 def test_ablate_and_report(tmp_path, base_config):

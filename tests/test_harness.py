@@ -596,6 +596,15 @@ class TestMultiSeedEval:
         with pytest.raises(ValidationError, match="metric: must be one of"):
             tuner.multi_seed_eval(base_config, [0, 1], 0.9, "final_accuracy")
 
+    @pytest.mark.parametrize("metric, worst", [("final_loss", math.inf),
+                                               ("final_eval_accuracy", -math.inf)])
+    def test_diverged_seed_counts_as_the_metric_worst_value(self, base_config, metric,
+                                                            worst):
+        base_config["schedule"]["eta_peak"] = 1e30
+        s = tuner.multi_seed_eval(base_config, [0, 1], target=0.5, metric=metric)
+        assert s.min == s.median == s.max == worst
+        assert s.target_fraction == 0.0
+
     def test_duplicate_seeds_rejected(self, base_config):
         with pytest.raises(Exception):
             tuner.multi_seed_eval(base_config, [0, 0], target=0.9)
@@ -760,6 +769,32 @@ class TestPersistence:
         path.write_text(json.dumps([{**SUMMARY, "label": "Base"}, {**SUMMARY, "label": label}]))
         with pytest.raises(ParseError, match=r"summaries\.1\.label: must be a string"):
             harness.read_summaries(path)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"n_seeds": 0}, "n_seeds must be >= 1, got 0"),
+        ({"target_fraction": 1.5}, r"target_fraction must be in \[0, 1\], got 1.5"),
+        ({"target_fraction": -0.25}, r"target_fraction must be in \[0, 1\], got -0.25"),
+        ({"min": 0.86}, "min <= q1 <= median <= q3 <= max must hold"),
+        ({"q1": 0.91}, "min <= q1 <= median <= q3 <= max must hold"),
+        ({"q3": 0.89}, "min <= q1 <= median <= q3 <= max must hold"),
+        ({"max": 0.94}, "min <= q1 <= median <= q3 <= max must hold"),
+        ({"median": "-Infinity"}, "min <= q1 <= median <= q3 <= max must hold"),
+    ], ids=["no-seeds", "fraction-above-1", "fraction-below-0", "min-above-q1",
+            "q1-above-median", "q3-below-median", "max-below-q3", "median-at-minus-inf"])
+    def test_impossible_summary_rejected(self, tmp_path, fields, match):
+        path = tmp_path / "summary.json"
+        fields = {k: -math.inf if v == "-Infinity" else v for k, v in fields.items()}
+        path.write_text(json.dumps([SUMMARY, {**SUMMARY, **fields}]))
+        with pytest.raises(ParseError, match=r"summaries\.1: " + match):
+            harness.read_summaries(path)
+        with pytest.raises(InvalidConfig, match=match):
+            SeedSummary(**{k: v for k, v in {**SUMMARY, **fields}.items() if k != "label"})
+
+    def test_infinite_order_statistics_in_order_accepted(self):
+        inf = math.inf
+        assert SeedSummary(inf, 0.5, inf, 0.25, inf, 0.0, 4).q3 == inf
+        assert SeedSummary(-inf, -inf, 0.5, -inf, 1.0, 0.5, 4).q1 == -inf
+        assert SeedSummary(inf, inf, inf, inf, inf, 1.0, 1).n_seeds == 1
 
     def test_summaries_round_trip(self, tmp_path):
         rows = [("Base", SeedSummary(0.9, 0.85, 0.95, 0.8, 1.0, 0.7, 50))]

@@ -10,7 +10,9 @@ from optparity.errors import (
     InvalidUnit,
     NoCompletedTrials,
     TooManyDims,
+    ValidationError,
 )
+from optparity.harness import RESULT_METRICS
 from optparity.tuner import (
     SearchDim,
     TrialRecord,
@@ -156,9 +158,13 @@ class TestSelectBest:
         records = [self.rec(0, acc=0.9), self.rec(1, acc=0.9), self.rec(2, acc=0.1)]
         assert select_best(records, "final_eval_accuracy").trial_index == 0
 
-    def test_min_mode_on_loss(self):
+    def test_lowest_loss_is_best(self):
         records = [self.rec(0, acc=0.2), self.rec(1, acc=0.9)]
-        assert select_best(records, "final_loss", mode="min").trial_index == 1
+        assert select_best(records, "final_loss").trial_index == 1
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValidationError, match="metric: must be one of"):
+            select_best([self.rec(0)], "final_accuracy")
 
     def test_diverged_excluded(self):
         records = [self.rec(0, "diverged", acc=1.0), self.rec(1, acc=0.5)]
@@ -201,15 +207,56 @@ class TestSummarize:
         assert s.median == pytest.approx(0.925)
         assert s.q3 == pytest.approx(0.98)
         assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
-        s = summarize([0.1, 0.2, inf, inf], 0.15, mode="min")
+        s = summarize([0.1, 0.2, inf, inf], 0.15, "final_loss")
         assert s.q3 == inf
         assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40),
-           st.integers(0, 40), st.sampled_from(["max", "min"]))
-    def test_order_statistics_with_diverged_seeds(self, finite, n_diverged, mode):
-        fallback = -math.inf if mode == "max" else math.inf
-        s = summarize(finite + [fallback] * n_diverged, target=0.0, mode=mode)
+           st.integers(0, 40), st.sampled_from(list(RESULT_METRICS)))
+    def test_order_statistics_with_diverged_seeds(self, finite, n_diverged, metric):
+        worst = math.inf if metric == "final_loss" else -math.inf
+        s = summarize(finite + [worst] * n_diverged, target=0.0, metric=metric)
         fields = (s.min, s.q1, s.median, s.q3, s.max)
         assert not any(math.isnan(x) for x in fields)
         assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
+
+
+# values drawn often from a few points, so that ties and values at the target occur
+VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-5, 5)
+
+
+class TestMetricDirection:
+    """Each metric alone says which way is better: lower for final_loss,
+    higher for the accuracies."""
+
+    @staticmethod
+    def reaches(metric, value, target):
+        return value <= target if metric == "final_loss" else value >= target
+
+    @given(st.sampled_from(list(RESULT_METRICS)),
+           st.lists(st.tuples(st.sampled_from(["completed", "diverged", "error"]),
+                              st.tuples(VALUES, VALUES, VALUES)), max_size=12),
+           st.randoms(use_true_random=False))
+    def test_select_best_matches_a_scan(self, metric, rows, rng):
+        records = [TrialRecord(i, {}, i, status, *(values if status != "error" else ()))
+                   for i, (status, values) in enumerate(rows)]
+        rng.shuffle(records)
+        completed = [r for r in records if r.status == "completed"]
+        if not completed:
+            with pytest.raises(NoCompletedTrials):
+                select_best(records, metric)
+            return
+        best = None
+        for r in sorted(completed, key=lambda r: r.trial_index):
+            if best is None or (getattr(r, metric) != getattr(best, metric) and self.reaches(
+                    metric, getattr(r, metric), getattr(best, metric))):
+                best = r
+        assert select_best(records, metric) is best
+
+    @given(st.sampled_from(list(RESULT_METRICS)), st.lists(VALUES, min_size=1, max_size=20),
+           st.integers(0, 5), VALUES)
+    def test_target_fraction_matches_a_count(self, metric, finite, n_diverged, target):
+        worst = math.inf if metric == "final_loss" else -math.inf
+        values = finite + [worst] * n_diverged
+        count = sum(self.reaches(metric, v, target) for v in values)
+        assert summarize(values, target, metric).target_fraction == count / len(values)
