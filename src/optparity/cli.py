@@ -93,9 +93,7 @@ def train(config_path, out_path, seed):
     click.echo(json.dumps({
         "status": result.status,
         "steps_run": result.steps_run,
-        "final_train_accuracy": result.final_train_accuracy,
-        "final_eval_accuracy": result.final_eval_accuracy,
-        "final_loss": result.final_loss,
+        **{name: getattr(result, name) for name in harness.RESULT_METRICS},
     }))
     if result.status == "diverged":
         sys.exit(3)
@@ -108,7 +106,7 @@ def train(config_path, out_path, seed):
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--trials", default=20, type=int)
 @click.option("--budget", default=None, type=int, help="Steps per trial.")
-@click.option("--metric", default="final_eval_accuracy")
+@click.option("--metric", default=None, help="Default: the config's target_metric.")
 @click.option("--offset", default=0, type=int)
 @click.option("--seed", default=None, type=int)
 @click.option("--workers", default=1, type=int,
@@ -116,13 +114,16 @@ def train(config_path, out_path, seed):
 def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed, workers):
     """Quasi-random search; appends trial records to a JSONL log."""
     with _boundary() as at:
-        harness.check_metric(metric, "--metric")
+        if metric is not None:
+            harness.check_metric(metric, "--metric")
         at.doc = space_path
         space = harness.read_as(harness.read_json(space_path), list[tuner.SearchDim], "space")
         at.doc = config_path  # which also names the study's errors
         doc = _load_config(config_path, seed)
         if budget is None:
             budget = doc.get("budget_steps")  # run_study reads it as an integer
+        if metric is None:  # run_study checks it
+            metric = doc.get("target_metric", harness.ExperimentConfig.target_metric)
         _check_out(out_path)
         records = tuner.run_study(space, doc, trials, budget, metric,
                                   offset=offset, workers=workers)

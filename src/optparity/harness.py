@@ -309,12 +309,12 @@ def _section(doc, cls, path: str):
 
 def seed_of(doc: dict) -> int:
     """A config document's base_seed: an integer >= 0, 0 when it is left out."""
-    return _seed(doc.get("base_seed", 0), "base_seed")
+    return _seed(doc.get("base_seed", ExperimentConfig.base_seed), "base_seed")
 
 
 def check_metric(name, path: str) -> str:
     """`name` if it names one of RESULT_METRICS; a ValidationError at `path` if not."""
-    if name not in RESULT_METRICS:
+    if not isinstance(name, str) or name not in RESULT_METRICS:
         raise ValidationError(path,
                               f"must be one of {', '.join(RESULT_METRICS)}, got {name!r}")
     return name
@@ -467,6 +467,8 @@ def run_training(config: ExperimentConfig) -> TrainResult:
 
     def evaluate(step: int, lr: float):
         train_logits, train_loss, _, _ = forward(params, stats, train, config.model, mode="eval")
+        if not math.isfinite(train_loss):  # finite logits far apart can still give one
+            raise NonFiniteInput("non-finite loss")
         eval_logits, _, _, _ = forward(params, stats, eval_set, config.model, mode="eval")
         result.history.append({
             "step": step,
@@ -507,24 +509,25 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     return result
 
 
-def expand_jobs(base: dict, assignments: list[dict]
+def expand_jobs(base: dict, jobs: list[tuple[dict, int]]
                 ) -> list[ExperimentConfig | ParseError | ValidationError]:
-    """Per assignment of dotted path -> value on a copy of `base`, its parsed
-    ExperimentConfig, or the ParseError or ValidationError of an unknown path
-    or a config that does not parse; every config is parsed before any job runs."""
-    jobs = []
-    for assignment in assignments:
+    """Per job (patches, seed), `base` copied, patched at each dotted path and
+    parsed with the seed as its base_seed; or the ParseError or ValidationError
+    of an unknown path, a patch at base_seed or a config that does not parse.
+    Every config is parsed before any job runs."""
+    expanded = []
+    for patches, seed in jobs:
         doc = deep_copy_config(base)
         try:
-            for path, value in assignment.items():
-                if path == "base_seed":  # a config may leave it out: it defaults to 0
-                    doc[path] = value
-                else:
-                    patch_config(doc, path, value)
-            jobs.append(parse_config(doc))
+            if "base_seed" in patches:
+                raise ValidationError("base_seed", "the job's seed sets it, so no patch may")
+            for path, value in patches.items():
+                patch_config(doc, path, value)
+            doc["base_seed"] = seed  # a config may leave it out: it defaults to 0
+            expanded.append(parse_config(doc))
         except (ParseError, ValidationError) as exc:
-            jobs.append(exc)
-    return jobs
+            expanded.append(exc)
+    return expanded
 
 
 def run_jobs(jobs: list[ExperimentConfig | ParseError | ValidationError],
@@ -564,24 +567,23 @@ def _run_job(config: ExperimentConfig):
         return exc
 
 
-def _arm_summaries(base: dict, arms: list[dict], seeds: list[int], target=None,
-                   metric=None, labels=None) -> list[SeedSummary]:
-    """Each arm (patches on `base`) once per seed, arm-major, summarized; the
-    first invalid config raises before any run, naming the arm by its label
-    and patches when `labels` are given and the arm has patches. `target`
-    and `metric` default to the first arm's. A diverged seed counts as the
-    metric's worst value."""
+def _arm_summaries(base: dict, arms: list[tuple[str, dict]], seeds: list[int], target=None,
+                   metric=None) -> list[SeedSummary]:
+    """Each arm, (label, patches on `base`), once per seed, arm-major,
+    summarized; the first invalid config raises before any run, naming the
+    arm by its label and patches when it has patches. `target` and `metric`
+    default to the first arm's. A diverged seed counts as the metric's worst
+    value."""
     if not seeds or len(set(seeds)) != len(seeds):
         raise InvalidConfig("seeds must be non-empty and distinct")
-    jobs = expand_jobs(base, [{**arm, "base_seed": seed} for arm in arms for seed in seeds])
+    jobs = expand_jobs(base, [(patches, seed) for _, patches in arms for seed in seeds])
     for i, job in enumerate(jobs):
         if isinstance(job, Exception):
-            arm = arms[i // len(seeds)]
-            if labels is None or not arm:
+            label, patches = arms[i // len(seeds)]
+            if not patches:
                 raise job
-            patches = ", ".join(f"{path} = {value!r}" for path, value in arm.items())
-            raise ValidationError(f"arm {labels[i // len(seeds)]!r} ({patches})",
-                                  str(job)) from job
+            named = ", ".join(f"{path} = {value!r}" for path, value in patches.items())
+            raise ValidationError(f"arm {label!r} ({named})", str(job)) from job
     target = jobs[0].target_value if target is None else target
     metric = check_metric(metric or jobs[0].target_metric, "metric")
     worst = -math.inf * RESULT_METRICS[metric]
@@ -597,16 +599,15 @@ def _arm_summaries(base: dict, arms: list[dict], seeds: list[int], target=None,
 def multi_seed_eval(config: dict, seeds: list[int], target: float,
                     metric: str = "final_eval_accuracy") -> SeedSummary:
     """Train once per seed and summarize the metric's order statistics."""
-    return _arm_summaries(config, [{}], seeds, target, metric)[0]
+    return _arm_summaries(config, [("Base", {})], seeds, target, metric)[0]
 
 
 def run_ablation(base_config: dict, overrides: list[Override],
                  seeds: list[int]) -> list[tuple[str, SeedSummary]]:
     """Base plus one-at-a-time single-field overrides, each multi-seed and
     summarized by the Base config's target value and metric."""
-    arms = [{}] + [{path: value} for _, path, value in overrides]
-    labels = ["Base"] + [label for label, _, _ in overrides]
-    return list(zip(labels, _arm_summaries(base_config, arms, seeds, labels=labels)))
+    arms = [("Base", {})] + [(label, {path: value}) for label, path, value in overrides]
+    return list(zip([label for label, _ in arms], _arm_summaries(base_config, arms, seeds)))
 
 
 def _percentile(xs: np.ndarray, q: float) -> float:

@@ -838,9 +838,9 @@ def backward(cache, params: ParamStore, config: MlpConfig,
     latest train forward on this store at its batch size, and serves one
     backward: BN's backward uses the activations, once read, as scratch.
     """
-    if cache.get("mode") != "train":
+    if not isinstance(cache, dict) or cache.get("mode") != "train":
         raise StaleCache("backward needs a train-mode forward cache")
-    if cache["params"] is not params:
+    if cache.get("params") is not params:
         raise StaleCache("the cache comes from a forward on another store")
     work = cache["work"]
     if cache["stamp"] != work.stamp:

@@ -30,6 +30,8 @@ class SearchDim:
     scaling: str = "linear"  # "linear" | "log"
 
     def __post_init__(self):
+        if self.name in ("base_seed", "budget_steps", "schedule.total_steps"):
+            raise InvalidConfig(f"{self.name}: a study sets it, so no search dimension may")
         if self.kind == "continuous":
             if not self.lo < self.hi:
                 raise InvalidConfig(f"{self.name}: lo must be < hi")
@@ -85,8 +87,9 @@ def run_study(space, base_config: dict, n_trials: int, budget_steps: int,
     """Run `n_trials` quasi-random trials of `budget_steps` each.
 
     Each trial patches `base_config`, a JSON-shaped config dict, at the
-    search-dimension paths, sets the step budget (budget_steps and
-    schedule.total_steps) and the seed base_seed + trial_index. A trial
+    search-dimension paths and at the step budget (budget_steps and
+    schedule.total_steps), which no dimension may name, and runs as its own
+    job with the seed base_seed + trial_index. A trial
     whose config does not parse is recorded as an error; if none parses,
     the first trial's error is raised before any run. A diverged trial is
     recorded and the study goes on.
@@ -100,9 +103,8 @@ def run_study(space, base_config: dict, n_trials: int, budget_steps: int,
     budget_steps = harness.read_as(budget_steps, int, "budget_steps")
     assignments = [sample_trial(space, i, offset) for i in range(n_trials)]
     jobs = harness.expand_jobs(base_config, [
-        {**assignment, "budget_steps": budget_steps, "schedule.total_steps": budget_steps,
-         "base_seed": base_seed + i}
-        for i, assignment in enumerate(assignments)])
+        ({**assignment, "budget_steps": budget_steps, "schedule.total_steps": budget_steps},
+         base_seed + i) for i, assignment in enumerate(assignments)])
     if all(isinstance(job, Exception) for job in jobs):
         raise jobs[0]
     results = harness.run_jobs(jobs, workers)

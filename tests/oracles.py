@@ -397,6 +397,8 @@ def reference_run_training(config):
                 if t % config.eval_every == 0 or t == config.budget_steps:
                     train_logits, train_loss, _ = _reference_forward(
                         p, layers, running, train.inputs, train.labels, mc, "eval")
+                    if not math.isfinite(train_loss):
+                        raise _Diverged
                     eval_logits, _, _ = _reference_forward(
                         p, layers, running, eval_set.inputs, eval_set.labels, mc, "eval")
                     result["history"].append({

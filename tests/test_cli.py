@@ -469,6 +469,52 @@ def test_unknown_search_path_names_the_config_and_the_path(tmp_path, base_config
     assert not (tmp_path / "trials.jsonl").exists()
 
 
+@pytest.mark.parametrize("name", ["base_seed", "budget_steps", "schedule.total_steps"])
+def test_search_dimension_on_a_field_the_study_sets_exits_2(tmp_path, base_config, name):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["space"], [{"name": "schedule.eta_peak", "kind": "continuous"},
+                                {"name": name, "kind": "discrete_set", "values": [3, 9]}])
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths))
+    assert_one_error_line(result, f"{paths['space']}: space.1: {name}: a study sets it")
+    assert not (tmp_path / "trials.jsonl").exists()
+
+
+def test_ablation_arm_that_sets_the_seed_exits_2_naming_the_arm(tmp_path, base_config):
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["overrides"], [["seed 77", "base_seed", 77]])
+    result = CliRunner().invoke(main, COMMANDS["ablate"](paths) + ["--seeds", "0,1"])
+    assert_one_error_line(result, f"{paths['config']}: arm 'seed 77' (base_seed = 77): "
+                                  "base_seed: ")
+
+
+@pytest.mark.parametrize("stated", [True, False], ids=["stated", "default"])
+def test_tune_without_metric_ranks_by_the_configs_target_metric(tmp_path, base_config,
+                                                                 stated):
+    if not stated:  # ExperimentConfig's default, final_eval_accuracy
+        del base_config["target_metric"]
+    metric = base_config.get("target_metric", "final_eval_accuracy")
+    paths = _valid_inputs(tmp_path, _steps_of(base_config, 20))
+    write_json(paths["space"], [{"name": "schedule.eta_peak", "kind": "continuous",
+                                 "lo": 0.01, "hi": 3.0, "scaling": "log"}])
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths)[:-2] + ["--trials", "5"])
+    assert result.exit_code == 0, result.output
+    printed = json.loads(result.stdout)
+    completed = [r for r in harness.read_results(tmp_path / "trials.jsonl")
+                 if r.status == "completed"]
+    best = max(completed, key=lambda r: (getattr(r, metric), -r.trial_index))
+    assert printed == {"best_trial": best.trial_index, metric: getattr(best, metric),
+                       "assignment": best.assignment}
+
+
+@pytest.mark.parametrize("target_metric", ["bogus", ["final_loss"], 5])
+def test_tune_without_metric_on_a_bad_target_metric_exits_2(tmp_path, base_config,
+                                                              target_metric):
+    paths = _valid_inputs(tmp_path, {**base_config, "target_metric": target_metric})
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths))
+    assert_one_error_line(result, f"{paths['config']}: target_metric: must be one of")
+    assert not (tmp_path / "trials.jsonl").exists()
+
+
 SPEC = {"family": "poly_warmup_decay", "eta_peak": 1.0, "total_steps": 10, "t_warmup": 2}
 
 

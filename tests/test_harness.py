@@ -1,11 +1,13 @@
 import ast
 import concurrent.futures
+import contextlib
 import copy
 import dataclasses
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,11 +206,21 @@ class TestPatchConfig:
             harness.patch_config(base_config, "optimizer.9.config.decay", 1)
 
     def test_unknown_path_is_its_jobs_error(self, base_config):
-        jobs = harness.expand_jobs(base_config, [{"model.nonexistent": 1},
-                                                 {"schedule.eta_peak": 0.1}])
+        jobs = harness.expand_jobs(base_config, [({"model.nonexistent": 1}, 0),
+                                                 ({"schedule.eta_peak": 0.1}, 0)])
         assert isinstance(jobs[0], ValidationError)
         assert str(jobs[0]) == "model.nonexistent: unknown config path"
         assert isinstance(jobs[1], harness.ExperimentConfig) and jobs[1].schedule.eta_peak == 0.1
+
+    def test_a_job_runs_at_its_own_seed_and_no_patch_may_set_it(self, base_config):
+        seedless = {k: v for k, v in base_config.items() if k != "base_seed"}
+        for base in (base_config, seedless):
+            jobs = harness.expand_jobs(base, [({}, 5), ({"base_seed": 9}, 5),
+                                              ({"schedule.eta_peak": 0.1, "base_seed": 9}, 5)])
+            assert isinstance(jobs[0], harness.ExperimentConfig) and jobs[0].base_seed == 5
+            for job in jobs[1:]:
+                assert isinstance(job, ValidationError) and job.path == "base_seed"
+        assert "base_seed" not in seedless  # the base is copied, not patched
 
 
 class TestRunTraining:
@@ -345,6 +357,20 @@ DIVERGES_AT_EVAL_POINT = {
     "schedule": {"family": "constant", "eta_peak": 1e10, "total_steps": 10},
     "budget_steps": 10, "batch_size": 7, "eval_every": 1,
 }
+# LAMB at eta 1e4: step 22 is clean and its eval point's logits are finite, but
+# so far apart that the train loss there is NaN: the run diverges at step 22
+NAN_LOSS_AT_EVAL_POINT = {
+    "model": {"layer_widths": [3, 29, 8, 18, 3], "use_bn": [True, False, False],
+              "bn_stats_decay": 0.9, "virtual_batch_size": 2, "label_smoothing": 0.0,
+              "init_seed": 1},
+    "data": {"classes": 3, "features": 3, "per_class": 10, "spread": 0.5, "seed": 1},
+    "optimizer": [{"tags": list(TAGS),
+                   "config": {"kind": "lamb", "momentum": 0.0, "beta1": 0.5, "beta2": 0.9,
+                              "epsilon": 1e-8, "bias_correction": False,
+                              "decay_mode": "decoupled", "decay": 1e-4, "exclude_tags": []}}],
+    "schedule": {"family": "cosine", "eta_peak": 1e4, "total_steps": 24},
+    "budget_steps": 24, "batch_size": 8, "eval_every": 1,
+}
 
 _NON_WEIGHT = ["bias", "bn_scale", "bn_shift"]
 # the deep_ablation benchmark's model and routing at a 30-step budget: six BN
@@ -429,6 +455,7 @@ class TestRunMatchesReference:
     @example(DIVERGES_AT_BN_INPUT)
     @example(DIVISION_HAZARD)
     @example(DIVERGES_AT_EVAL_POINT)
+    @example(NAN_LOSS_AT_EVAL_POINT)
     @example(DEEP_ABLATION)
     @example(LARS_HYBRID)
     @example(LARGE_BATCH)
@@ -453,14 +480,16 @@ class TestRunMatchesReference:
                                           (DIVERGES_AT_BN_INPUT, 18),
                                           (DIVISION_HAZARD, 1),
                                           (DIVERGES_AT_EVAL_POINT, 10),
+                                          (NAN_LOSS_AT_EVAL_POINT, 22),
                                           (HUGE_SPREAD, 1)],
                              ids=["logits", "bn-input", "division-hazard", "eval-point",
-                                  "huge-spread"])
+                                  "eval-point-loss", "huge-spread"])
     def test_examples_diverge_where_stated(self, doc, step):
         result = harness.run_training(harness.parse_config(doc))
         assert (result.status, result.diverged_step) == ("diverged", step)
         assert result.steps_run == step - 1
         assert all(h["step"] < step for h in result.history)
+        assert all(math.isfinite(v) for h in result.history for v in h.values())
 
 
 class TestStudy:
@@ -640,6 +669,89 @@ class TestAblation:
                  "arm 'VBS 7' .*: batch_size: 64 not divisible")]:
             with pytest.raises(ValidationError, match=match):
                 harness.run_ablation(base_config, [override], [0])
+
+    def test_an_arm_that_sets_the_seed_is_named_before_any_run(self, base_config,
+                                                                 monkeypatch):
+        monkeypatch.setattr(harness, "run_training", lambda config: pytest.fail("a run began"))
+        with pytest.raises(ValidationError) as info:
+            harness.run_ablation(base_config, [("seed 77", "base_seed", 77)], [0, 1])
+        assert str(info.value).startswith("arm 'seed 77' (base_seed = 77): base_seed: ")
+
+
+@contextlib.contextmanager
+def recorded_runs():
+    """The configs that harness.run_training gets, in the order it gets them."""
+    seen, run = [], harness.run_training
+    with mock.patch.object(harness, "run_training",
+                           lambda config: seen.append(config) or run(config)):
+        yield seen
+
+
+def fields_at(config, path: str) -> list:
+    """The values a parsed config holds at a dotted path; `*` stands for every item."""
+    nodes = [config]
+    for key in path.split("."):
+        if key == "*":
+            nodes = [item for node in nodes for item in node]
+        elif isinstance(nodes[0], list):
+            nodes = [node[int(key)] for node in nodes]
+        else:
+            nodes = [getattr(node, key) for node in nodes]
+    return nodes
+
+
+def holds(config, path: str, value) -> bool:
+    held = fields_at(config, path)
+    return bool(held) and all(item == value for item in held)
+
+
+class TestEachJobRunsWhatItsRecordClaims:
+    """A trial record and an ablation row name the seed and the values that
+    their runs got, whatever the space, offset, trial count and budget."""
+    DIMS = {dim.name: dim for dim in [
+        SearchDim("schedule.eta_peak", "continuous", 0.01, 1.0, scaling="log"),
+        SearchDim("optimizer.*.config.decay", "continuous", 1e-6, 1e-2, scaling="log"),
+        SearchDim("optimizer.0.config.momentum", "continuous", 0.0, 0.99),
+        SearchDim("model.label_smoothing", "discrete_set", values=[0.0, 0.05, 0.1]),
+    ]}
+
+    @settings(max_examples=30, deadline=None)
+    @given(names=st.lists(st.sampled_from(sorted(DIMS)), min_size=1, max_size=4, unique=True),
+           offset=st.integers(0, 100), n_trials=st.integers(1, 4), steps=st.integers(5, 10),
+           base_seed=st.integers(0, 1000))
+    def test_study(self, names, offset, n_trials, steps, base_seed):
+        base = {**BASE_CONFIG, "base_seed": base_seed}
+        with recorded_runs() as configs:
+            records = tuner.run_study([self.DIMS[name] for name in names], base, n_trials,
+                                      steps, "final_train_accuracy", offset=offset)
+        assert len(configs) == len(records) == n_trials
+        for i, (record, config) in enumerate(zip(records, configs)):
+            assert record.trial_index == i and record.seed == config.base_seed == base_seed + i
+            assert config.budget_steps == config.schedule.total_steps == steps
+            assert list(record.assignment) == names
+            assert all(holds(config, path, value) for path, value in record.assignment.items())
+
+    @settings(max_examples=30, deadline=None)
+    @given(picks=st.lists(st.tuples(st.sampled_from(sorted(DIMS)), st.floats(0.0, 1.0)),
+                          max_size=3),
+           seeds=st.lists(st.integers(0, 1000), min_size=1, max_size=3, unique=True),
+           steps=st.integers(5, 10))
+    def test_ablation(self, picks, seeds, steps):
+        base = {**BASE_CONFIG, "budget_steps": steps,
+                "schedule": {**BASE_CONFIG["schedule"], "total_steps": steps}}
+        overrides = [(f"arm {i}", path, tuner.map_unit(self.DIMS[path], u))
+                     for i, (path, u) in enumerate(picks)]
+        with recorded_runs() as configs:
+            rows = harness.run_ablation(base, overrides, seeds)
+        assert [label for label, _ in rows] == ["Base"] + [label for label, _, _ in overrides]
+        runs = iter(configs)
+        for seed in seeds:
+            assert next(runs) == harness.parse_config({**base, "base_seed": seed})
+        for _, path, value in overrides:
+            for seed in seeds:
+                config = next(runs)
+                assert config.base_seed == seed and holds(config, path, value)
+        assert next(runs, None) is None
 
 
 class TestOverrides:

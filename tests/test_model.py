@@ -304,6 +304,16 @@ class TestBackward:
         with pytest.raises(StaleCache):
             backward(cache, store, cfg)
 
+    @pytest.mark.parametrize("cache", [None, (1, 2), "train", {}, {"mode": "train"}],
+                             ids=["none", "tuple", "text", "empty", "mode-only"])
+    def test_anything_but_a_train_cache_rejected_before_any_write(self, cache):
+        cfg = small_config()
+        store = init_mlp(cfg)
+        out = np.full(store.flat.size, 7.0)
+        with pytest.raises(StaleCache):
+            backward(cache, store, cfg, out=out)
+        assert (out == 7.0).all()
+
     def test_cache_of_another_store_rejected(self):
         cfg = small_config()
         store, other = init_mlp(cfg, rng_seed=1), init_mlp(cfg, rng_seed=2)

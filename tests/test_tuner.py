@@ -12,6 +12,7 @@ from optparity.errors import (
     TooManyDims,
     ValidationError,
 )
+from optparity import harness
 from optparity.harness import RESULT_METRICS
 from optparity.tuner import (
     SearchDim,
@@ -122,6 +123,13 @@ class TestMapUnit:
             SearchDim("x", "continuous", 0.0, 1.0, scaling="log")
         with pytest.raises(InvalidConfig):
             SearchDim("x", "discrete_set", values=[])
+
+    @pytest.mark.parametrize("name", ["base_seed", "budget_steps", "schedule.total_steps"])
+    def test_a_field_the_study_sets_is_no_dimension(self, name):
+        with pytest.raises(InvalidConfig, match=f"^{name}: a study sets it"):
+            SearchDim(name, "discrete_set", values=[3, 9])
+        with pytest.raises(ValidationError, match=f"^space.0: {name}: a study sets it"):
+            harness.read_as([{"name": name, "kind": "continuous"}], list[SearchDim], "space")
 
 
 class TestSampleTrial:
