@@ -1,12 +1,6 @@
 """optparity: desk-scale optimizer parity benchmarking toolkit."""
 
-from .param_store import (
-    ParamGroup,
-    ParamStore,
-    build_param_store,
-    global_l2_norm,
-    select_groups,
-)
+from .param_store import ParamGroup, ParamStore, build_param_store
 from .optim import (
     GroupState,
     OptimizerConfig,
@@ -14,7 +8,6 @@ from .optim import (
     RoutingRule,
     adam_update,
     composite_step,
-    effective_gradient,
     heavy_ball_update,
     lamb_update,
     lars_update,

@@ -6,8 +6,9 @@ Every command body runs inside `_boundary`, the one place where an error
 becomes an exit code. A command checks its options first, then its
 documents, the config last, so that the config names the errors of runs.
 Files are read and written only through harness (`read_json`, `write_text`
-and the functions on them); `_boundary` adds the document's path to a parse
-or validation error, which names only the field or line.
+and the functions on them), and JSON text is decoded only by
+`harness.decode_json`; `_boundary` adds the document's path to a parse or
+validation error, which names only the field or line.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def _load_config(path, seed=None):
 
 def _json_or_text(text):
     try:
-        return json.loads(text)
-    except ValueError:
+        return harness.decode_json(text)
+    except ParseError:
         return text
 
 

@@ -6,8 +6,9 @@ an unknown or missing key named by its dotted path, each range by the
 dataclass's own `__post_init__`. `parse_config` adds the cross-field rules
 (step budget vs schedule length, batch vs virtual batch, routing coverage).
 Every file is read by `_read_bytes` (under `read_json` and `read_results`)
-and written by `write_text`, as UTF-8. An IoFailure names the file once; a
-parse or validation error names the field or line, and the caller the file.
+and written by `write_text`, as UTF-8, and every JSON text is decoded by
+`decode_json`. An IoFailure names the file once; a parse or validation error
+names the field or line, and the caller the file.
 """
 
 from __future__ import annotations
@@ -277,11 +278,14 @@ def _reader(hint):
     return _READERS.get(hint) or (lambda value, path: _typed(value, hint, path, _KINDS[hint]))
 
 
+_hints = functools.cache(typing.get_type_hints)  # a dataclass's field types by name
+
+
 @functools.cache
 def _declared(cls) -> tuple[dict, tuple]:
     """The reader of each init field of the dataclass `cls` by name, and the
     names of the fields that have no default, in declaration order."""
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     return ({f.name: _reader(hints[f.name]) for f in fields(cls) if f.init},
             tuple(f.name for f in fields(cls)
                   if f.default is MISSING and f.default_factory is MISSING and f.init))
@@ -321,12 +325,7 @@ def check_metric(name, path: str) -> str:
 
 
 def parse_config(doc) -> ExperimentConfig:
-    """Parse and validate a JSON config document (text or dict)."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except ValueError as exc:  # malformed JSON, or an integer of too many digits
-            raise ParseError(str(exc)) from exc
+    """Parse and validate a decoded JSON config document, a dict."""
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object")
     config = _section(doc, ExperimentConfig, "")
@@ -378,23 +377,27 @@ def deep_copy_config(doc: dict) -> dict:
 
 
 def patch_config(doc: dict, path: str, value):
-    """Set an existing field addressed by a dotted path.
+    """Set the field a dotted path addresses, walking the document beside the
+    dataclass declarations from ExperimentConfig down.
 
-    List elements are addressed by integer index or by `*` (all elements).
-    Unknown paths fail fast with ConfigPathUnknown.
+    List items are addressed by integer index or by `*` (all items). A last
+    key that its section's dataclass declares is set even where the document
+    leaves it to its default. Any other path (an undeclared key, a section
+    missing above the last key, an index past a list's end) fails fast with
+    ConfigPathUnknown.
     """
-    parts = path.split(".")
-    _patch(doc, parts, value, path)
+    _patch(doc, ExperimentConfig, path.split("."), value, path)
 
 
-def _patch(node, parts, value, full_path):
+def _patch(node, hint, parts, value, full_path):
     key, rest = parts[0], parts[1:]
     if isinstance(node, list):
+        item = (typing.get_args(hint) or (None,))[0]
         if key == "*":
             if not rest:
                 raise ConfigPathUnknown(full_path)
-            for item in node:
-                _patch(item, rest, value, full_path)
+            for target in node:
+                _patch(target, item, rest, value, full_path)
             return
         try:
             idx = int(key)
@@ -402,14 +405,15 @@ def _patch(node, parts, value, full_path):
         except (ValueError, IndexError):
             raise ConfigPathUnknown(full_path) from None
         if rest:
-            _patch(target, rest, value, full_path)
+            _patch(target, item, rest, value, full_path)
         else:
             node[idx] = value
         return
-    if not isinstance(node, dict) or key not in node:
+    declared = _declared(hint)[0] if is_dataclass(hint) else {}
+    if not isinstance(node, dict) or key not in declared or rest and key not in node:
         raise ConfigPathUnknown(full_path)
     if rest:
-        _patch(node[key], rest, value, full_path)
+        _patch(node[key], _hints(hint)[key], rest, value, full_path)
     else:
         node[key] = value
 
@@ -655,13 +659,23 @@ def _read_bytes(path) -> bytes:
         raise IoFailure(f"{path}: {exc.strerror}") from exc
 
 
+def decode_json(text: str):
+    """The JSON value `text` holds: ParseError if it is no JSON or is nested
+    past the recursion limit. The package's one JSON decoder."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def read_json(path):
     """The JSON document in the UTF-8 file at `path`: IoFailure if it cannot
     be read, ParseError if it is no UTF-8 or no JSON."""
     try:
-        return json.loads(_read_bytes(path).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON, or nested too deep
+        text = _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise ParseError(str(exc)) from exc
+    return decode_json(text)
 
 
 def write_text(path, text: str | typing.Iterable[str], mode: str = "w") -> None:
@@ -692,8 +706,8 @@ def read_results(path) -> list[TrialRecord]:
         if not line.strip():
             continue
         try:
-            records.append(_section(json.loads(line), TrialRecord, "record"))
-        except (ValueError, RecursionError, ValidationError) as exc:  # not JSON, or too deep
+            records.append(_section(decode_json(line), TrialRecord, "record"))
+        except (ParseError, ValidationError) as exc:
             raise CorruptRecord(i, str(exc)) from exc
     return records
 

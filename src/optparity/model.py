@@ -539,10 +539,6 @@ def target_table(n_classes, tau):
     return (1.0 - tau) * np.eye(n_classes) + tau / n_classes
 
 
-def smoothed_targets(labels, n_classes, tau):
-    return target_table(n_classes, tau)[labels]
-
-
 class LayerPlan:
     """What forward and backward need of one store under one model config.
 

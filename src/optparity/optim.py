@@ -225,16 +225,6 @@ def _check(g: np.ndarray, theta: np.ndarray):
         raise NonFiniteInput("gradient contains NaN/Inf")
 
 
-def effective_gradient(
-    g: np.ndarray, theta: np.ndarray, config: OptimizerConfig, group_tag: str
-) -> np.ndarray:
-    """g + lambda*theta under l2_into_gradient (unless the tag is excluded)."""
-    if g.shape != theta.shape:
-        raise LengthMismatch(f"{g.shape} vs {theta.shape}")
-    part = _Part(config, [Segment("", group_tag, theta.shape, 0, theta.size)])
-    return _with_l2(g, theta, part)
-
-
 # -- fused rules: each updates theta and its slots in place over one part ---
 
 def _with_l2(g, theta, part: _Part):

@@ -5,16 +5,15 @@ every exclusion rule used in the experiments (weights vs. bias/BN scale/
 BN shift). A store keeps all of its parameters in one float64 vector
 ``flat``, ordered by tag (``TAGS`` order, model order within a tag), and
 every group's ``values`` is a view into it, so a route over adjacent tags
-is a single slice. Iteration, lookup, ``names()`` and the JSON snapshot
-keep model order. All optimizer math downstream is shape-oblivious: norms
-are taken over flat vectors, shape metadata exists only for the model.
+is a single slice. Iteration, lookup and ``names()`` keep model order. All
+optimizer math downstream is shape-oblivious: norms are taken over flat
+vectors, shape metadata exists only for the model.
 `const` and `all_finite` are the numeric helpers the model and the
 optimizer share.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -69,9 +68,6 @@ class ParamGroup:
         grp.name, grp.tag, grp.shape = seg.name, seg.tag, seg.shape
         grp.values = flat[seg.start:seg.stop]
         return grp
-
-    def as_matrix(self) -> np.ndarray:
-        return self.values.reshape(self.shape)
 
 
 class Segment(NamedTuple):
@@ -134,10 +130,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return [g.name for g in self.groups]
 
-    @property
-    def total_params(self) -> int:
-        return self.flat.size
-
     def copy(self) -> "ParamStore":
         new = object.__new__(ParamStore)
         new.segments, new.flat_order = self.segments, self.flat_order
@@ -150,36 +142,3 @@ def build_param_store(groups: list[ParamGroup]) -> ParamStore:
     if not groups:
         raise ShapeMismatch("empty group list")
     return ParamStore(list(groups))
-
-
-def select_groups(store: ParamStore, tags: set[str]) -> list[str]:
-    """Names of all groups whose tag is in `tags`, in store order."""
-    return [g.name for g in store if g.tag in tags]
-
-
-def global_l2_norm(store: ParamStore, names: list[str]) -> float:
-    """sqrt of the sum of squares over the listed groups; 0 for an empty list."""
-    total = 0.0
-    for name in names:
-        v = store[name].values
-        total += float(v @ v)
-    return math.sqrt(total)
-
-
-def store_to_json(store: ParamStore) -> str:
-    """Snapshot for checkpoint/restore: list of {name, tag, shape, values}."""
-    doc = [
-        {"name": g.name, "tag": g.tag, "shape": list(g.shape), "values": g.values.tolist()}
-        for g in store
-    ]
-    return json.dumps(doc)
-
-
-def store_from_json(text: str) -> ParamStore:
-    doc = json.loads(text)
-    return build_param_store(
-        [
-            ParamGroup(d["name"], d["tag"], np.array(d["values"]), tuple(d["shape"]))
-            for d in doc
-        ]
-    )

@@ -308,6 +308,7 @@ def _steps(n):
     ("ablate", "overrides", [[1, "model.bn_gamma_init", 0.5]], []),
     ("ablate", "overrides", [["BN init", "model.bn_gamma_init", 0.5, 1]], []),
     ("ablate", None, None, ["--seeds", "0,1.5"]),
+    ("ablate", None, None, ["--seeds", "[" * 100_000]),
     ("report", "results", [{**SUMMARY, "label": 1}], []),
     # past the 2**53 steps a float64 tells apart; unbounded, these never end
     ("train", "config", _steps(10**30), []),
@@ -333,7 +334,8 @@ def _steps(n):
         "train-target-nan", "tune-space-values-number", "tune-space-lo-bool",
         "tune-budget-fraction", "tune-budget-bool", "report-median-text",
         "report-n-seeds-text", "ablate-label-number", "ablate-four-element-override",
-        "ablate-seeds-fraction", "report-label-number", "train-steps-past-float64",
+        "ablate-seeds-fraction", "ablate-seeds-nested", "report-label-number",
+        "train-steps-past-float64",
         "schedule-steps-past-float64"])
 def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command,
                                                   bad_file, doc, extra):
@@ -485,6 +487,46 @@ def test_ablation_arm_that_sets_the_seed_exits_2_naming_the_arm(tmp_path, base_c
     result = CliRunner().invoke(main, COMMANDS["ablate"](paths) + ["--seeds", "0,1"])
     assert_one_error_line(result, f"{paths['config']}: arm 'seed 77' (base_seed = 77): "
                                   "base_seed: ")
+
+
+def _recorded_runs(monkeypatch) -> list:
+    """The configs that harness.run_training gets from here on, in order."""
+    seen, run = [], harness.run_training
+    monkeypatch.setattr(harness, "run_training",
+                        lambda config: seen.append(config) or run(config))
+    return seen
+
+
+def test_tune_sets_a_field_the_routes_leave_to_its_default(tmp_path, base_config,
+                                                            monkeypatch):
+    del base_config["optimizer"][0]["config"]["momentum"]
+    base_config["optimizer"].insert(0, {"tags": ["bias"], "config": {"kind": "heavy_ball"}})
+    paths = _valid_inputs(tmp_path, base_config)
+    write_json(paths["space"], [{"name": "optimizer.*.config.momentum",
+                                 "kind": "discrete_set", "values": [0.5, 0.8]}])
+    runs = _recorded_runs(monkeypatch)
+    result = CliRunner().invoke(main, COMMANDS["tune"](paths)[:-2]
+                                + ["--trials", "2", "--budget", "20"])
+    assert result.exit_code == 0, result.output
+    records = harness.read_results(tmp_path / "trials.jsonl")
+    assert [r.assignment for r in records] == [{"optimizer.*.config.momentum": 0.8},
+                                               {"optimizer.*.config.momentum": 0.5}]
+    for record, config in zip(records, runs, strict=True):
+        momentum = record.assignment["optimizer.*.config.momentum"]
+        assert [cfg.momentum for _, cfg in config.routing.routes] == [momentum, momentum]
+
+
+def test_ablate_sets_a_field_the_config_leaves_to_its_default(tmp_path, base_config,
+                                                               monkeypatch):
+    del base_config["eval_every"]
+    paths = _valid_inputs(tmp_path, _steps_of(base_config, 20))
+    write_json(paths["overrides"], [["every 5", "eval_every", 5]])
+    runs = _recorded_runs(monkeypatch)
+    result = CliRunner().invoke(main, COMMANDS["ablate"](paths))
+    assert result.exit_code == 0, result.output
+    assert [line.split()[0] for line in result.stdout.splitlines()] == ["label", "Base",
+                                                                        "every"]
+    assert [config.eval_every for config in runs] == [50, 5]
 
 
 @pytest.mark.parametrize("stated", [True, False], ids=["stated", "default"])

@@ -35,7 +35,7 @@ from optparity.tuner import SearchDim
 
 class TestParseConfig:
     def test_round_trip_from_text(self, base_config):
-        cfg = harness.parse_config(json.dumps(base_config))
+        cfg = harness.parse_config(harness.decode_json(json.dumps(base_config)))
         assert cfg.budget_steps == 200
         assert cfg.schedule.family == "cosine"
         assert cfg.routing.covers_all()
@@ -82,6 +82,13 @@ class TestParseConfig:
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             harness.parse_config("{not json")
+
+    @pytest.mark.parametrize("text", [json.dumps(BASE_CONFIG), "[" * 100_000],
+                             ids=["object", "nested"])
+    def test_text_is_no_config(self, text):
+        """A config is decoded before it is parsed: JSON text is no object."""
+        with pytest.raises(ParseError, match="^config must be a JSON object$"):
+            harness.parse_config(text)
 
     def test_integral_floats_read_as_ints(self, base_config):
         want = harness.parse_config(copy.deepcopy(base_config))
@@ -204,6 +211,28 @@ class TestPatchConfig:
             harness.patch_config(base_config, "schedule.nonexistent", 1)
         with pytest.raises(ConfigPathUnknown):
             harness.patch_config(base_config, "optimizer.9.config.decay", 1)
+
+    def test_a_declared_field_the_document_leaves_out_is_set(self, base_config):
+        del base_config["eval_every"], base_config["optimizer"][0]["config"]["momentum"]
+        base_config["optimizer"].append({"tags": ["bias"], "config": {"kind": "adam"}})
+        harness.patch_config(base_config, "eval_every", 5)
+        harness.patch_config(base_config, "optimizer.*.config.momentum", 0.5)
+        harness.patch_config(base_config, "model.layer_widths.1", 8)
+        config = harness.parse_config(base_config)
+        assert config.eval_every == 5 and config.model.layer_widths == [2, 8, 16, 2]
+        assert [cfg.momentum for _, cfg in config.routing.routes] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("path", [
+        "model.bogus", "routing", "optimizer.1.config.decay", "optimizer.2.config.decay",
+        "optimizer.*", "schedule.eta_peak.0",
+    ], ids=["undeclared", "not-an-init-field", "missing-section", "index-past-the-end",
+            "wildcard-last", "under-a-number"])
+    def test_a_path_to_no_declared_field_is_refused(self, base_config, path):
+        base_config["optimizer"].append({"tags": ["bias"]})  # its config left to the default
+        kept = copy.deepcopy(base_config)
+        with pytest.raises(ConfigPathUnknown):
+            harness.patch_config(base_config, path, 1)
+        assert base_config == kept
 
     def test_unknown_path_is_its_jobs_error(self, base_config):
         jobs = harness.expand_jobs(base_config, [({"model.nonexistent": 1}, 0),
@@ -962,24 +991,39 @@ class TestPersistence:
         assert harness.read_json(doc) == {"label": "\u03b2"}
 
 
-def test_only_the_harness_reader_and_writer_open_files():
-    """Every call of `open` (the builtin, or any `.open` attribute) in the
-    package sits in harness._read_bytes or harness.write_text."""
-    openers = set()
+def _callers_in_package(is_callee) -> set[tuple[str, str | None]]:
+    """(module, function) of every call in the package whose callee node
+    `is_callee` accepts; the function is None at module level."""
+    callers = set()
 
     def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Name) and node.func.id == "open"
-                or isinstance(node.func, ast.Attribute) and node.func.attr == "open"):
-            openers.add((module, function))
+        if isinstance(node, ast.Call) and is_callee(node.func):
+            callers.add((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
 
     for source in sorted(Path(harness.__file__).parent.glob("*.py")):
         visit(ast.parse(source.read_text(encoding="utf-8")), source.stem, None)
+    return callers
+
+
+def test_only_the_harness_reader_and_writer_open_files():
+    """Every call of `open` (the builtin, or any `.open` attribute) in the
+    package sits in harness._read_bytes or harness.write_text."""
+    openers = _callers_in_package(lambda f: isinstance(f, ast.Name) and f.id == "open"
+                                  or isinstance(f, ast.Attribute) and f.attr == "open")
     assert openers == {("harness", "_read_bytes"), ("harness", "write_text")}
+
+
+def test_only_harness_decode_json_decodes_json():
+    """Every call of `json.loads` or `json.load` in the package sits in
+    harness.decode_json."""
+    decoders = _callers_in_package(lambda f: isinstance(f, ast.Attribute)
+                                   and f.attr in ("load", "loads")
+                                   and isinstance(f.value, ast.Name) and f.value.id == "json")
+    assert decoders == {("harness", "decode_json")}
 
 
 class TestReport:

@@ -35,7 +35,7 @@ from optparity.model import (
     gen_synthetic_dataset,
     init_mlp,
     layer_plan,
-    smoothed_targets,
+    target_table,
 )
 
 
@@ -292,7 +292,7 @@ class TestBackward:
 
     def test_tau_one_uniform_target_gradient(self):
         labels = np.array([0, 1])
-        targets = smoothed_targets(labels, 2, 1.0)
+        targets = target_table(2, 1.0)[labels]
         np.testing.assert_allclose(targets, 0.5)
 
     def test_eval_cache_rejected(self):

@@ -14,7 +14,6 @@ from optparity.optim import (
     adam_update,
     apply_step,
     composite_step,
-    effective_gradient,
     heavy_ball_update,
     lamb_update,
     lars_update,
@@ -31,28 +30,40 @@ def zero_state(n=1):
     return GroupState.zeros(n)
 
 
-class TestEffectiveGradient:
-    def test_zero_decay_identity(self):
-        cfg = OptimizerConfig(kind="heavy_ball", decay=0.0)
-        g = arr(1.0, 2.0)
-        assert effective_gradient(g, arr(5.0, 5.0), cfg, "weight") is g
+class TestL2IntoGradient:
+    """The gradient a rule gets under l2_into_gradient, read through apply_step:
+    one heavy-ball step from a zero state leaves it in `v`. That the decay is
+    folded into a weight's gradient is also checked over 100 steps by
+    TestOracleTrajectories.test_heavy_ball."""
 
-    def test_l2_added_for_weights(self):
-        cfg = OptimizerConfig(kind="lars", decay=1e-4, decay_mode="l2_into_gradient")
-        out = effective_gradient(arr(1.0, 1.0), arr(1.0, 1.0), cfg, "weight")
-        np.testing.assert_allclose(out, arr(1.0001, 1.0001))
+    def step(self, g, **settings):
+        store = build_param_store([ParamGroup("w", "weight", arr(1.5, -2.0), (2,)),
+                                   ParamGroup("b", "bias", arr(3.0), (1,))])
+        config = OptimizerConfig(kind="heavy_ball", momentum=0.9,
+                                 decay_mode="l2_into_gradient", **settings)
+        state = OptimizerState.for_store(store)
+        theta = store.flat.copy()
+        apply_step(store.flat, g, RoutingRule([(frozenset(TAGS), config)]), 0.1, state)
+        return theta, state.v
 
-    def test_excluded_tag_untouched(self):
-        cfg = OptimizerConfig(kind="heavy_ball", decay=1e-4,
-                              decay_mode="l2_into_gradient",
-                              exclude_tags={"bias"})
-        g = arr(1.0)
-        assert effective_gradient(g, arr(2.0), cfg, "bias") is g
+    def test_excluded_tag_gets_no_decay(self):
+        g = arr(0.25, -0.5, 0.75)
+        theta, g_eff = self.step(g, decay=0.1, exclude_tags={"bias"})
+        np.testing.assert_array_equal(g_eff[:2], g[:2] + 0.1 * theta[:2])
+        np.testing.assert_array_equal(g_eff[2:], g[2:])
 
-    def test_length_mismatch(self):
-        cfg = OptimizerConfig()
+    def test_zero_decay_changes_nothing(self):
+        g = arr(0.25, -0.5, 0.75)
+        np.testing.assert_array_equal(self.step(g, decay=0.0)[1], g)
+
+    def test_mis_sized_gradient_rejected_before_any_write(self):
+        store = build_param_store([ParamGroup("w", "weight", arr(1.0, 2.0), (2,))])
+        state = OptimizerState.for_store(store)
         with pytest.raises(LengthMismatch):
-            effective_gradient(arr(1.0), arr(1.0, 2.0), cfg, "weight")
+            apply_step(store.flat, arr(1.0), RoutingRule([(frozenset(TAGS), OptimizerConfig())]),
+                       0.1, state)
+        np.testing.assert_array_equal(store.flat, arr(1.0, 2.0))
+        assert state.t == 0
 
 
 class TestHeavyBall:
