@@ -134,7 +134,7 @@ class TrialRecord:
     def __post_init__(self):
         if self.status not in ("completed", "diverged", "error"):
             raise InvalidConfig(f"status must be completed, diverged or error, "
-                                f"got {self.status!r}")
+                                f"got {_shown(self.status)}")
         if self.status == "completed":
             missing = [name for name in RESULT_METRICS if getattr(self, name) is None]
             if missing:
@@ -168,9 +168,23 @@ class SeedSummary:
             raise InvalidConfig(f"min <= q1 <= median <= q3 <= max must hold, got {stats}")
 
 
+# an error message echoes at most this many characters of a value
+SHOWN_CHARS = 80
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut after SHOWN_CHARS characters with
+    a marker that gives its whole length, so that one error line stays short
+    however long the value."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text):,} characters)"
+
+
 def _typed(value, kind, path: str, what: str):
     if not isinstance(value, kind):
-        raise ValidationError(path, f"must be {what}, got {value!r}")
+        raise ValidationError(path, f"must be {what}, got {_shown(value)}")
     return value
 
 
@@ -178,14 +192,14 @@ def _integer(value, path: str) -> int:
     """An int, or a float with an integral value; never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             isinstance(value, float) and not value.is_integer()):
-        raise ValidationError(path, f"must be an integer, got {value!r}")
+        raise ValidationError(path, f"must be an integer, got {_shown(value)}")
     return int(value)
 
 
 def _number(value, path: str) -> float:
     """An int or float, never a bool, as a float; an int past float range is +-inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(path, f"must be a number, got {value!r}")
+        raise ValidationError(path, f"must be a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -257,7 +271,7 @@ def _reader(hint):
                     except ValidationError:
                         pass
             raise ValidationError(path, f"must be {' or '.join(map(_what, args))}, "
-                                        f"got {value!r}")
+                                        f"got {_shown(value)}")
         return read_union
     if origin in (list, frozenset):
         read_item = _reader(args[0])
@@ -269,7 +283,7 @@ def _reader(hint):
         def read_tuple(value, path):
             if len(_typed(value, list, path, "a list")) != len(read_items):
                 raise ValidationError(path, f"must be a list of {len(read_items)} items, "
-                                            f"got {value!r}")
+                                            f"got {_shown(value)}")
             return tuple(read(v, f"{path}.{i}")
                          for i, (read, v) in enumerate(zip(read_items, value)))
         return read_tuple
@@ -320,7 +334,8 @@ def check_metric(name, path: str) -> str:
     """`name` if it names one of RESULT_METRICS; a ValidationError at `path` if not."""
     if not isinstance(name, str) or name not in RESULT_METRICS:
         raise ValidationError(path,
-                              f"must be one of {', '.join(RESULT_METRICS)}, got {name!r}")
+                              f"must be one of {', '.join(RESULT_METRICS)}, "
+                              f"got {_shown(name)}")
     return name
 
 
@@ -460,7 +475,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         train, eval_set = gen_synthetic_dataset(d.classes, d.features, d.per_class,
                                                 d.spread, d.seed)
     if not (all_finite(train.inputs) and all_finite(eval_set.inputs)):
-        raise ValidationError("data.spread", f"{d.spread!r} overflows the generated inputs")
+        raise ValidationError("data.spread", f"{_shown(d.spread)} overflows the generated inputs")
     params = init_mlp(config.model, rng_seed=config.model.init_seed + config.base_seed)
     theta = params.flat
     grad = np.empty_like(theta)
@@ -586,8 +601,8 @@ def _arm_summaries(base: dict, arms: list[tuple[str, dict]], seeds: list[int], t
             label, patches = arms[i // len(seeds)]
             if not patches:
                 raise job
-            named = ", ".join(f"{path} = {value!r}" for path, value in patches.items())
-            raise ValidationError(f"arm {label!r} ({named})", str(job)) from job
+            named = ", ".join(f"{path} = {_shown(value)}" for path, value in patches.items())
+            raise ValidationError(f"arm {_shown(label)} ({named})", str(job)) from job
     target = jobs[0].target_value if target is None else target
     metric = check_metric(metric or jobs[0].target_metric, "metric")
     worst = -math.inf * RESULT_METRICS[metric]

@@ -342,7 +342,7 @@ def _bn_blocks(n, vbs, width):
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
-def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, dx, scratch, mask=None):
+def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, pair, mask=None):
     """A train-mode BN cache over the (n, c) buffer `y`, walked in `pieces`,
     row slices each of which begins where one of `blocks` (`_bn_blocks`) does.
 
@@ -350,19 +350,23 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, dx, scratch, mask=
     or through one of its "pieces" on its "x", its view of the piece's rows:
     it writes x-hat and the per-virtual-batch inverse standard deviations
     into the cache's own buffers and each virtual batch's mean and variance
-    into `stat_rows`, a (2, n // vbs, c) view. bn_backward writes dx over
-    dy in the (n, c) buffer `dx`, with the (n, c) `scratch`; given the
-    boolean `mask` of the ReLU that reads BN's output, it first multiplies
-    dy there by the mask. "back" holds its views per piece: the piece's rows
-    of dx, of the mask (or None), of x-hat and of scratch, then per block
-    (dx, x-hat, scratch, a (blocks, 1, c) column buffer, 1/std as a column).
+    into `stat_rows`, a (2, n // vbs, c) view. bn_backward works in the
+    (2, n, c) buffer `pair`, scratch in row 0 and dx written over dy in row
+    1, so that each of its paired sums is one reduction over the pair; given
+    the boolean `mask` of the ReLU that reads BN's output, it first
+    multiplies dy there by the mask. "back" holds its views per piece: the
+    piece's rows of dx, of the mask (or None), of x-hat and of scratch, then
+    per block (its rows of the pair, of scratch, of dx and of x-hat, a
+    (2, blocks, 1, c) column pair and its two rows, 1/std as a column).
     """
     n, c = y.shape
     n_sub = n // vbs
     xhat = np.empty((n, c))
     inv_stds = np.empty((n_sub, c))
-    cols = np.empty((n_sub, 1, c))
-    y3, xhat3, dx3, scratch3 = (a.reshape(n_sub, vbs, c) for a in (y, xhat, dx, scratch))
+    cols = np.empty((2, n_sub, 1, c))
+    scratch, dx = pair
+    y3, xhat3 = (a.reshape(n_sub, vbs, c) for a in (y, xhat))
+    pair4 = pair.reshape(2, n_sub, vbs, c)
     vbs_const = const(vbs)
     forward_pieces, back = [], []
     for rows in pieces:
@@ -372,13 +376,15 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, dx, scratch, mask=
             mu, var, inv = stat_rows[0, sub], stat_rows[1, sub], inv_stds[sub]
             forward_blocks.append((y3[sub], xhat3[sub], mu, mu[:, None], var, inv,
                                    inv[:, None]))
-            back_blocks.append((dx3[sub], xhat3[sub], scratch3[sub], cols[sub], inv[:, None]))
+            block_pair, block_cols = pair4[:, sub], cols[:, sub]
+            back_blocks.append((block_pair, *block_pair, xhat3[sub], block_cols, *block_cols,
+                                inv[:, None]))
         forward_pieces.append({"x": y[rows], "blocks": forward_blocks, "vbs": vbs_const})
         back.append((dx[rows], None if mask is None else mask[rows], xhat[rows],
                      scratch[rows], back_blocks))
     return {"x": y, "xhat": xhat, "inv_stds": inv_stds, "vbs": vbs_const, "gamma": gamma,
             "blocks": [blk for piece in forward_pieces for blk in piece["blocks"]],
-            "pieces": forward_pieces, "dx": dx, "scratch": scratch, "back": back}
+            "pieces": forward_pieces, "pair": pair, "dx": dx, "back": back}
 
 
 def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
@@ -397,7 +403,7 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     over `x` and the running statistics are returned as given, since the
     caller updates every layer's at once from the sums the cache's stat rows
     hold, and `x` is not checked: forward checks the means in the stat rows.
-    A cache made here holds its own dx buffer, so it serves one bn_backward.
+    A cache made here holds its own pair buffer, so it serves one bn_backward.
     """
     if mode not in ("train", "eval"):
         raise InvalidConfig(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -423,7 +429,7 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     cache = _ghost_bn_cache(y, np.asarray(gamma, dtype=np.float64), virtual_batch_size,
                             sub_stats[:, 1:], [slice(0, n)],
                             _bn_blocks(n, virtual_batch_size, x.shape[1]),
-                            np.empty(y.shape), np.empty(y.shape))
+                            np.empty((2, *y.shape)))
     _normalize(cache["blocks"], gamma, beta, bn_epsilon, cache["vbs"])
     sums = np.add.accumulate(sub_stats, axis=1)[:, -1]
     new_mean, new_var = _running_update(np.stack([running_mean, running_var]), sums,
@@ -469,23 +475,21 @@ def bn_backward(dy, cache, out=None):
     """Gradient through ghost BN; returns (dx, dgamma, dbeta).
 
     dx is written into the cache's `dx` buffer, which dy may be; `out`, if
-    given, is the (dgamma, dbeta) arrays to write.
+    given, is the (2, c) array whose rows dgamma and dbeta are written into.
 
     With a cache of a train row plan, dy must be that buffer: it holds the
     gradient at the output of the ReLU after BN, which the call first
     multiplies by the ReLU's mask. Its row-wise passes walk the cache's
     pieces (`_walk`), and dgamma and dbeta are summed over all rows on this
-    thread.
+    thread, as one reduction over the pair of dy * x-hat and dy.
     """
     dx, back = cache["dx"], cache["back"]
     if dy is not dx:
         np.copyto(dx, dy)
-    dgamma, dbeta = out if out is not None else (None, None)
     _walk(_bn_backward_scale, back)
-    dgamma = np.add.reduce(cache["scratch"], axis=0, out=dgamma)
-    dbeta = np.add.reduce(dx, axis=0, out=dbeta)
+    sums = np.add.reduce(cache["pair"], axis=1, out=out)
     _walk(_bn_backward_dx, back, cache["gamma"], cache["vbs"])
-    return dx, dgamma, dbeta
+    return dx, sums[0], sums[1]
 
 
 def _bn_backward_scale(piece):
@@ -499,18 +503,19 @@ def _bn_backward_scale(piece):
 
 def _bn_backward_dx(piece, gamma, vbs):
     """bn_backward's dx over dy, per block of one piece of its cache's "back"."""
-    for d, xh, dxhat, col, inv_col in piece[4]:
+    for pair, dxhat, d, xh, cols, sum_dxhat, sum_dxhat_xh, inv_col in piece[4]:
         # (inv / vbs) * (vbs * dxhat - sum(dxhat) - xh * sum(dxhat * xh)),
         # evaluated in this order, as the per-virtual-batch loop did; d holds
-        # dy until dxhat is taken from it
+        # dy until dxhat is taken from it, then dxhat * xh, so that both sums
+        # are one reduction over the pair
         np.multiply(d, gamma, out=dxhat)
-        sum_dxhat = np.add.reduce(dxhat, axis=1, keepdims=True, out=col)
+        np.multiply(dxhat, xh, out=d)
+        np.add.reduce(pair, axis=2, keepdims=True, out=cols)
         np.multiply(vbs, dxhat, out=d)
         d -= sum_dxhat
-        dxhat *= xh
-        np.multiply(xh, np.add.reduce(dxhat, axis=1, keepdims=True, out=col), out=dxhat)
+        np.multiply(xh, sum_dxhat_xh, out=dxhat)
         d -= dxhat
-        d *= np.divide(inv_col, vbs, out=col)
+        d *= np.divide(inv_col, vbs, out=sum_dxhat)
 
 
 def _loss_buffers(n, k):
@@ -546,7 +551,8 @@ class LayerPlan:
     hidden layer with BN) BN scale and shift as views into the store's
     `flat`, which a store never replaces; `targets` is the smoothed-target
     table and `eps` the BN epsilon as a constant. `grad_views(out)` gives the
-    same groups' views into a gradient vector laid out like `flat`,
+    same groups' views into a gradient vector laid out like `flat`, with a
+    BN layer's scale and shift as the rows of one (2, c) view,
     `row_plan(n, mode)` how passes over n rows cut them, and
     `eval_buffers(n)` the eval-mode activation buffers of one row block.
     """
@@ -584,9 +590,12 @@ class LayerPlan:
         return views
 
     def grad_views(self, out: np.ndarray):
-        """(per-layer views, {group name: flat view}) into `out`."""
+        """(per layer (weight, bias, BN scale and shift as one (2, c) view or
+        None), {group name: flat view}) into `out`."""
         if out is not self._out:
-            self._layer_grads = self._views(out)
+            self._layer_grads = [(w, b, None if gamma is None else _pair_view(out, *segs[2:]))
+                                 for (w, b, gamma, _), segs
+                                 in zip(self._views(out), self._segments)]
             self._named_grads = {seg.name: out[seg.start:seg.stop]
                                  for segs in self._segments for seg in segs}
             self._out = out
@@ -612,6 +621,14 @@ class LayerPlan:
         return [buf[:rows] for buf in self._eval]
 
 
+def _pair_view(vec: np.ndarray, first, second) -> np.ndarray:
+    """The (2, c) view of `vec` whose rows are the segments `first` and
+    `second`, each c values long."""
+    step = vec.strides[0]
+    return np.lib.stride_tricks.as_strided(vec[first.start:], (2, first.stop - first.start),
+                                           ((second.start - first.start) * step, step))
+
+
 class RowPlan:
     """How the passes of one layer plan over n rows in one mode cut the rows,
     and the buffers and views each piece of rows works in.
@@ -632,16 +649,17 @@ class RowPlan:
     layer its BN piece's "x") and of the mask, its piece of the BN cache or
     None), whether it runs on this thread). Its buffers serve every train
     forward and backward at this batch size, and each train forward
-    overwrites them. Per hidden layer there is an
-    activation buffer, over which BN writes y and the ReLU its output, which
-    the next layer reads; the ReLU mask; the gradient at the affine output,
-    over which BN's backward writes dx; and for a BN layer a cache holding
-    x-hat, the inverse standard deviations and the block views
-    (`_ghost_bn_cache`). BN's backward overwrites the activation, so a cache
-    serves one backward. `top` is the last hidden layer's activation, or
-    None with no hidden layer. `back` holds per hidden layer what backward
-    reads: this layer's activation and the next layer's weight transposed,
-    the mask, dz and the BN cache. `sub_stats` holds every BN layer's
+    overwrites them. Per hidden layer there is a (2, n, c) buffer holding
+    the activation, over which BN writes y and the ReLU its output, which
+    the next layer reads, and the gradient at the affine output, over which
+    BN's backward writes dx; the ReLU mask; and for a BN layer a cache
+    holding x-hat, the inverse standard deviations and the block views
+    (`_ghost_bn_cache`), whose pair buffer is the layer's. BN's backward
+    overwrites the activation, so a cache serves one backward. `top` is the
+    last hidden layer's activation, or None with no hidden layer. `back`
+    holds per hidden layer what backward reads: this layer's activation and
+    the next layer's weight transposed, the mask, dz and the BN cache.
+    `sub_stats` holds every BN layer's
     per-virtual-batch means and variances after a zero row, side by side as
     in `BnRunningStats.values`, and `decay` is the running update's
     constants. `targets` holds the batch's smoothed targets and `loss` the
@@ -686,13 +704,14 @@ class RowPlan:
         start, blocks = 0, iter(self.blocks)
         for (w, b, gamma, beta), (w_next, _, _, _) in zip(plan.layers, plan.layers[1:]):
             c = w.shape[1]
-            act, mask, dz = np.empty((n, c)), np.empty((n, c), dtype=bool), np.empty((n, c))
+            pair, mask = np.empty((2, n, c)), np.empty((n, c), dtype=bool)
+            act, dz = pair
             bn_cache, bn_pieces = None, [None] * len(self.pieces)
             if gamma is not None:
                 stat_rows = self.sub_stats[:, 1:, start:start + c]
                 # BN's backward uses the activation, read by then, as scratch
                 bn_cache = _ghost_bn_cache(act, gamma, vbs, stat_rows, self.pieces, next(blocks),
-                                           dz, act, mask)
+                                           pair, mask)
                 bn_pieces = bn_cache["pieces"]
                 start += c
             for rows, layers, bn in zip(self.pieces, piece_layers, bn_pieces):
@@ -782,10 +801,16 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     widths = config.layer_widths
     if x.shape[1] != widths[0]:
         raise ShapeMismatch(f"batch has {x.shape[1]} features, model expects {widths[0]}")
-    if np.maximum.reduce(labels) >= widths[-1]:  # a Batch holds no negative label
-        raise InvalidConfig("label out of range")
     plan = layer_plan(params, config)
     n = x.shape[0]
+    work = plan.row_plan(n, "train") if mode == "train" else None
+    try:
+        # a Batch holds no negative label; mode="raise" writes `out` only once
+        # every label is in range, so a bad batch leaves the buffers as they were
+        targets = plan.targets.take(labels, axis=0, out=None if work is None else work.targets,
+                                    mode="raise")
+    except IndexError:
+        raise InvalidConfig("label out of range") from None
     new_stats = stats
     w_out, b_out, _, _ = plan.layers[-1]
     if mode == "eval":
@@ -795,10 +820,9 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
             h = x[block]
             _walk(_eval_pass, pieces, h, hidden, running, plan.eps)
             np.matmul(h if top is None else top, w_out, out=logits[block])
-        targets, buffers = None, _loss_buffers(n, widths[-1])
+        buffers = _loss_buffers(n, widths[-1])
         cache = {"mode": mode}
     else:
-        work = plan.row_plan(n, "train")
         work.stamp += 1
         cache = {"mode": mode, "params": params, "plan": plan, "work": work,
                  "stamp": work.stamp, "inputs": x}
@@ -811,11 +835,9 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
             _check_bn_input(work.sub_stats[0])
             sums = np.add.accumulate(work.sub_stats, axis=1, out=work.stat_sums)[:, -1]
             new_stats = stats.updated(sums, work.decay)
-        targets, buffers = work.targets, work.loss
+        buffers = work.loss
         cache["last_input"] = x
         logits = np.matmul(x, w_out)
-    # every label is in range, and mode="clip" lets take write `out` unbuffered
-    targets = plan.targets.take(labels, axis=0, out=targets, mode="clip")
     logits += b_out
     if not all_finite(logits):
         raise NonFiniteInput("non-finite logits")
@@ -855,7 +877,7 @@ def backward(cache, params: ParamStore, config: MlpConfig,
     for k in range(len(work.back) - 1, -1, -1):
         # dz is the gradient at layer k + 1's affine output, act layer k's output
         act_t, w_next_t, mask, dx, bn_cache = work.back[k]
-        gw, gb, _, _ = layer_grads[k + 1]
+        gw, gb, _ = layer_grads[k + 1]
         if split:
             # the block ends before BN's backward writes over act
             with _the_worker().beside(np.matmul, act_t, dz, gw):
@@ -868,9 +890,9 @@ def backward(cache, params: ParamStore, config: MlpConfig,
         if bn_cache is None:
             dx *= mask
         else:  # multiplies dx by the mask first
-            bn_backward(dx, bn_cache, out=layer_grads[k][2:])
+            bn_backward(dx, bn_cache, out=layer_grads[k][2])
         dz = dx
-    gw, gb, _, _ = layer_grads[0]
+    gw, gb, _ = layer_grads[0]
     np.matmul(cache["inputs"].T, dz, out=gw)
     np.add.reduce(dz, axis=0, out=gb)
     return named

@@ -15,6 +15,9 @@ tags), and each rule updates its whole slice with one fused call: per-
 element decay where exclusions differ, per-group LARS/LAMB trust ratios.
 Adjacent Adam and LAMB slices that share their moment settings advance
 their moments and take their direction in one pass before the rules run.
+Every temporary of a step lives in the direction buffer that the routing
+plan owns or in the gradient, which a step overwrites once it has read
+it, so a step allocates no parameter-sized array.
 `apply_step` is the one code path that dispatches a rule: it updates a
 flat parameter vector and the optimizer state in place, over the layout
 the store keeps in ``flat_order``. `composite_step` runs it on copies of
@@ -161,7 +164,9 @@ class _Part:
     `wd` are the decay lambdas of the two modes, each a constant or a
     per-element vector, and `l2_on` and `wd_on` say whether they act.
     `momentum` and `epsilon` are the config's as constants, and `moments` what
-    an Adam-family rule's moment pass depends on (None for another rule).
+    an Adam-family rule's moment pass depends on (None for another rule);
+    `betas` are the config's beta1, beta2, 1 - beta1 and 1 - beta2 as
+    constants, as the moment pass takes them.
     """
 
     def __init__(self, config: OptimizerConfig, segs: list[Segment]):
@@ -181,6 +186,8 @@ class _Part:
         self.momentum, self.epsilon = const(config.momentum), const(config.epsilon)
         self.moments = ((config.beta1, config.beta2, config.epsilon, config.bias_correction)
                         if config.kind in ("adam", "lamb") else None)
+        self.betas = tuple(map(const, (config.beta1, config.beta2,
+                                       1.0 - config.beta1, 1.0 - config.beta2)))
 
 
 class _Plan:
@@ -227,18 +234,25 @@ def _check(g: np.ndarray, theta: np.ndarray):
 
 # -- fused rules: each updates theta and its slots in place over one part ---
 
-def _with_l2(g, theta, part: _Part):
-    return g + part.l2 * theta if part.l2_on else g
+def _plus_decay(x, decay, on: bool, theta, scratch):
+    """x, with x + decay * theta written over it when `on`, the product taken
+    in `scratch`: the L2 term of a gradient or the decoupled term of an Adam
+    direction."""
+    if on:
+        np.multiply(decay, theta, out=scratch)
+        np.add(x, scratch, out=x)
+    return x
 
 
-def _trust_ratios(theta, d, part: _Part, coefficient: float) -> np.ndarray:
-    """Per group coefficient*|theta|/|d|; 1 when excluded or a norm is zero.
+def _trust_scales(theta, d, part: _Part, coefficient: float, eta: float, out):
+    """Write eta * ratio over each group's slice of `out` and return it, where
+    a group's ratio is coefficient*|theta|/|d|, or 1 when it is excluded or a
+    norm is zero.
 
     Each norm is the square root of one dot product over the group's own
     slice, which is how np.linalg.norm computes a vector norm (`a.dot(a)`
     and `a @ a` give the same bits).
     """
-    ratios = []
     for (lo, hi), on in zip(part.bounds, part.included):
         ratio = 1.0
         if on:
@@ -246,15 +260,15 @@ def _trust_ratios(theta, d, part: _Part, coefficient: float) -> np.ndarray:
             a_norm, b_norm = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
             if a_norm != 0.0 and b_norm != 0.0:
                 ratio = coefficient * a_norm / b_norm
-        ratios.append(ratio)
-    return np.array(ratios)
+        out[lo:hi] = eta * ratio
+    return out
 
 
 def _adam_direction(g_eff, m, s, out, part: _Part, t: int):
     """Advance (m, s) in place and write the m_hat/(sqrt(s_hat)+eps) direction
-    at step t+1 into `out`."""
+    at step t+1 into `out`; g_eff is scratch once the moments have read it."""
     config = part.config
-    kernels.adam_moments(m, s, g_eff, config.beta1, config.beta2)
+    kernels.adam_moments(m, s, g_eff, *part.betas, out)
     if config.bias_correction:
         c1 = 1.0 - config.beta1 ** (t + 1)
         c2 = 1.0 - config.beta2 ** (t + 1)
@@ -262,35 +276,42 @@ def _adam_direction(g_eff, m, s, out, part: _Part, t: int):
         c1 = c2 = 1.0
     if config.epsilon == 0.0 and np.logical_or.reduce(s == 0.0):
         raise DivisionHazard("epsilon=0 with a zero second-moment entry")
-    kernels.adam_direction(out, m, s, part.epsilon, c1, c2)
+    kernels.adam_direction(out, m, s, part.epsilon, c1, c2, g_eff)
 
 
-# each rule takes its part's slices of theta, g, v and the Adam direction
+# each rule takes its part's slices of theta, g, v and the Adam direction;
+# g is scratch once the rule has read it, and so is the direction for a
+# momentum rule
 def _heavy_ball(theta, g, v, d, eta, part: _Part):
-    kernels.heavy_ball_step(theta, _with_l2(g, theta, part), v, eta, part.momentum, part.wd)
+    kernels.heavy_ball_step(theta, _plus_decay(g, part.l2, part.l2_on, theta, d), v, eta,
+                            part.momentum, part.wd, d)
 
 
 def _nesterov(theta, g, v, d, eta, part: _Part):
-    kernels.nesterov_step(theta, _with_l2(g, theta, part), v, eta, part.momentum, part.wd)
+    kernels.nesterov_step(theta, _plus_decay(g, part.l2, part.l2_on, theta, d), v, eta,
+                          part.momentum, part.wd, d, g)
 
 
 def _adam(theta, g, v, d, eta, part: _Part):
-    theta -= eta * (d + part.wd * theta) if part.wd_on else eta * d
+    # theta -= eta * (d + wd * theta), or eta * d without decay
+    _plus_decay(d, part.wd, part.wd_on, theta, g)
+    theta -= np.multiply(eta, d, out=d)
 
 
 def _lars(theta, g, v, d, eta, part: _Part):
-    g_eff = _with_l2(g, theta, part)
-    ratios = _trust_ratios(theta, g_eff, part, part.config.trust_coefficient)
-    kernels.trust_momentum_step(theta, g_eff, v, (ratios * eta).repeat(part.sizes),
-                                part.momentum)
+    g = _plus_decay(g, part.l2, part.l2_on, theta, d)
+    scale = _trust_scales(theta, g, part, part.config.trust_coefficient, eta, d)
+    kernels.trust_momentum_step(theta, g, v, scale, part.momentum, d)
     if part.wd_on:
-        theta -= eta * part.wd * theta
+        # theta -= eta * wd * theta
+        np.multiply(eta, part.wd, out=g)
+        theta -= np.multiply(g, theta, out=g)
 
 
 def _lamb(theta, g, v, d, eta, part: _Part):
-    u = d + part.wd * theta if part.wd_on else d
-    ratios = _trust_ratios(theta, u, part, 1.0)
-    theta -= (eta * ratios).repeat(part.sizes) * u
+    # u = d + wd * theta, or d without decay; theta -= (eta * ratio) * u
+    _plus_decay(d, part.wd, part.wd_on, theta, g)
+    theta -= np.multiply(_trust_scales(theta, d, part, 1.0, eta, g), d, out=g)
 
 
 _UPDATE_FNS = {
@@ -310,7 +331,7 @@ def _update_one(kind, theta, g, state: GroupState, eta, config, group_tag):
     theta = np.array(theta, dtype=np.float64)
     one = OptimizerState(state.v.copy(), state.m.copy(), state.s.copy(), state.t,
                          (Segment("", group_tag, theta.shape, 0, theta.size),))
-    apply_step(theta, np.asarray(g, dtype=np.float64),
+    apply_step(theta, np.array(g, dtype=np.float64),
                RoutingRule([(frozenset({group_tag}), config)]), eta, one)
     return theta, GroupState(one.v, one.m, one.s, one.t)
 
@@ -345,11 +366,12 @@ def apply_step(theta: np.ndarray, g: np.ndarray, routing: RoutingRule, eta: floa
     """Update every group via its routed rule with a shared learning rate, in place.
 
     `theta` is a store's flat vector and `g` its gradient in the same layout;
-    `theta` and the slots of `state` are updated in place. The global step
-    counter advances exactly once; every moment pass sees the pre-step count
-    so Adam bias correction stays aligned. Each run of Adam-family parts
-    advances its moments first, then each rule runs once over its part. A
-    raised error leaves them part-way.
+    `theta` and the slots of `state` are updated in place, and `g` is the
+    step's scratch once it has been read, so it comes back overwritten. The
+    global step counter advances exactly once; every moment pass sees the
+    pre-step count so Adam bias correction stays aligned. Each run of
+    Adam-family parts advances its moments first, then each rule runs once
+    over its part. A raised error leaves them part-way.
     """
     _check(g, theta)
     if theta.shape != state.v.shape:
@@ -357,7 +379,7 @@ def apply_step(theta: np.ndarray, g: np.ndarray, routing: RoutingRule, eta: floa
     t = state.t
     moments, parts = state.plan_for(routing).views(theta, g, state.v, state.m, state.s)
     for theta_r, g_r, m, s, d, lead in moments:
-        _adam_direction(_with_l2(g_r, theta_r, lead), m, s, d, lead, t)
+        _adam_direction(_plus_decay(g_r, lead.l2, lead.l2_on, theta_r, d), m, s, d, lead, t)
     for kind, theta_p, g_p, v, d, part in parts:
         _UPDATE_FNS[kind](theta_p, g_p, v, d, eta, part)
     state.t = t + 1

@@ -349,6 +349,33 @@ def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command
     assert not (tmp_path / "trials.jsonl").exists()
 
 
+LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize("command,bad_file,doc,extra,limit", [
+    ("ablate", None, None, ["--seeds", "[" * 100_000], 300),
+    ("ablate", None, None, ["--seeds", LONG], 300),
+    ("train", "config", _base_with(budget_steps=LONG), [], 300),
+    ("train", "config", _section_with("model", layer_widths=[2, LONG, 2]), [], 300),
+    ("tune", None, None, ["--metric", LONG], 300),
+    # the arm's label and value, then the value in the job's own error
+    ("ablate", "overrides", [[LONG, "model.bn_gamma_init", LONG]], [], 600),
+], ids=["seeds-nested", "seeds-text", "config-leaf", "config-list-item", "tune-metric",
+        "ablation-arm"])
+def test_a_long_value_is_cut_in_its_one_error_line(tmp_path, base_config, command, bad_file,
+                                                   doc, extra, limit):
+    """A 100,000-character value is echoed as its first 80 characters and a
+    marker that gives its length, so the one error line stays short."""
+    paths = _valid_inputs(tmp_path, base_config)
+    if callable(doc):
+        doc = doc(base_config)
+    if bad_file:
+        write_json(paths[bad_file], doc)
+    result = CliRunner().invoke(main, COMMANDS[command](paths) + extra)
+    assert_one_error_line(result, "characters)")
+    assert len(result.stderr.encode()) < limit, result.stderr
+
+
 def test_invalid_ablation_arm_is_named_in_the_error(tmp_path, base_config):
     paths = _valid_inputs(tmp_path, base_config)
     write_json(paths["overrides"], [["BN init", "model.bn_gamma_init", 0.5],

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -519,6 +520,55 @@ class TestRunMatchesReference:
         assert result.steps_run == step - 1
         assert all(h["step"] < step for h in result.history)
         assert all(math.isfinite(v) for h in result.history for v in h.values())
+
+
+# acceptance test 10's Nesterov config as its study starts from it: two BN
+# layers of width 16, 500 steps at batch 64, an eval point every 100 steps
+PARITY_NESTEROV = {
+    **copy.deepcopy(BASE_CONFIG),
+    "optimizer": [{"tags": list(TAGS),
+                   "config": {"kind": "nesterov", "momentum": 0.9, "decay": 0.0,
+                              "exclude_tags": _NON_WEIGHT}}],
+    "schedule": {"family": "cosine", "eta_peak": 0.5, "total_steps": 500},
+    "budget_steps": 500, "eval_every": 100,
+}
+
+
+def _reductions(doc) -> int:
+    """The ufunc .reduce and .accumulate calls that one run_training of `doc`
+    makes on the calling thread, counted from the profiler's c_call events."""
+    config = harness.parse_config(doc)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if (event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ufunc)
+                and arg.__name__ in ("reduce", "accumulate")):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = harness.run_training(config)
+    finally:
+        sys.setprofile(previous)
+    assert result.status == "completed"
+    return count
+
+
+@pytest.mark.parametrize("doc,count", [(PARITY_NESTEROV, 10_084), (DEEP_ABLATION, 1_276)],
+                         ids=["test-10-nesterov", "deep-ablation"])
+def test_reductions_per_run(doc, count):
+    """At these sizes a reduction costs about as much as a small step's
+    element-wise call, so the count is pinned exactly: a change that adds a
+    reduction to the step changes it and must say so. A train step makes,
+    per BN layer, two for the statistics and one per BN block of the
+    backward; one over its pair of sums dgamma and dbeta; one per bias
+    gradient; one accumulate over the running statistics; four in the loss;
+    and the finiteness checks of the BN means, the logits and the gradient.
+    Test 10's config read 12,594 and DEEP_ABLATION 1,672 before the paired
+    sums and the label check folded into the targets' take."""
+    assert _reductions(doc) == count
 
 
 class TestStudy:

@@ -241,11 +241,24 @@ class TestForward:
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_label_out_of_range_rejected(self, mode):
+        """Before the pass writes anything: the last train forward's cache,
+        targets included, stays fresh and backward still takes it."""
         cfg = small_config()
         store = init_mlp(cfg)
-        bad = Batch(np.zeros((8, 2)), np.array([0, 1, 0, 1, 2, 0, 1, 0]))
+        stats = BnRunningStats.for_config(cfg)
+        batch = random_batch(cfg, 8)
+        _, _, cache, _ = forward(store, stats, batch, cfg)
+        want = backward(cache, store, cfg)
+        _, _, cache, _ = forward(store, stats, batch, cfg)
+        # every in-range label differs from the cached batch's, the last is out of range
+        labels = 1 - batch.labels
+        labels[-1] = 2
+        bad = Batch(np.zeros((8, 2)), labels)
         with pytest.raises(InvalidConfig, match="label out of range"):
-            forward(store, BnRunningStats.for_config(cfg), bad, cfg, mode=mode)
+            forward(store, stats, bad, cfg, mode=mode)
+        got = backward(cache, store, cfg)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
 
     @pytest.mark.parametrize("mode", ["Eval", "evaluate", "TRAIN"])
     def test_unknown_mode_rejected_before_the_pass(self, mode):

@@ -43,7 +43,8 @@ class TestL2IntoGradient:
                                  decay_mode="l2_into_gradient", **settings)
         state = OptimizerState.for_store(store)
         theta = store.flat.copy()
-        apply_step(store.flat, g, RoutingRule([(frozenset(TAGS), config)]), 0.1, state)
+        # apply_step overwrites the gradient it is given
+        apply_step(store.flat, g.copy(), RoutingRule([(frozenset(TAGS), config)]), 0.1, state)
         return theta, state.v
 
     def test_excluded_tag_gets_no_decay(self):
@@ -537,3 +538,37 @@ class TestFusedMatchesPerGroupLoop:
             for old, now in zip(before, (store.flat, state.v, state.m, state.s)):
                 np.testing.assert_array_equal(old, now)
             store, state = new_store, new_state
+
+
+@pytest.mark.parametrize("decay_mode", ["l2_into_gradient", "decoupled"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_warm_step_allocates_under_one_parameter_vector(kind, decay_mode):
+    """Every temporary of a step lives in the routing plan's direction buffer
+    or in the gradient, so once the plan is built a step's traced peak stays
+    at or below one parameter vector: a 255x256 weight and a 256-element
+    bias, 65,536 values, with decay on the weight alone (a per-element decay
+    vector)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    store = build_param_store([
+        ParamGroup("w", "weight", rng.normal(size=255 * 256), (255, 256)),
+        ParamGroup("b", "bias", rng.normal(size=256), (256,))])
+    config = OptimizerConfig(kind=kind, momentum=0.9, decay=1e-3, decay_mode=decay_mode,
+                             exclude_tags={"bias"})
+    routing = RoutingRule([(frozenset(TAGS), config)])
+    state = OptimizerState.for_store(store)
+    grad = rng.normal(size=store.flat.size)
+    g = np.empty_like(grad)  # one gradient vector, refilled before each step
+    for _ in range(2):
+        np.copyto(g, grad)
+        apply_step(store.flat, g, routing, 0.01, state)
+    np.copyto(g, grad)
+    tracemalloc.start()
+    try:
+        apply_step(store.flat, g, routing, 0.01, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store.flat.size == 65_536
+    assert peak <= store.flat.nbytes
