@@ -172,14 +172,23 @@ class SeedSummary:
 SHOWN_CHARS = 80
 
 
-def _shown(value) -> str:
-    """repr(value) for an error message, cut after SHOWN_CHARS characters with
-    a marker that gives its whole length, so that one error line stays short
-    however long the value."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """`text` for an error message, cut after SHOWN_CHARS characters with a
+    marker that gives its whole length, so that one error line stays short
+    however long the text."""
     if len(text) <= SHOWN_CHARS:
         return text
     return f"{text[:SHOWN_CHARS]}... ({len(text):,} characters)"
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut as `_cut` cuts it."""
+    return _cut(repr(value))
+
+
+def _shown_path(path: str) -> str:
+    """A dotted path for an error message, each of its keys cut as `_cut` cuts it."""
+    return ".".join(map(_cut, path.split(".")))
 
 
 def _typed(value, kind, path: str, what: str):
@@ -314,7 +323,7 @@ def _section(doc, cls, path: str):
     values = {}
     for key, value in _typed(doc, dict, path, "an object").items():
         if key not in readers:
-            raise ValidationError(prefix + key, "unknown key")
+            raise ValidationError(prefix + _cut(key), "unknown key")
         values[key] = readers[key](value, prefix + key)
     for name in required:
         if name not in values:
@@ -399,9 +408,9 @@ def patch_config(doc: dict, path: str, value):
     key that its section's dataclass declares is set even where the document
     leaves it to its default. Any other path (an undeclared key, a section
     missing above the last key, an index past a list's end) fails fast with
-    ConfigPathUnknown.
+    ConfigPathUnknown, which names the path with each key cut as `_cut` cuts it.
     """
-    _patch(doc, ExperimentConfig, path.split("."), value, path)
+    _patch(doc, ExperimentConfig, path.split("."), value, _shown_path(path))
 
 
 def _patch(node, hint, parts, value, full_path):
@@ -601,8 +610,13 @@ def _arm_summaries(base: dict, arms: list[tuple[str, dict]], seeds: list[int], t
             label, patches = arms[i // len(seeds)]
             if not patches:
                 raise job
-            named = ", ".join(f"{path} = {_shown(value)}" for path, value in patches.items())
-            raise ValidationError(f"arm {_shown(label)} ({named})", str(job)) from job
+            # a cut path that the job's error names as unknown is named there only
+            unknown = job.path if isinstance(job, ConfigPathUnknown) else None
+            shown = [(_shown_path(path), path, value) for path, value in patches.items()]
+            named = ", ".join(f"{cut} = {_shown(value)}" for cut, path, value in shown
+                              if cut == path or cut != unknown)
+            arm = f"arm {_shown(label)}" + (f" ({named})" if named else "")
+            raise ValidationError(arm, str(job)) from job
     target = jobs[0].target_value if target is None else target
     metric = check_metric(metric or jobs[0].target_metric, "metric")
     worst = -math.inf * RESULT_METRICS[metric]

@@ -304,6 +304,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
+def _wide(n, layers) -> bool:
+    """Whether n rows through any of `layers` (plan layer tuples) make a
+    product wider than WIDE_PRODUCT."""
+    return any(n * w.size > WIDE_PRODUCT for w, _, _, _ in layers)
+
+
 def _pieces(n, layers, block_starts=()) -> list[slice]:
     """The pieces of rows a pass over n rows runs in: two, the worker's rows
     before the split and the calling thread's from it, when n rows through
@@ -312,13 +318,22 @@ def _pieces(n, layers, block_starts=()) -> list[slice]:
     rows in every set of `block_starts` that is nearest the middle (the
     lower on a tie); when even that leaves either piece under 3/8 of the
     rows, the pass runs in one piece."""
-    if _USE_WORKER and any(n * w.size > WIDE_PRODUCT for w, _, _, _ in layers):
+    if _USE_WORKER and _wide(n, layers):
         starts = [row for row in range(EVAL_BLOCK_ALIGN, n, EVAL_BLOCK_ALIGN)
                   if all(row in blocks for blocks in block_starts)]
         split = min(starts, key=lambda row: abs(2 * row - n), default=0)
         if 8 * min(split, n - split) >= 3 * n:
             return [slice(0, split), slice(split, n)]
     return [slice(0, n)]
+
+
+def _product(n, layers):
+    """The product function of a row plan that takes n rows through `layers`:
+    np.dot, the cheaper call, where no product is wider than WIDE_PRODUCT,
+    else np.matmul, whether the plan splits or not. Both make the same
+    OpenBLAS call and give the same bits; np.dot was timed faster on narrow
+    products only, and on both threads of a split step it read slower."""
+    return np.matmul if _wide(n, layers) else np.dot
 
 
 def _walk(pass_, pieces, *args):
@@ -350,7 +365,10 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, pair, mask=None):
     or through one of its "pieces" on its "x", its view of the piece's rows:
     it writes x-hat and the per-virtual-batch inverse standard deviations
     into the cache's own buffers and each virtual batch's mean and variance
-    into `stat_rows`, a (2, n // vbs, c) view. bn_backward works in the
+    into `stat_rows`, a (2, n // vbs, c) view. A row plan's rows of it are
+    C-contiguous where the layer is as wide as its widest BN layer: a ufunc
+    with a strided operand takes numpy's general iterator, at two to three
+    times the cost at these sizes. bn_backward works in the
     (2, n, c) buffer `pair`, scratch in row 0 and dx written over dy in row
     1, so that each of its paired sums is one reduction over the pair; given
     the boolean `mask` of the ReLU that reads BN's output, it first
@@ -635,7 +653,9 @@ class RowPlan:
 
     A pass runs the hidden layers in `pieces` of rows (`_pieces`): two where
     a product is wider than WIDE_PRODUCT, the worker thread carrying the
-    first, else one. An eval plan walks the rows in `blocks` (see
+    first, else one. `product` is the function the plan's matrix products
+    call (`_product`): np.dot where none is wider than WIDE_PRODUCT, else
+    np.matmul. An eval plan walks the rows in `blocks` (see
     EVAL_BLOCK_ROWS), cutting each as the first, so that a last block of up
     to 15 rows fewer splits at the same row; `walks` holds per block its
     rows, its pieces as `_eval_pass` takes them (their rows of the block and
@@ -659,10 +679,15 @@ class RowPlan:
     last hidden layer's activation, or None with no hidden layer. `back`
     holds per hidden layer what backward reads: this layer's activation and
     the next layer's weight transposed, the mask, dz and the BN cache.
-    `sub_stats` holds every BN layer's
-    per-virtual-batch means and variances after a zero row, side by side as
-    in `BnRunningStats.values`, and `decay` is the running update's
-    constants. `targets` holds the batch's smoothed targets and `loss` the
+    `sub_stats` holds every BN layer's per-virtual-batch means and variances
+    after a zero row, layer-major, as (2, BN layers, n // vbs + 1, widest BN
+    width) zeros: a layer's stat rows are its first `width` columns, so each
+    block's mean and variance views are C-contiguous wherever the layer is
+    as wide as the widest. `stat_sums` holds their running sums down the
+    sub-batches, `sums_at` the flat index in it of each BN layer's totals
+    laid out as in `BnRunningStats.values`, `sums` the (2, W) buffer they
+    are gathered into, and `decay` the running update's constants.
+    `targets` holds the batch's smoothed targets and `loss` the
     `_loss_buffers`, whose scratch buffer backward reuses for the logits'
     gradient; `n_rows` is the batch size as a constant. `stamp` counts the
     train forwards and backwards that have written the plan, so that a cache
@@ -676,6 +701,7 @@ class RowPlan:
             self.blocks = [slice(start, min(start + EVAL_BLOCK_ROWS, n))
                            for start in [*range(0, last, EVAL_BLOCK_ROWS), last]]
             self.pieces = _pieces(min(n, EVAL_BLOCK_ROWS), hidden)
+            self.product = _product(min(n, EVAL_BLOCK_ROWS), plan.layers)
             buffers = plan.eval_buffers(n)
             self.walks = []
             for block in self.blocks:
@@ -688,32 +714,38 @@ class RowPlan:
         vbs = config.virtual_batch_size
         bn_widths = [w.shape[1] for w, _, gamma, _ in hidden if gamma is not None]
         self.stamp = 0
-        self.sub_stats = self.stat_sums = self.decay = None
+        self.sub_stats = self.stat_sums = self.sums_at = self.sums = self.decay = None
         if bn_widths:
             if n % vbs != 0:
                 raise IndivisibleBatch(f"{n} rows vs virtual batch {vbs}")
-            self.sub_stats = np.zeros((2, n // vbs + 1, sum(bn_widths)))
+            self.sub_stats = np.zeros((2, len(bn_widths), n // vbs + 1, max(bn_widths)))
             self.stat_sums = np.empty_like(self.sub_stats)
+            self.sums_at = np.ravel_multi_index(
+                (np.arange(2)[:, None], np.repeat(np.arange(len(bn_widths)), bn_widths),
+                 n // vbs, np.concatenate([np.arange(c) for c in bn_widths])),
+                self.stat_sums.shape)
+            self.sums = np.empty(self.sums_at.shape)
             rho = config.bn_stats_decay
             self.decay = (const(rho), const(1.0 - rho), const(n // vbs))
         self.blocks = [_bn_blocks(n, vbs, c) for c in bn_widths]
         self.pieces = _pieces(n, plan.layers,
                               [{blk.start for blk in blocks} for blocks in self.blocks])
+        self.product = _product(n, plan.layers)
         piece_layers = [[] for _ in self.pieces]
         self.back, self.top = [], None
-        start, blocks = 0, iter(self.blocks)
+        bn_index, blocks = 0, iter(self.blocks)
         for (w, b, gamma, beta), (w_next, _, _, _) in zip(plan.layers, plan.layers[1:]):
             c = w.shape[1]
             pair, mask = np.empty((2, n, c)), np.empty((n, c), dtype=bool)
             act, dz = pair
             bn_cache, bn_pieces = None, [None] * len(self.pieces)
             if gamma is not None:
-                stat_rows = self.sub_stats[:, 1:, start:start + c]
+                stat_rows = self.sub_stats[:, bn_index, 1:, :c]
                 # BN's backward uses the activation, read by then, as scratch
                 bn_cache = _ghost_bn_cache(act, gamma, vbs, stat_rows, self.pieces, next(blocks),
                                            pair, mask)
                 bn_pieces = bn_cache["pieces"]
-                start += c
+                bn_index += 1
             for rows, layers, bn in zip(self.pieces, piece_layers, bn_pieces):
                 layers.append((w, b, gamma, beta, act[rows] if bn is None else bn["x"],
                                mask[rows], bn))
@@ -734,7 +766,7 @@ def layer_plan(params: ParamStore, config: MlpConfig) -> LayerPlan:
     return plan
 
 
-def _train_pass(piece, x, eps, config):
+def _train_pass(piece, x, eps, config, product):
     """The train forward's hidden layers over one piece of `RowPlan.walk`,
     reading its rows of the input `x`. On the calling thread BN runs through
     bn_forward; on the worker it normalizes the piece directly. Neither checks
@@ -742,7 +774,7 @@ def _train_pass(piece, x, eps, config):
     rows, layers, here = piece
     x = x[rows]
     for w, b, gamma, beta, act, mask, bn in layers:
-        np.matmul(x, w, out=act)
+        product(x, w, out=act)
         act += b
         if bn is not None and here:
             bn_forward(act, gamma, beta, eps, config.virtual_batch_size, "train",
@@ -754,14 +786,14 @@ def _train_pass(piece, x, eps, config):
         x = act
 
 
-def _eval_pass(piece, x, layers, running, eps):
+def _eval_pass(piece, x, layers, running, eps, product):
     """The eval forward's hidden `layers` over one piece of a block of
     `RowPlan.walks`, whose input rows are `x`, with BN's running statistics."""
     rows, buffers = piece
     h = x[rows]
     bn_stats = iter(running)
     for (w, b, gamma, beta), z in zip(layers, buffers):
-        np.matmul(h, w, out=z)
+        product(h, w, out=z)
         z += b
         if gamma is not None:
             _check_bn_input(z)
@@ -816,10 +848,11 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     if mode == "eval":
         hidden, running = plan.layers[:-1], list(zip(stats.means, stats.vars))
         logits = np.empty((n, widths[-1]))
-        for block, pieces, top in plan.row_plan(n, "eval").walks:
+        blocks = plan.row_plan(n, "eval")
+        for block, pieces, top in blocks.walks:
             h = x[block]
-            _walk(_eval_pass, pieces, h, hidden, running, plan.eps)
-            np.matmul(h if top is None else top, w_out, out=logits[block])
+            _walk(_eval_pass, pieces, h, hidden, running, plan.eps, blocks.product)
+            blocks.product(h if top is None else top, w_out, out=logits[block])
         buffers = _loss_buffers(n, widths[-1])
         cache = {"mode": mode}
     else:
@@ -827,17 +860,18 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
         cache = {"mode": mode, "params": params, "plan": plan, "work": work,
                  "stamp": work.stamp, "inputs": x}
         with np.errstate(invalid="ignore"):  # a non-finite BN input raises below
-            _walk(_train_pass, work.walk, x, plan.eps, config)
+            _walk(_train_pass, work.walk, x, plan.eps, config, work.product)
         if work.top is not None:
             x = work.top
         if work.decay is not None:
             # a virtual batch's mean is non-finite where any of its inputs is
             _check_bn_input(work.sub_stats[0])
-            sums = np.add.accumulate(work.sub_stats, axis=1, out=work.stat_sums)[:, -1]
+            np.add.accumulate(work.sub_stats, axis=2, out=work.stat_sums)
+            sums = work.stat_sums.take(work.sums_at, out=work.sums, mode="clip")
             new_stats = stats.updated(sums, work.decay)
         buffers = work.loss
         cache["last_input"] = x
-        logits = np.matmul(x, w_out)
+        logits = work.product(x, w_out)
     logits += b_out
     if not all_finite(logits):
         raise NonFiniteInput("non-finite logits")
@@ -873,7 +907,7 @@ def backward(cache, params: ParamStore, config: MlpConfig,
     dz = np.exp(cache["log_p"], out=work.loss[1])
     dz -= cache["targets"]
     dz /= work.n_rows
-    split = len(work.pieces) > 1
+    split, product = len(work.pieces) > 1, work.product
     for k in range(len(work.back) - 1, -1, -1):
         # dz is the gradient at layer k + 1's affine output, act layer k's output
         act_t, w_next_t, mask, dx, bn_cache = work.back[k]
@@ -884,16 +918,16 @@ def backward(cache, params: ParamStore, config: MlpConfig,
                 np.add.reduce(dz, axis=0, out=gb)
                 np.matmul(dz, w_next_t, out=dx)
         else:
-            np.matmul(act_t, dz, out=gw)
+            product(act_t, dz, out=gw)
             np.add.reduce(dz, axis=0, out=gb)
-            np.matmul(dz, w_next_t, out=dx)
+            product(dz, w_next_t, out=dx)
         if bn_cache is None:
             dx *= mask
         else:  # multiplies dx by the mask first
             bn_backward(dx, bn_cache, out=layer_grads[k][2])
         dz = dx
     gw, gb, _ = layer_grads[0]
-    np.matmul(cache["inputs"].T, dz, out=gw)
+    product(cache["inputs"].T, dz, out=gw)
     np.add.reduce(dz, axis=0, out=gb)
     return named
 

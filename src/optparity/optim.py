@@ -17,7 +17,9 @@ Adjacent Adam and LAMB slices that share their moment settings advance
 their moments and take their direction in one pass before the rules run.
 Every temporary of a step lives in the direction buffer that the routing
 plan owns or in the gradient, which a step overwrites once it has read
-it, so a step allocates no parameter-sized array.
+it, so a step allocates no parameter-sized array. The plan also keeps
+every view a step works in, down to each LARS or LAMB group's views for
+its trust ratio, so a step slices no vector.
 `apply_step` is the one code path that dispatches a rule: it updates a
 flat parameter vector and the optimizer state in place, over the layout
 the store keeps in ``flat_order``. `composite_step` runs it on copies of
@@ -213,7 +215,8 @@ class _Plan:
     def views(self, theta, g, v, m, s) -> tuple[list[tuple], list[tuple]]:
         """Per moment run its slices of theta, g, m, s and of a direction buffer,
         and its first part; per part its kind, its slices of theta, g, v and the
-        direction, and the part. Built once per set of vectors."""
+        direction, the part, and its trust groups (`_trust_groups`). Built once
+        per set of vectors."""
         vectors = self._vectors
         if (vectors is None or vectors[0] is not theta or vectors[1] is not g
                 or vectors[2] is not v or vectors[3] is not m or vectors[4] is not s):
@@ -221,8 +224,23 @@ class _Plan:
             self._views = (
                 [(theta[run], g[run], m[run], s[run], d[run], lead) for run, lead in self.moments],
                 [(part.config.kind, theta[part.slice], g[part.slice], v[part.slice],
-                  d[part.slice], part) for part in self.parts])
+                  d[part.slice], part, _trust_groups(part, theta[part.slice], g[part.slice],
+                                                     d[part.slice]))
+                 for part in self.parts])
         return self._views
+
+
+def _trust_groups(part: _Part, theta, g, d) -> list[tuple] | None:
+    """Per group of a LARS or LAMB part, whether it takes a trust ratio and its
+    views of the part's slices of theta, of the vector whose norm the ratio
+    divides by and of the vector that `_trust_scales` fills: g and the
+    direction for LARS, the direction and g for LAMB. None for another rule."""
+    kind = part.config.kind
+    if kind not in ("lars", "lamb"):
+        return None
+    u, out = (g, d) if kind == "lars" else (d, g)
+    return [(on, theta[lo:hi], u[lo:hi], out[lo:hi])
+            for (lo, hi), on in zip(part.bounds, part.included)]
 
 
 def _check(g: np.ndarray, theta: np.ndarray):
@@ -244,24 +262,22 @@ def _plus_decay(x, decay, on: bool, theta, scratch):
     return x
 
 
-def _trust_scales(theta, d, part: _Part, coefficient: float, eta: float, out):
-    """Write eta * ratio over each group's slice of `out` and return it, where
-    a group's ratio is coefficient*|theta|/|d|, or 1 when it is excluded or a
+def _trust_scales(groups: list[tuple], coefficient: float, eta: float):
+    """Fill each of `_trust_groups`' out views with eta * ratio, where the
+    group's ratio is coefficient*|theta|/|u|, or 1 when it is excluded or a
     norm is zero.
 
     Each norm is the square root of one dot product over the group's own
-    slice, which is how np.linalg.norm computes a vector norm (`a.dot(a)`
+    view, which is how np.linalg.norm computes a vector norm (`a.dot(a)`
     and `a @ a` give the same bits).
     """
-    for (lo, hi), on in zip(part.bounds, part.included):
+    for on, theta, u, out in groups:
         ratio = 1.0
         if on:
-            a, b = theta[lo:hi], d[lo:hi]
-            a_norm, b_norm = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
+            a_norm, b_norm = math.sqrt(theta.dot(theta)), math.sqrt(u.dot(u))
             if a_norm != 0.0 and b_norm != 0.0:
                 ratio = coefficient * a_norm / b_norm
-        out[lo:hi] = eta * ratio
-    return out
+        out.fill(eta * ratio)
 
 
 def _adam_direction(g_eff, m, s, out, part: _Part, t: int):
@@ -279,39 +295,40 @@ def _adam_direction(g_eff, m, s, out, part: _Part, t: int):
     kernels.adam_direction(out, m, s, part.epsilon, c1, c2, g_eff)
 
 
-# each rule takes its part's slices of theta, g, v and the Adam direction;
-# g is scratch once the rule has read it, and so is the direction for a
-# momentum rule
-def _heavy_ball(theta, g, v, d, eta, part: _Part):
+# each rule takes its part's slices of theta, g, v and the Adam direction,
+# the part and its trust groups; g is scratch once the rule has read it, and
+# so is the direction for a momentum rule
+def _heavy_ball(theta, g, v, d, eta, part: _Part, trust):
     kernels.heavy_ball_step(theta, _plus_decay(g, part.l2, part.l2_on, theta, d), v, eta,
                             part.momentum, part.wd, d)
 
 
-def _nesterov(theta, g, v, d, eta, part: _Part):
+def _nesterov(theta, g, v, d, eta, part: _Part, trust):
     kernels.nesterov_step(theta, _plus_decay(g, part.l2, part.l2_on, theta, d), v, eta,
                           part.momentum, part.wd, d, g)
 
 
-def _adam(theta, g, v, d, eta, part: _Part):
+def _adam(theta, g, v, d, eta, part: _Part, trust):
     # theta -= eta * (d + wd * theta), or eta * d without decay
     _plus_decay(d, part.wd, part.wd_on, theta, g)
     theta -= np.multiply(eta, d, out=d)
 
 
-def _lars(theta, g, v, d, eta, part: _Part):
+def _lars(theta, g, v, d, eta, part: _Part, trust):
     g = _plus_decay(g, part.l2, part.l2_on, theta, d)
-    scale = _trust_scales(theta, g, part, part.config.trust_coefficient, eta, d)
-    kernels.trust_momentum_step(theta, g, v, scale, part.momentum, d)
+    _trust_scales(trust, part.config.trust_coefficient, eta)  # ratios of |theta|/|g| over d
+    kernels.trust_momentum_step(theta, g, v, d, part.momentum, d)
     if part.wd_on:
         # theta -= eta * wd * theta
         np.multiply(eta, part.wd, out=g)
         theta -= np.multiply(g, theta, out=g)
 
 
-def _lamb(theta, g, v, d, eta, part: _Part):
+def _lamb(theta, g, v, d, eta, part: _Part, trust):
     # u = d + wd * theta, or d without decay; theta -= (eta * ratio) * u
     _plus_decay(d, part.wd, part.wd_on, theta, g)
-    theta -= np.multiply(_trust_scales(theta, d, part, 1.0, eta, g), d, out=g)
+    _trust_scales(trust, 1.0, eta)  # ratios of |theta|/|u| over g
+    theta -= np.multiply(g, d, out=g)
 
 
 _UPDATE_FNS = {
@@ -380,8 +397,8 @@ def apply_step(theta: np.ndarray, g: np.ndarray, routing: RoutingRule, eta: floa
     moments, parts = state.plan_for(routing).views(theta, g, state.v, state.m, state.s)
     for theta_r, g_r, m, s, d, lead in moments:
         _adam_direction(_plus_decay(g_r, lead.l2, lead.l2_on, theta_r, d), m, s, d, lead, t)
-    for kind, theta_p, g_p, v, d, part in parts:
-        _UPDATE_FNS[kind](theta_p, g_p, v, d, eta, part)
+    for kind, theta_p, g_p, v, d, part, trust in parts:
+        _UPDATE_FNS[kind](theta_p, g_p, v, d, eta, part, trust)
     state.t = t + 1
 
 

@@ -376,6 +376,39 @@ def test_a_long_value_is_cut_in_its_one_error_line(tmp_path, base_config, comman
     assert len(result.stderr.encode()) < limit, result.stderr
 
 
+@pytest.mark.parametrize("command,bad_file,doc,limit", [
+    ("train", "config", _base_with(**{LONG: 1}), 300),
+    ("train", "config", _section_with("model", **{LONG: 1}), 300),
+    ("tune", "space", [{"name": f"schedule.{LONG}", "kind": "continuous", "lo": 0.01,
+                        "hi": 1.0, "scaling": "log"}], 300),
+    ("ablate", "overrides", [["BN init", f"model.{LONG}", 0.5]], 300),
+    ("ablate", "overrides", [["BN init", f"{LONG}.bn_gamma_init", 0.5]], 300),
+], ids=["config-key", "config-section-key", "tune-space-name", "ablation-path-last-key",
+        "ablation-path-first-key"])
+def test_a_long_key_is_cut_in_its_one_error_line(tmp_path, base_config, command, bad_file,
+                                                 doc, limit):
+    """A 100,000-character key in a config or an override path is echoed once,
+    as its first 80 characters and a marker that gives its length."""
+    paths = _valid_inputs(tmp_path, base_config)
+    if callable(doc):
+        doc = doc(base_config)
+    write_json(paths[bad_file], doc)
+    result = CliRunner().invoke(main, COMMANDS[command](paths))
+    cut = f"{'x' * 80}... (100,000 characters)"
+    assert_one_error_line(result, cut)
+    assert result.stderr.count(cut) == 1, result.stderr
+    assert len(result.stderr.encode()) <= limit, result.stderr
+
+
+def test_a_short_key_is_named_whole(tmp_path, base_config):
+    paths = _valid_inputs(tmp_path, base_config)
+    key = "k" * harness.SHOWN_CHARS
+    write_json(paths["overrides"], [["BN init", f"model.{key}", 0.5]])
+    result = CliRunner().invoke(main, COMMANDS["ablate"](paths))
+    assert_one_error_line(result, f"{paths['config']}: arm 'BN init' (model.{key} = 0.5): "
+                                  f"model.{key}: unknown config path")
+
+
 def test_invalid_ablation_arm_is_named_in_the_error(tmp_path, base_config):
     paths = _valid_inputs(tmp_path, base_config)
     write_json(paths["overrides"], [["BN init", "model.bn_gamma_init", 0.5],

@@ -571,6 +571,78 @@ def test_reductions_per_run(doc, count):
     assert _reductions(doc) == count
 
 
+FAST_PATH_DOCS = pytest.mark.parametrize("doc", [PARITY_NESTEROV, DEEP_ABLATION, LARGE_BATCH],
+                                         ids=["test-10-nesterov", "deep-ablation",
+                                              "large-batch"])
+
+
+def _row_plans(doc):
+    """(the train row plan at the batch size, the eval row plans at the train
+    and eval sets' sizes) of a run of `doc`."""
+    config = harness.parse_config(doc)
+    d = config.data
+    sets = model.gen_synthetic_dataset(d.classes, d.features, d.per_class, d.spread, d.seed)
+    plan = model.layer_plan(model.init_mlp(config.model), config.model)
+    return (plan.row_plan(config.batch_size, "train"),
+            [plan.row_plan(len(batch), "eval") for batch in sets])
+
+
+@FAST_PATH_DOCS
+@pytest.mark.parametrize("worker", [False, True], ids=["one-piece", "worker"])
+def test_row_plans_take_the_fast_paths(doc, worker, monkeypatch):
+    """Every BN block's mean, variance and 1/std views are C-contiguous, so
+    that the ufuncs over them skip numpy's general iterator, and a row plan
+    makes its products with np.dot where none is wider than WIDE_PRODUCT,
+    else with np.matmul, whether or not it splits."""
+    monkeypatch.setattr(model, "_USE_WORKER", worker)
+    train, evals = _row_plans(doc)
+    wide = doc is LARGE_BATCH  # 2.6-67 M multiply-adds, the others at most 0.13 M
+    for rows in [train, *evals]:
+        assert rows.product is (np.matmul if wide else np.dot)
+        assert len(rows.pieces) == (2 if wide and worker else 1)
+    caches = [cache for *_, cache in train.back if cache is not None]
+    assert caches
+    for cache in caches:
+        for _, _, mu, _, var, inv, _ in cache["blocks"]:
+            assert mu.flags.c_contiguous and var.flags.c_contiguous and inv.flags.c_contiguous
+
+
+def _dot_products(doc, rng):
+    """(name, a, b) for each product shape that the row plans of a run of
+    `doc` make with np.dot, with random operands laid out as the plans' are."""
+    config = harness.parse_config(doc)
+    widths, n = config.model.layer_widths, config.batch_size
+    train, evals = _row_plans(doc)
+    assert train.product is np.dot and all(rows.product is np.dot for rows in evals)
+    eval_rows = sorted({blk.stop - blk.start for rows in evals for blk in rows.blocks})
+    last = len(widths) - 2
+    for i, (c_in, c_out) in enumerate(zip(widths, widths[1:])):
+        layer = "output layer" if i == last else f"layer {i + 1}"
+        yield f"train {layer}", rng.normal(size=(n, c_in)), rng.normal(size=(c_in, c_out))
+        for m in eval_rows:
+            yield (f"eval {layer}, {m}-row block", rng.normal(size=(m, c_in)),
+                   rng.normal(size=(c_in, c_out)))
+        yield (f"{'x' if i == 0 else 'act'}.T @ dz of {layer}", rng.normal(size=(n, c_in)).T,
+               rng.normal(size=(n, c_out)))
+        if i > 0:
+            yield (f"dz @ W.T of {layer}", rng.normal(size=(n, c_out)),
+                   rng.normal(size=(c_in, c_out)).T)
+
+
+@pytest.mark.parametrize("doc", [PARITY_NESTEROV, DEEP_ABLATION],
+                         ids=["test-10-nesterov", "deep-ablation"])
+def test_dot_products_match_matmul_bitwise(doc):
+    """np.dot, which narrow row plans make their products with, gives
+    np.matmul's bits on each product shape those plans take; so a numpy or
+    OpenBLAS whose two calls part ways fails here, naming the product.
+    LARGE_BATCH's plans are all wide and make none with np.dot."""
+    for name, a, b in _dot_products(doc, np.random.default_rng(41)):
+        got, want = np.empty((a.shape[0], b.shape[1])), np.empty((a.shape[0], b.shape[1]))
+        np.dot(a, b, out=got)
+        np.matmul(a, b, out=want)
+        assert got.tobytes() == want.tobytes(), f"{name}: {a.shape} @ {b.shape}"
+
+
 class TestStudy:
     SPACE = [
         SearchDim("schedule.eta_peak", "continuous", 0.01, 1.0, scaling="log"),

@@ -425,6 +425,34 @@ class TestTrainWorkspace:
         assert all(np.shares_memory(v, new_stats.values) for v in new_stats.vars)
         np.testing.assert_array_equal(stats.values, [[0.0] * 24, [1.0] * 24])
 
+    @pytest.mark.parametrize("widths,use_bn", [([2, 16, 8, 2], True),
+                                               ([2, 16, 8, 12, 2], [True, False, True])],
+                             ids=["bn-16-8", "bn-16-plain-8-bn-12"])
+    def test_running_stats_of_unequal_widths_match_the_oracle(self, widths, use_bn):
+        """BN layers narrower than the widest keep their statistics in narrower
+        views of the row plan's layer-major buffers; the running statistics
+        still come out side by side, as oracles.ghost_bn_forward gives them."""
+        cfg = small_config(layer_widths=widths, use_bn=use_bn, bn_stats_decay=0.8)
+        store = init_mlp(cfg, rng_seed=12)
+        stats = BnRunningStats.for_config(cfg)
+        want = [(np.zeros(c), np.ones(c)) for c, on in zip(widths[1:-1], cfg.use_bn) if on]
+        for seed in (13, 14):
+            batch = random_batch(cfg, 32, seed=seed)
+            _, _, _, stats = forward(store, stats, batch, cfg)
+            x, k = batch.inputs, 0
+            for i, (c_in, c_out) in enumerate(zip(widths, widths[1:-1])):
+                z = x @ store[f"w{i + 1}"].values.reshape(c_in, c_out) + store[f"b{i + 1}"].values
+                if cfg.use_bn[i]:
+                    z, _, _, *want[k] = oracles.ghost_bn_forward(
+                        z, store[f"bn{i + 1}_scale"].values, store[f"bn{i + 1}_shift"].values,
+                        cfg.bn_epsilon, cfg.virtual_batch_size, *want[k], cfg.bn_stats_decay)
+                    k += 1
+                x = np.maximum(z, 0.0)
+            assert stats.values.shape == (2, sum(mean.size for mean, _ in want))
+            np.testing.assert_array_equal(stats.values,
+                                          np.concatenate([np.stack(pair) for pair in want],
+                                                         axis=1))
+
 
 LARGE_BATCH_WIDTHS = [16, 256, 256, 10]
 BLOCKED_SHAPES = [(LARGE_BATCH_WIDTHS, 4096), (LARGE_BATCH_WIDTHS, 1024),
