@@ -669,7 +669,7 @@ def summarize(values: list[float], target: float, metric="final_eval_accuracy") 
     arr = np.sort(np.asarray(values, dtype=np.float64))
     frac = float((better * arr >= better * target).mean())
     return SeedSummary(
-        median=float(np.median(arr)),
+        median=_percentile(arr, 50),
         q1=_percentile(arr, 25),
         q3=_percentile(arr, 75),
         min=float(arr.min()),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import glob
+import math
 import os
 from dataclasses import dataclass
 
@@ -97,51 +98,44 @@ class Batch:
 class BnRunningStats:
     """Per-BN-layer exponential moving averages used at eval time.
 
-    Every BN layer's statistics sit side by side, in model order, in one
-    (2, W) array `values`: means in row 0, variances in row 1. `means` and
-    `vars` are per-layer views of it. A train step makes a new array and
-    never writes into one, so stats objects may share theirs.
+    Every BN layer's statistics sit in one (2, L, c_max) array `values`, laid
+    out as a train row plan sums them (`RowPlan.stat_sums`): means in row 0
+    and variances in row 1, one row per BN layer in model order, each
+    layer's values in its first `widths` columns. `means` and `vars` are
+    per-layer views of it. A train step makes a new array and never writes
+    into one, so stats objects may share theirs.
     """
 
-    def __init__(self, values: np.ndarray, layers: tuple[slice, ...]):
+    def __init__(self, values: np.ndarray, widths: tuple[int, ...]):
         self.values = values
-        self.layers = layers
+        self.widths = widths
 
     @property
     def means(self) -> list[np.ndarray]:
-        return [self.values[0, layer] for layer in self.layers]
+        return [self.values[0, k, :c] for k, c in enumerate(self.widths)]
 
     @property
     def vars(self) -> list[np.ndarray]:
-        return [self.values[1, layer] for layer in self.layers]
+        return [self.values[1, k, :c] for k, c in enumerate(self.widths)]
 
     def updated(self, sums: np.ndarray, decay: tuple) -> "BnRunningStats":
-        """The statistics after a train batch whose virtual batches' means and
-        variances sum to `sums`, laid out like `values`; `decay` is as
-        `_running_update` takes it, and `sums` is overwritten."""
-        return BnRunningStats(_running_update(self.values, sums, decay), self.layers)
+        """rho * values + (1 - rho) * sums / n_sub, as new statistics, for a
+        train batch whose virtual batches' means and variances sum to `sums`,
+        laid out like `values`; `decay` is (rho, 1 - rho, n_sub). `sums` may
+        be a strided view: it is read once, into a new contiguous array."""
+        rho, keep, n_sub = decay
+        scaled = np.multiply(sums, keep)
+        scaled /= n_sub
+        new = np.multiply(rho, self.values)
+        new += scaled
+        return BnRunningStats(new, self.widths)
 
     @classmethod
     def for_config(cls, config: MlpConfig) -> "BnRunningStats":
-        layers, start = [], 0
-        for i, on in enumerate(config.use_bn):
-            if on:
-                layers.append(slice(start, start + config.layer_widths[i + 1]))
-                start = layers[-1].stop
-        values = np.zeros((2, start))
+        widths = tuple(c for c, on in zip(config.layer_widths[1:], config.use_bn) if on)
+        values = np.zeros((2, len(widths), max(widths, default=0)))
         values[1] = 1.0
-        return cls(values, tuple(layers))
-
-
-def _running_update(old, sums, decay):
-    """rho * old + (1 - rho) * sums / n_sub as a new array, for any number of BN
-    layers at once, where `decay` is (rho, 1 - rho, n_sub); `sums` is overwritten."""
-    rho, keep, n_sub = decay
-    sums *= keep
-    sums /= n_sub
-    new = np.multiply(rho, old)
-    new += sums
-    return new
+        return cls(values, widths)
 
 
 def init_mlp(config: MlpConfig, rng_seed: int | None = None) -> ParamStore:
@@ -310,18 +304,16 @@ def _wide(n, layers) -> bool:
     return any(n * w.size > WIDE_PRODUCT for w, _, _, _ in layers)
 
 
-def _pieces(n, layers, block_starts=()) -> list[slice]:
+def _pieces(n, layers, unit) -> list[slice]:
     """The pieces of rows a pass over n rows runs in: two, the worker's rows
     before the split and the calling thread's from it, when n rows through
     any of `layers` (plan layer tuples) make a product wider than
-    WIDE_PRODUCT; else one. The split is the multiple of EVAL_BLOCK_ALIGN
-    rows in every set of `block_starts` that is nearest the middle (the
-    lower on a tie); when even that leaves either piece under 3/8 of the
-    rows, the pass runs in one piece."""
+    WIDE_PRODUCT; else one. The split is the multiple of `unit` rows, a
+    multiple of EVAL_BLOCK_ALIGN, nearest the middle (the lower on a tie);
+    when even that leaves either piece under 3/8 of the rows, the pass runs
+    in one piece."""
     if _USE_WORKER and _wide(n, layers):
-        starts = [row for row in range(EVAL_BLOCK_ALIGN, n, EVAL_BLOCK_ALIGN)
-                  if all(row in blocks for blocks in block_starts)]
-        split = min(starts, key=lambda row: abs(2 * row - n), default=0)
+        split = (n + unit - 1) // (2 * unit) * unit  # n / 2 rounded half down to units
         if 8 * min(split, n - split) >= 3 * n:
             return [slice(0, split), slice(split, n)]
     return [slice(0, n)]
@@ -350,16 +342,17 @@ def _walk(pass_, pieces, *args):
         pass_(pieces[1], *args)
 
 
-def _bn_blocks(n, vbs, width):
-    """The row slices ghost BN walks over n rows of `width`: whole virtual
-    batches of vbs rows, at most BN_BLOCK_ELEMS values (or one batch) each."""
-    rows = max(1, BN_BLOCK_ELEMS // (vbs * width)) * vbs
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+def _bn_block_rows(vbs, width):
+    """The rows of a block ghost BN walks over a layer `width` wide: whole
+    virtual batches of vbs rows, at most BN_BLOCK_ELEMS values (or one batch)."""
+    return max(1, BN_BLOCK_ELEMS // (vbs * width)) * vbs
 
 
-def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, pair, mask=None):
+def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, pair, mask=None):
     """A train-mode BN cache over the (n, c) buffer `y`, walked in `pieces`,
-    row slices each of which begins where one of `blocks` (`_bn_blocks`) does.
+    row slices each of which begins at a multiple of `_bn_block_rows(vbs,
+    c)` rows and is cut into blocks of that many rows counted from its own
+    first row, the last block ending with the piece.
 
     bn_forward normalizes `y`, the cache's "x", in place through the cache,
     or through one of its "pieces" on its "x", its view of the piece's rows:
@@ -387,10 +380,11 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, blocks, pair, mask=None):
     pair4 = pair.reshape(2, n_sub, vbs, c)
     vbs_const = const(vbs)
     forward_pieces, back = [], []
+    step = _bn_block_rows(vbs, c)
     for rows in pieces:
         forward_blocks, back_blocks = [], []
-        for sub in [slice(blk.start // vbs, blk.stop // vbs) for blk in blocks
-                    if rows.start <= blk.start < rows.stop]:
+        for start in range(rows.start, rows.stop, step):
+            sub = slice(start // vbs, min(start + step, rows.stop) // vbs)
             mu, var, inv = stat_rows[0, sub], stat_rows[1, sub], inv_stds[sub]
             forward_blocks.append((y3[sub], xhat3[sub], mu, mu[:, None], var, inv,
                                    inv[:, None]))
@@ -441,18 +435,17 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
         return x, cache, running_mean, running_var
     n_sub = n // virtual_batch_size
     y = np.array(x, dtype=np.float64)
-    # Per-sub-batch means and variances after a zero row each, so that the
-    # running sums below add them to zero in sub-batch order, as a loop does.
-    sub_stats = np.zeros((2, n_sub + 1, x.shape[1]))
+    # Per-sub-batch means and variances after a zero row each, laid out as a
+    # row plan's for one BN layer, so that the running sums below add them to
+    # zero in sub-batch order, as a loop does.
+    sub_stats = np.zeros((2, 1, n_sub + 1, x.shape[1]))
     cache = _ghost_bn_cache(y, np.asarray(gamma, dtype=np.float64), virtual_batch_size,
-                            sub_stats[:, 1:], [slice(0, n)],
-                            _bn_blocks(n, virtual_batch_size, x.shape[1]),
-                            np.empty((2, *y.shape)))
+                            sub_stats[:, 0, 1:], [slice(0, n)], np.empty((2, *y.shape)))
     _normalize(cache["blocks"], gamma, beta, bn_epsilon, cache["vbs"])
-    sums = np.add.accumulate(sub_stats, axis=1)[:, -1]
-    new_mean, new_var = _running_update(np.stack([running_mean, running_var]), sums,
-                                        (stats_decay, 1.0 - stats_decay, n_sub))
-    return y, cache, new_mean, new_var
+    stats = BnRunningStats(np.stack([running_mean, running_var])[:, None], (x.shape[1],))
+    stats = stats.updated(np.add.accumulate(sub_stats, axis=2)[:, :, -1],
+                          (stats_decay, 1.0 - stats_decay, n_sub))
+    return y, cache, stats.means[0], stats.vars[0]
 
 
 def _check_bn_input(x):
@@ -662,8 +655,9 @@ class RowPlan:
     of the layer plan's eval buffers) and its rows of the last of those
     buffers, or None with no hidden layer.
 
-    A train plan splits its n rows where a block of each BN layer begins, and
-    `blocks` holds per BN layer its `_bn_blocks`; `walk` holds the pieces as
+    A train plan splits its n rows at a multiple of EVAL_BLOCK_ALIGN and of
+    every BN layer's `_bn_block_rows`, so that each BN layer's blocks lie
+    inside the pieces (`_ghost_bn_cache`); `walk` holds the pieces as
     `_train_pass` takes them: (the piece's rows, per hidden layer (weight,
     bias, BN scale, BN shift, the piece's rows of the activation (for a BN
     layer its BN piece's "x") and of the mask, its piece of the BN cache or
@@ -684,9 +678,8 @@ class RowPlan:
     width) zeros: a layer's stat rows are its first `width` columns, so each
     block's mean and variance views are C-contiguous wherever the layer is
     as wide as the widest. `stat_sums` holds their running sums down the
-    sub-batches, `sums_at` the flat index in it of each BN layer's totals
-    laid out as in `BnRunningStats.values`, `sums` the (2, W) buffer they
-    are gathered into, and `decay` the running update's constants.
+    sub-batches, whose last rows, `stat_sums[:, :, -1]`, are laid out as
+    `BnRunningStats.values`, and `decay` the running update's constants.
     `targets` holds the batch's smoothed targets and `loss` the
     `_loss_buffers`, whose scratch buffer backward reuses for the logits'
     gradient; `n_rows` is the batch size as a constant. `stamp` counts the
@@ -700,7 +693,7 @@ class RowPlan:
             last = max(0, -(-(n - EVAL_BLOCK_ROWS) // EVAL_BLOCK_ALIGN) * EVAL_BLOCK_ALIGN)
             self.blocks = [slice(start, min(start + EVAL_BLOCK_ROWS, n))
                            for start in [*range(0, last, EVAL_BLOCK_ROWS), last]]
-            self.pieces = _pieces(min(n, EVAL_BLOCK_ROWS), hidden)
+            self.pieces = _pieces(min(n, EVAL_BLOCK_ROWS), hidden, EVAL_BLOCK_ALIGN)
             self.product = _product(min(n, EVAL_BLOCK_ROWS), plan.layers)
             buffers = plan.eval_buffers(n)
             self.walks = []
@@ -714,26 +707,20 @@ class RowPlan:
         vbs = config.virtual_batch_size
         bn_widths = [w.shape[1] for w, _, gamma, _ in hidden if gamma is not None]
         self.stamp = 0
-        self.sub_stats = self.stat_sums = self.sums_at = self.sums = self.decay = None
+        self.sub_stats = self.stat_sums = self.decay = None
         if bn_widths:
             if n % vbs != 0:
                 raise IndivisibleBatch(f"{n} rows vs virtual batch {vbs}")
             self.sub_stats = np.zeros((2, len(bn_widths), n // vbs + 1, max(bn_widths)))
             self.stat_sums = np.empty_like(self.sub_stats)
-            self.sums_at = np.ravel_multi_index(
-                (np.arange(2)[:, None], np.repeat(np.arange(len(bn_widths)), bn_widths),
-                 n // vbs, np.concatenate([np.arange(c) for c in bn_widths])),
-                self.stat_sums.shape)
-            self.sums = np.empty(self.sums_at.shape)
             rho = config.bn_stats_decay
             self.decay = (const(rho), const(1.0 - rho), const(n // vbs))
-        self.blocks = [_bn_blocks(n, vbs, c) for c in bn_widths]
-        self.pieces = _pieces(n, plan.layers,
-                              [{blk.start for blk in blocks} for blocks in self.blocks])
+        self.pieces = _pieces(n, plan.layers, math.lcm(
+            EVAL_BLOCK_ALIGN, *(_bn_block_rows(vbs, c) for c in bn_widths)))
         self.product = _product(n, plan.layers)
         piece_layers = [[] for _ in self.pieces]
         self.back, self.top = [], None
-        bn_index, blocks = 0, iter(self.blocks)
+        bn_index = 0
         for (w, b, gamma, beta), (w_next, _, _, _) in zip(plan.layers, plan.layers[1:]):
             c = w.shape[1]
             pair, mask = np.empty((2, n, c)), np.empty((n, c), dtype=bool)
@@ -742,8 +729,7 @@ class RowPlan:
             if gamma is not None:
                 stat_rows = self.sub_stats[:, bn_index, 1:, :c]
                 # BN's backward uses the activation, read by then, as scratch
-                bn_cache = _ghost_bn_cache(act, gamma, vbs, stat_rows, self.pieces, next(blocks),
-                                           pair, mask)
+                bn_cache = _ghost_bn_cache(act, gamma, vbs, stat_rows, self.pieces, pair, mask)
                 bn_pieces = bn_cache["pieces"]
                 bn_index += 1
             for rows, layers, bn in zip(self.pieces, piece_layers, bn_pieces):
@@ -867,10 +853,8 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
             # a virtual batch's mean is non-finite where any of its inputs is
             _check_bn_input(work.sub_stats[0])
             np.add.accumulate(work.sub_stats, axis=2, out=work.stat_sums)
-            sums = work.stat_sums.take(work.sums_at, out=work.sums, mode="clip")
-            new_stats = stats.updated(sums, work.decay)
+            new_stats = stats.updated(work.stat_sums[:, :, -1], work.decay)
         buffers = work.loss
-        cache["last_input"] = x
         logits = work.product(x, w_out)
     logits += b_out
     if not all_finite(logits):

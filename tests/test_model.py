@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -370,12 +371,12 @@ class TestTrainWorkspace:
         stats = BnRunningStats.for_config(cfg)
         logits1, _, first, _ = forward(store, stats, random_batch(cfg, 16, seed=1), cfg)
         logits2, _, second, _ = forward(store, stats, random_batch(cfg, 16, seed=2), cfg)
-        assert np.shares_memory(first["last_input"], second["last_input"])
+        assert np.shares_memory(first["work"].top, second["work"].top)
         assert not np.shares_memory(logits1, logits2)
         with pytest.raises(StaleCache):
             backward(first, store, cfg)
         grads = backward(second, store, cfg)
-        assert not any(np.shares_memory(g, second["last_input"]) for g in grads.values())
+        assert not any(np.shares_memory(g, second["work"].top) for g in grads.values())
         with pytest.raises(StaleCache, match="a backward"):
             backward(second, store, cfg)
 
@@ -420,10 +421,13 @@ class TestTrainWorkspace:
         cfg = small_config(layer_widths=[2, 16, 8, 2])
         stats = BnRunningStats.for_config(cfg)
         _, _, _, new_stats = forward(init_mlp(cfg), stats, random_batch(cfg, 16), cfg)
-        assert new_stats.values.shape == (2, 24)
-        assert [m.shape for m in new_stats.means] == [(16,), (8,)]
-        assert all(np.shares_memory(v, new_stats.values) for v in new_stats.vars)
-        np.testing.assert_array_equal(stats.values, [[0.0] * 24, [1.0] * 24])
+        for each in (stats, new_stats):
+            assert [m.shape for m in each.means] == [(16,), (8,)]
+            assert [v.shape for v in each.vars] == [(16,), (8,)]
+            assert all(np.shares_memory(a, each.values) for a in each.means + each.vars)
+        for mean, var in zip(stats.means, stats.vars):
+            np.testing.assert_array_equal(mean, 0.0)
+            np.testing.assert_array_equal(var, 1.0)
 
     @pytest.mark.parametrize("widths,use_bn", [([2, 16, 8, 2], True),
                                                ([2, 16, 8, 12, 2], [True, False, True])],
@@ -448,10 +452,10 @@ class TestTrainWorkspace:
                         cfg.bn_epsilon, cfg.virtual_batch_size, *want[k], cfg.bn_stats_decay)
                     k += 1
                 x = np.maximum(z, 0.0)
-            assert stats.values.shape == (2, sum(mean.size for mean, _ in want))
-            np.testing.assert_array_equal(stats.values,
-                                          np.concatenate([np.stack(pair) for pair in want],
-                                                         axis=1))
+            assert len(stats.means) == len(stats.vars) == len(want)
+            for mean, var, (want_mean, want_var) in zip(stats.means, stats.vars, want):
+                np.testing.assert_array_equal(mean, want_mean)
+                np.testing.assert_array_equal(var, want_var)
 
 
 LARGE_BATCH_WIDTHS = [16, 256, 256, 10]
@@ -556,8 +560,13 @@ class TestEvalBuffers:
         store = init_mlp(cfg, rng_seed=29)
         stats = BnRunningStats.for_config(cfg)
         rng = np.random.default_rng(30)
-        stats.values[0] = rng.normal(size=stats.values.shape[1])
-        stats.values[1] = rng.uniform(0.5, 2.0, size=stats.values.shape[1])
+        # one draw of means, then one of variances, over the layers side by side
+        size = sum(mean.size for mean in stats.means)
+        cuts = np.cumsum([mean.size for mean in stats.means])[:-1]
+        for views, draw in ((stats.means, rng.normal(size=size)),
+                            (stats.vars, rng.uniform(0.5, 2.0, size=size))):
+            for view, part in zip(views, np.split(draw, cuts)):
+                view[:] = part
         batch = random_batch(cfg, n, seed=31)
         logits, loss, _, _ = forward(store, stats, batch, cfg, mode="eval")
 
@@ -624,6 +633,31 @@ WIDE_LAMB_RUN = {
 }
 
 
+def _block_spans(cache):
+    """Per piece of a train-mode BN cache, the (start, stop) rows of each of its
+    ghost-BN blocks, read from where the block views sit in the cache's "x"."""
+    x, spans = cache["x"], []
+    for piece in cache["pieces"]:
+        spans.append([])
+        for ys, *_ in piece["blocks"]:
+            start = (ys.ctypes.data - x.ctypes.data) // x.strides[0]
+            spans[-1].append((start, start + ys.shape[0] * ys.shape[1]))
+    return spans
+
+
+@st.composite
+def _train_plan_shapes(draw):
+    """(layer widths, use_bn per hidden layer, virtual batch size, rows): some
+    BN layers wide enough for blocks of a few virtual batches, some plans wide
+    enough to split, and rows that are a multiple of the virtual batch."""
+    width = st.sampled_from([2, 8, 16, 40, 64, 200, 256, 300])
+    hidden = draw(st.lists(st.tuples(width, st.booleans()), min_size=1, max_size=3))
+    vbs = draw(st.integers(1, 320))
+    n = vbs * draw(st.integers(1, 2100 // vbs))
+    widths = [draw(width), *(c for c, _ in hidden), draw(st.integers(2, 10))]
+    return widths, [on for _, on in hidden], vbs, n
+
+
 def _poisoned_at_step_2(row):
     """A `_BatchStream.next_batch` that makes one input of the second batch's
     `row` infinite, so that only that row's BN input is non-finite."""
@@ -669,12 +703,50 @@ class TestWorker:
         for widths, vbs, n, mode, blocks, pieces in self.CUTS:
             cfg = MlpConfig(layer_widths=widths, use_bn=True, virtual_batch_size=vbs)
             cut = layer_plan(init_mlp(cfg), cfg).row_plan(n, mode)
-            assert spans(cut.blocks) == blocks
+            if mode == "eval":
+                assert spans(cut.blocks) == blocks
+            else:  # each BN layer's blocks, piece after piece
+                assert [[span for piece in _block_spans(cache) for span in piece]
+                        for *_, cache in cut.back if cache is not None] == blocks
             whole = min(n, 512) if mode == "eval" else n
             assert spans(cut.pieces) == (pieces if on else [(0, whole)])
             if mode == "train":  # only the last piece runs on the calling thread
                 assert [(rows, here) for rows, _, here in cut.walk] == [
                     (piece, piece is cut.pieces[-1]) for piece in cut.pieces]
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=_train_plan_shapes())
+    def test_train_plans_split_where_every_bn_layer_starts_a_block(self, shape):
+        """With the worker on, a train plan with a wide product splits at the
+        multiple of EVAL_BLOCK_ALIGN rows nearest the middle at which a ghost-BN
+        block of every BN layer starts (the lower on a tie), unless that leaves
+        a piece under 3/8 of the rows; each BN layer's blocks tile each piece."""
+        widths, use_bn, vbs, n = shape
+        cfg = MlpConfig(layer_widths=widths, use_bn=use_bn, virtual_batch_size=vbs)
+        with mock.patch.object(model, "_USE_WORKER", True):
+            rows = model.RowPlan(model.LayerPlan(init_mlp(cfg), cfg), n, "train")
+        block_rows = [max(1, model.BN_BLOCK_ELEMS // (vbs * c)) * vbs
+                      for c, on in zip(widths[1:-1], use_bn) if on]
+        align = model.EVAL_BLOCK_ALIGN
+        starts = [row for row in range(align, n, align)
+                  if all(row % rows_per_block == 0 for rows_per_block in block_rows)]
+        split = min(starts, key=lambda row: abs(2 * row - n), default=0)
+        if (8 * min(split, n - split) < 3 * n
+                or all(n * a * b <= model.WIDE_PRODUCT for a, b in zip(widths, widths[1:]))):
+            split = 0
+        assert [(piece.start, piece.stop) for piece in rows.pieces] == (
+            [(0, split), (split, n)] if split else [(0, n)])
+        for piece in rows.pieces[1:]:
+            assert piece.start % align == 0
+            assert all(piece.start % rows_per_block == 0 for rows_per_block in block_rows)
+        caches = [cache for *_, cache in rows.back if cache is not None]
+        assert len(caches) == len(block_rows)
+        for cache, rows_per_block in zip(caches, block_rows):
+            for piece, spans in zip(rows.pieces, _block_spans(cache), strict=True):
+                assert spans[0][0] == piece.start and spans[-1][1] == piece.stop
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                assert all(0 < stop - start <= rows_per_block for start, stop in spans)
+                assert all(stop - start == rows_per_block for start, stop in spans[:-1])
 
     # (virtual batch size, rows, the split with BN, without): BN walks blocks of
     # max(256, vbs) rows here. 96 rows split only at row 64 with BN, too far

@@ -196,6 +196,16 @@ class TestSummarize:
         s = summarize(values, target=0.5)
         assert s.target_fraction == pytest.approx(0.70)
 
+    def test_median_interpolates_as_the_quartiles_do(self):
+        """The median is the 50th percentile, taken as q1 and q3 are: it does not
+        overflow between two huge losses, and on an even seed count it is
+        np.percentile's, which here is one ulp below (a + b) / 2."""
+        with np.errstate(all="raise"):
+            s = summarize([1e308, 1.7e308], 0.0, "final_loss")
+        assert math.isfinite(s.median) and s.q1 <= s.median <= s.q3
+        xs = [95 / 196, 9 / 196]
+        assert summarize(xs, 0.5).median == np.percentile(xs, 50)
+
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40))
     def test_order_statistics_invariants(self, values):
         s = summarize(values, target=0.0)
