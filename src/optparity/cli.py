@@ -115,6 +115,8 @@ def train(config_path, out_path, seed):
 def tune(config_path, space_path, out_path, trials, budget, metric, offset, seed, workers):
     """Quasi-random search; appends trial records to a JSONL log."""
     with _boundary() as at:
+        if budget is not None and budget < 1:
+            raise ValidationError("--budget", f"must be > 0, got {budget}")
         if metric is not None:
             harness.check_metric(metric, "--metric")
         at.doc = space_path

@@ -139,6 +139,11 @@ class TrialRecord:
             missing = [name for name in RESULT_METRICS if getattr(self, name) is None]
             if missing:
                 raise InvalidConfig(f"a completed trial needs {', '.join(missing)}")
+        for name, least in (("trial_index", 0), ("seed", 0), ("steps_run", 0),
+                            ("diverged_step", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise InvalidConfig(f"{name} must be >= {least}, got {_shown(value)}")
 
 
 # An order statistic over seeds, where a diverged seed counts as the metric's

@@ -101,9 +101,10 @@ class BnRunningStats:
     Every BN layer's statistics sit in one (2, L, c_max) array `values`, laid
     out as a train row plan sums them (`RowPlan.stat_sums`): means in row 0
     and variances in row 1, one row per BN layer in model order, each
-    layer's values in its first `widths` columns. `means` and `vars` are
-    per-layer views of it. A train step makes a new array and never writes
-    into one, so stats objects may share theirs.
+    layer's values in its first `widths` columns and zeros past them, which
+    every update keeps. `means` and `vars` are per-layer views of it. A
+    train step makes a new array and never writes into one, so stats
+    objects may share theirs.
     """
 
     def __init__(self, values: np.ndarray, widths: tuple[int, ...]):
@@ -134,7 +135,8 @@ class BnRunningStats:
     def for_config(cls, config: MlpConfig) -> "BnRunningStats":
         widths = tuple(c for c, on in zip(config.layer_widths[1:], config.use_bn) if on)
         values = np.zeros((2, len(widths), max(widths, default=0)))
-        values[1] = 1.0
+        for k, c in enumerate(widths):
+            values[1, k, :c] = 1.0
         return cls(values, widths)
 
 
@@ -191,7 +193,7 @@ EVAL_BLOCK_ALIGN = 16
 # A train step or eval block with a product of more than this many
 # multiply-adds runs in two pieces of rows when `_USE_WORKER` holds: a worker
 # thread carries the first piece through every hidden layer while the calling
-# thread carries the second (`_pieces`), and the backward computes each
+# thread carries the second (`_cut`), and the backward computes each
 # weight gradient above the first layer on the worker while it takes the
 # gradient at the layer's input. Handing work over costs tens of
 # microseconds, so below this size a step runs in one piece: the parity
@@ -298,43 +300,30 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _wide(n, layers) -> bool:
-    """Whether n rows through any of `layers` (plan layer tuples) make a
-    product wider than WIDE_PRODUCT."""
-    return any(n * w.size > WIDE_PRODUCT for w, _, _, _ in layers)
-
-
-def _pieces(n, layers, unit) -> list[slice]:
-    """The pieces of rows a pass over n rows runs in: two, the worker's rows
-    before the split and the calling thread's from it, when n rows through
-    any of `layers` (plan layer tuples) make a product wider than
-    WIDE_PRODUCT; else one. The split is the multiple of `unit` rows, a
-    multiple of EVAL_BLOCK_ALIGN, nearest the middle (the lower on a tie);
-    when even that leaves either piece under 3/8 of the rows, the pass runs
-    in one piece."""
-    if _USE_WORKER and _wide(n, layers):
-        split = (n + unit - 1) // (2 * unit) * unit  # n / 2 rounded half down to units
-        if 8 * min(split, n - split) >= 3 * n:
-            return [slice(0, split), slice(split, n)]
-    return [slice(0, n)]
-
-
-def _product(n, layers):
-    """The product function of a row plan that takes n rows through `layers`:
-    np.dot, the cheaper call, where no product is wider than WIDE_PRODUCT,
-    else np.matmul, whether the plan splits or not. Both make the same
-    OpenBLAS call and give the same bits; np.dot was timed faster on narrow
-    products only, and on both threads of a split step it read slower."""
-    return np.matmul if _wide(n, layers) else np.dot
+def _cut(n, layers, unit) -> tuple:
+    """(pieces, product): how a row plan runs n rows through `layers` (plan
+    layer tuples). Where no product is wider than WIDE_PRODUCT, one piece and
+    np.dot, the cheaper call; else np.matmul, in two pieces, the worker's rows
+    before the split and the calling thread's from it, where `_USE_WORKER`
+    holds and the multiple of `unit` rows nearest the middle (the lower on a
+    tie) leaves neither piece under 3/8 of the rows. Both functions make the
+    same OpenBLAS call and give the same bits; np.dot was timed faster on
+    narrow products only, and on both threads of a split step it read slower."""
+    if not any(n * w.size > WIDE_PRODUCT for w, _, _, _ in layers):
+        return [slice(0, n)], np.dot
+    split = (n + unit - 1) // (2 * unit) * unit  # n / 2 rounded half down to units
+    if _USE_WORKER and 8 * min(split, n - split) >= 3 * n:
+        return [slice(0, split), slice(split, n)], np.matmul
+    return [slice(0, n)], np.matmul
 
 
 def _walk(pass_, pieces, *args):
-    """pass_(piece, *args) for each of a row plan's one or two pieces: of two,
-    the worker runs the first while this thread runs the second. A row-wise
-    pass keeps its bits in pieces: each product row sits at the same offset
-    in OpenBLAS's row tiles and takes the same kernel path as in the one call
-    (pieces begin at multiples of EVAL_BLOCK_ALIGN rows), and ghost BN walks
-    the same blocks."""
+    """pass_(piece, *args) for each of a row plan's one or two pieces, as
+    `_cut` cut its rows: of two, the worker runs the first while this thread
+    runs the second. A row-wise pass keeps its bits in pieces: each product
+    row sits at the same offset in OpenBLAS's row tiles and takes the same
+    kernel path as in the one call (pieces begin at multiples of
+    EVAL_BLOCK_ALIGN rows), and ghost BN walks the same blocks."""
     if len(pieces) == 1:
         pass_(pieces[0], *args)
         return
@@ -563,9 +552,10 @@ class LayerPlan:
     `flat`, which a store never replaces; `targets` is the smoothed-target
     table and `eps` the BN epsilon as a constant. `grad_views(out)` gives the
     same groups' views into a gradient vector laid out like `flat`, with a
-    BN layer's scale and shift as the rows of one (2, c) view,
-    `row_plan(n, mode)` how passes over n rows cut them, and
-    `eval_buffers(n)` the eval-mode activation buffers of one row block.
+    BN layer's scale and shift as the rows of one (2, c) view, and
+    `row_plan(n, mode)` how passes over n rows cut them. `_eval` holds per
+    hidden layer an (EVAL_BLOCK_ROWS, width) buffer, which the store's first
+    eval plan builds and every eval plan views.
     """
 
     def __init__(self, params: ParamStore, config: MlpConfig):
@@ -620,17 +610,6 @@ class LayerPlan:
             rows = self._row_plans[n, mode] = RowPlan(self, n, mode)
         return rows
 
-    def eval_buffers(self, n: int) -> list[np.ndarray]:
-        """Per hidden layer a (min(n, EVAL_BLOCK_ROWS), width) activation buffer
-        for an eval-mode pass over n rows: the first rows of (EVAL_BLOCK_ROWS,
-        width) buffers built on first use, which every eval forward on the
-        store shares. A store that only trains never builds them."""
-        if self._eval is None:
-            self._eval = [np.empty((EVAL_BLOCK_ROWS, w.shape[1]))
-                          for w, _, _, _ in self.layers[:-1]]
-        rows = min(n, EVAL_BLOCK_ROWS)
-        return [buf[:rows] for buf in self._eval]
-
 
 def _pair_view(vec: np.ndarray, first, second) -> np.ndarray:
     """The (2, c) view of `vec` whose rows are the segments `first` and
@@ -644,16 +623,16 @@ class RowPlan:
     """How the passes of one layer plan over n rows in one mode cut the rows,
     and the buffers and views each piece of rows works in.
 
-    A pass runs the hidden layers in `pieces` of rows (`_pieces`): two where
-    a product is wider than WIDE_PRODUCT, the worker thread carrying the
-    first, else one. `product` is the function the plan's matrix products
-    call (`_product`): np.dot where none is wider than WIDE_PRODUCT, else
-    np.matmul. An eval plan walks the rows in `blocks` (see
-    EVAL_BLOCK_ROWS), cutting each as the first, so that a last block of up
-    to 15 rows fewer splits at the same row; `walks` holds per block its
-    rows, its pieces as `_eval_pass` takes them (their rows of the block and
-    of the layer plan's eval buffers) and its rows of the last of those
-    buffers, or None with no hidden layer.
+    `_cut` decides, over all of the plan's layers, the `pieces` of rows a
+    pass runs the hidden layers in (two where a product is wider than
+    WIDE_PRODUCT, the worker thread carrying the first, else one) and
+    `product`, which every matrix product of the plan's passes calls. An
+    eval plan walks the rows in `blocks` (see EVAL_BLOCK_ROWS), cutting each
+    as the first, so that a last block of up to 15 rows fewer splits at the
+    same row; `walks` holds per block its rows, its pieces as `_eval_pass`
+    takes them (their rows of the block and of the plan's views of the
+    layer plan's eval buffers) and its rows of the last view, or None with
+    no hidden layer.
 
     A train plan splits its n rows at a multiple of EVAL_BLOCK_ALIGN and of
     every BN layer's `_bn_block_rows`, so that each BN layer's blocks lie
@@ -693,9 +672,11 @@ class RowPlan:
             last = max(0, -(-(n - EVAL_BLOCK_ROWS) // EVAL_BLOCK_ALIGN) * EVAL_BLOCK_ALIGN)
             self.blocks = [slice(start, min(start + EVAL_BLOCK_ROWS, n))
                            for start in [*range(0, last, EVAL_BLOCK_ROWS), last]]
-            self.pieces = _pieces(min(n, EVAL_BLOCK_ROWS), hidden, EVAL_BLOCK_ALIGN)
-            self.product = _product(min(n, EVAL_BLOCK_ROWS), plan.layers)
-            buffers = plan.eval_buffers(n)
+            block_rows = min(n, EVAL_BLOCK_ROWS)
+            self.pieces, self.product = _cut(block_rows, plan.layers, EVAL_BLOCK_ALIGN)
+            if plan._eval is None:
+                plan._eval = [np.empty((EVAL_BLOCK_ROWS, w.shape[1])) for w, _, _, _ in hidden]
+            buffers = [buf[:block_rows] for buf in plan._eval]
             self.walks = []
             for block in self.blocks:
                 size = block.stop - block.start
@@ -715,9 +696,8 @@ class RowPlan:
             self.stat_sums = np.empty_like(self.sub_stats)
             rho = config.bn_stats_decay
             self.decay = (const(rho), const(1.0 - rho), const(n // vbs))
-        self.pieces = _pieces(n, plan.layers, math.lcm(
+        self.pieces, self.product = _cut(n, plan.layers, math.lcm(
             EVAL_BLOCK_ALIGN, *(_bn_block_rows(vbs, c) for c in bn_widths)))
-        self.product = _product(n, plan.layers)
         piece_layers = [[] for _ in self.pieces]
         self.back, self.top = [], None
         bn_index = 0
@@ -898,9 +878,9 @@ def backward(cache, params: ParamStore, config: MlpConfig,
         gw, gb, _ = layer_grads[k + 1]
         if split:
             # the block ends before BN's backward writes over act
-            with _the_worker().beside(np.matmul, act_t, dz, gw):
+            with _the_worker().beside(product, act_t, dz, gw):
                 np.add.reduce(dz, axis=0, out=gb)
-                np.matmul(dz, w_next_t, out=dx)
+                product(dz, w_next_t, out=dx)
         else:
             product(act_t, dz, out=gw)
             np.add.reduce(dz, axis=0, out=gb)

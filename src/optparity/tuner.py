@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harness
-from .errors import InvalidConfig, InvalidUnit, NoCompletedTrials, TooManyDims
+from .errors import InvalidConfig, InvalidUnit, NoCompletedTrials, TooManyDims, ValidationError
 from .harness import SeedSummary, TrialRecord, multi_seed_eval, summarize  # noqa: F401
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
@@ -101,6 +101,8 @@ def run_study(space, base_config: dict, n_trials: int, budget_steps: int,
     harness.check_metric(target_metric, "target_metric")
     base_seed = harness.seed_of(base_config)
     budget_steps = harness.read_as(budget_steps, int, "budget_steps")
+    if budget_steps < 1:  # in parse_config's words, before the schedule check blames the config
+        raise ValidationError("budget_steps", "must be > 0")
     assignments = [sample_trial(space, i, offset) for i in range(n_trials)]
     jobs = harness.expand_jobs(base_config, [
         ({**assignment, "budget_steps": budget_steps, "schedule.total_steps": budget_steps},

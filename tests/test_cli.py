@@ -313,6 +313,8 @@ def _steps(n):
     # past the 2**53 steps a float64 tells apart; unbounded, these never end
     ("train", "config", _steps(10**30), []),
     ("schedule export", "config", _steps(10**30), []),
+    ("tune", None, None, ["--budget", "0"]),
+    ("tune", None, None, ["--budget", "-3"]),
 ], ids=["tune-space-unknown-key", "tune-space-object", "tune-space-name-not-text",
         "tune-config-list", "tune-no-budget",
         "ablate-two-element-override", "ablate-overrides-object", "ablate-seeds-not-int",
@@ -336,7 +338,7 @@ def _steps(n):
         "report-n-seeds-text", "ablate-label-number", "ablate-four-element-override",
         "ablate-seeds-fraction", "ablate-seeds-nested", "report-label-number",
         "train-steps-past-float64",
-        "schedule-steps-past-float64"])
+        "schedule-steps-past-float64", "tune-budget-zero", "tune-budget-negative"])
 def test_bad_document_exits_2_with_one_error_line(tmp_path, base_config, command,
                                                   bad_file, doc, extra):
     paths = _valid_inputs(tmp_path, base_config)

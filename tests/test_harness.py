@@ -664,6 +664,9 @@ class TestStudy:
         for budget in (20.7, True, None):
             with pytest.raises(ValidationError, match="budget_steps: must be an integer"):
                 tuner.run_study(self.SPACE, base_config, 2, budget, "final_train_accuracy")
+        for budget in (0, -3):
+            with pytest.raises(ValidationError, match="^budget_steps: must be > 0$"):
+                tuner.run_study(self.SPACE, base_config, 2, budget, "final_train_accuracy")
 
     def test_single_trial(self, base_config):
         records = tuner.run_study(self.SPACE, base_config, 1, 50,
@@ -992,7 +995,18 @@ class TestPersistence:
         ({**RECORD, "final_loss": None}, "a completed trial needs final_loss"),
         ({**RECORD, "status": "banana"},
          "status must be completed, diverged or error, got 'banana'"),
-    ], ids=["completed-without-metrics", "completed-without-loss", "unknown-status"])
+        ({"trial_index": -1, "assignment": {}, "seed": -5, "status": "error", "steps_run": -3},
+         "trial_index must be >= 0, got -1"),
+        ({**RECORD, "trial_index": -1}, "trial_index must be >= 0, got -1"),
+        ({**RECORD, "seed": -5}, "seed must be >= 0, got -5"),
+        ({**RECORD, "steps_run": -3}, "steps_run must be >= 0, got -3"),
+        ({**RECORD, "status": "diverged", "diverged_step": 0},
+         "diverged_step must be >= 1, got 0"),
+        ({**RECORD, "status": "diverged", "diverged_step": -10 ** 400},
+         r"diverged_step must be >= 1, got -1000.*\.\.\. \(402 characters\)"),
+    ], ids=["completed-without-metrics", "completed-without-loss", "unknown-status",
+            "all-negative", "negative-index", "negative-seed", "negative-steps",
+            "diverged-at-step-0", "diverged-far-below-step-1"])
     def test_record_whose_status_does_not_fit_is_corrupt(self, tmp_path, line, match):
         path = tmp_path / "trials.jsonl"
         harness.write_results(self.records()[:1], path)

@@ -41,16 +41,6 @@ def _trust_momentum_loop(theta, g, v, scale, mu):
         theta[i] = theta[i] - v[i]
 
 
-LOOPS = {
-    "heavy_ball_step": _heavy_ball_loop,
-    "nesterov_step": _nesterov_loop,
-    "adam_moments": _adam_moments_loop,
-    "adam_direction": _adam_direction_loop,
-    "trust_momentum_step": _trust_momentum_loop,
-}
-VECTORIZED = {name: getattr(kernels, name) for name in LOOPS}
-
-
 def per_element(n, seed):
     """A coefficient vector with zeros in it, like decay under exclusions."""
     c = np.random.default_rng(seed).uniform(0.0, 1e-2, size=n)
@@ -58,7 +48,6 @@ def per_element(n, seed):
     return c
 
 
-@pytest.mark.parametrize("name,backend", [("numpy", VECTORIZED)])
 class TestBackendAgreement:
     """The vectorized kernels compute exactly what the per-element loops define."""
 
@@ -66,44 +55,44 @@ class TestBackendAgreement:
         rng = np.random.default_rng(seed)
         return (rng.normal(size=n), rng.normal(size=n), rng.normal(size=n))
 
-    def test_heavy_ball(self, name, backend):
+    def test_heavy_ball(self):
         for wd in (1e-4, per_element(257, 5)):
             theta, g, v = self.data()
             ref_t, ref_v = theta.copy(), v.copy()
-            LOOPS["heavy_ball_step"](ref_t, g, ref_v, 0.1, 0.9, wd)
-            backend["heavy_ball_step"](theta, g, v, 0.1, 0.9, wd, np.empty(257))
+            _heavy_ball_loop(ref_t, g, ref_v, 0.1, 0.9, wd)
+            kernels.heavy_ball_step(theta, g, v, 0.1, 0.9, wd, np.empty(257))
             np.testing.assert_array_equal(theta, ref_t)
             np.testing.assert_array_equal(v, ref_v)
 
-    def test_nesterov(self, name, backend):
+    def test_nesterov(self):
         for wd in (0.0, per_element(257, 6)):
             theta, g, v = self.data(seed=1)
             ref_t, ref_v = theta.copy(), v.copy()
-            LOOPS["nesterov_step"](ref_t, g, ref_v, 0.05, 0.97, wd)
-            backend["nesterov_step"](theta, g, v, 0.05, 0.97, wd, np.empty(257), np.empty(257))
+            _nesterov_loop(ref_t, g, ref_v, 0.05, 0.97, wd)
+            kernels.nesterov_step(theta, g, v, 0.05, 0.97, wd, np.empty(257), np.empty(257))
             np.testing.assert_array_equal(theta, ref_t)
             np.testing.assert_array_equal(v, ref_v)
 
-    def test_adam_pipeline(self, name, backend):
+    def test_adam_pipeline(self):
         theta, g, m = self.data(seed=2)
         s = np.abs(np.random.default_rng(3).normal(size=theta.size))
         ref_m, ref_s = m.copy(), s.copy()
-        LOOPS["adam_moments"](ref_m, ref_s, g, 0.9, 0.999)
-        backend["adam_moments"](m, s, g, 0.9, 0.999, 1.0 - 0.9, 1.0 - 0.999, np.empty_like(m))
+        _adam_moments_loop(ref_m, ref_s, g, 0.9, 0.999)
+        kernels.adam_moments(m, s, g, 0.9, 0.999, 1.0 - 0.9, 1.0 - 0.999, np.empty_like(m))
         np.testing.assert_array_equal(m, ref_m)
         np.testing.assert_array_equal(s, ref_s)
         out = np.empty_like(m)
         ref_out = np.empty_like(m)
-        LOOPS["adam_direction"](ref_out, ref_m, ref_s, 1e-8, 0.1, 0.001)
-        backend["adam_direction"](out, m, s, 1e-8, 0.1, 0.001, np.empty_like(m))
+        _adam_direction_loop(ref_out, ref_m, ref_s, 1e-8, 0.1, 0.001)
+        kernels.adam_direction(out, m, s, 1e-8, 0.1, 0.001, np.empty_like(m))
         np.testing.assert_array_equal(out, ref_out)
 
-    def test_trust_momentum(self, name, backend):
+    def test_trust_momentum(self):
         for scale in (0.02, per_element(257, 7)):
             theta, g, v = self.data(seed=4)
             ref_t, ref_v = theta.copy(), v.copy()
-            LOOPS["trust_momentum_step"](ref_t, g, ref_v, scale, 0.9)
-            backend["trust_momentum_step"](theta, g, v, scale, 0.9, np.empty(257))
+            _trust_momentum_loop(ref_t, g, ref_v, scale, 0.9)
+            kernels.trust_momentum_step(theta, g, v, scale, 0.9, np.empty(257))
             np.testing.assert_array_equal(theta, ref_t)
             np.testing.assert_array_equal(v, ref_v)
 

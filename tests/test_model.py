@@ -457,6 +457,17 @@ class TestTrainWorkspace:
                 np.testing.assert_array_equal(mean, want_mean)
                 np.testing.assert_array_equal(var, want_var)
 
+    def test_padding_of_a_narrower_bn_layer_stays_zero(self):
+        """A BN layer narrower than the widest leaves the columns of `values`
+        past its width at zero in both rows, through every train step."""
+        cfg = small_config(layer_widths=[2, 16, 8, 2], virtual_batch_size=4)
+        store = init_mlp(cfg, rng_seed=15)
+        stats = BnRunningStats.for_config(cfg)
+        assert stats.values.shape == (2, 2, 16)
+        for seed in (16, 17, 18):
+            _, _, _, stats = forward(store, stats, random_batch(cfg, 8, seed=seed), cfg)
+            np.testing.assert_array_equal(stats.values[:, 1, 8:], np.zeros((2, 8)))
+
 
 LARGE_BATCH_WIDTHS = [16, 256, 256, 10]
 BLOCKED_SHAPES = [(LARGE_BATCH_WIDTHS, 4096), (LARGE_BATCH_WIDTHS, 1024),
@@ -497,7 +508,7 @@ class TestEvalBuffers:
         forward(store, stats, second, cfg, mode="eval")
         np.testing.assert_array_equal(logits, kept)
         np.testing.assert_array_equal(first.inputs, inputs)
-        buffers = layer_plan(store, cfg).eval_buffers(24)
+        buffers = layer_plan(store, cfg)._eval
         assert not any(np.shares_memory(value, buf) for value in cache.values()
                        if isinstance(value, np.ndarray) for buf in buffers)
 
@@ -773,6 +784,37 @@ class TestWorker:
             bn_split if use_bn else split)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("widths,vbs,n,mode,products,on_worker", [
+        (LARGE_BATCH_WIDTHS, 64, 1024, "train", 10, 4),
+        ([2, 16, 16, 2], 32, 64, "train", 8, 0),
+        (LARGE_BATCH_WIDTHS, 64, 1300, "eval", 15, 6),
+    ], ids=["large-train-1024", "parity-train-64", "large-eval-1300"])
+    def test_every_product_goes_through_the_plan(self, worker_on, widths, vbs, n, mode,
+                                                 products, on_worker):
+        """Every matrix product of a train forward and backward, or of an eval
+        forward, calls its row plan's `product`, those of a split backward
+        included: per hidden layer and piece one forward product, per hidden
+        layer the weight gradient (on the worker where the plan splits) and
+        the gradient at its input, then the input layer's weight gradient and
+        one output product per eval block or train step."""
+        cfg = MlpConfig(layer_widths=widths, use_bn=True, virtual_batch_size=vbs)
+        store = init_mlp(cfg, rng_seed=40)
+        rows = layer_plan(store, cfg).row_plan(n, mode)
+        product, threads, lock = rows.product, [], threading.Lock()
+
+        def counted(*args, **kwargs):
+            with lock:
+                threads.append(threading.current_thread().name)
+            return product(*args, **kwargs)
+        rows.product = counted
+        batch = random_batch(cfg, n, seed=41)
+        if mode == "train":
+            _train_step(store, cfg, batch)
+        else:
+            forward(store, BnRunningStats.for_config(cfg), batch, cfg, mode="eval")
+        assert len(threads) == products
+        assert threads.count("optparity-worker") == on_worker
 
     def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
         """The run ignores overflow (np.errstate) and classifies it; the worker's
