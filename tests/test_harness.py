@@ -2,11 +2,13 @@ import ast
 import concurrent.futures
 import contextlib
 import copy
+import cProfile
 import dataclasses
 import json
 import math
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -569,6 +571,48 @@ def test_reductions_per_run(doc, count):
     Test 10's config read 12,594 and DEEP_ABLATION 1,672 before the paired
     sums and the label check folded into the targets' take."""
     assert _reductions(doc) == count
+
+
+def _costs(doc) -> tuple[int, int]:
+    """(the calls the profiler counts, the tracemalloc peak in bytes) of one
+    run_training of `doc`, each over its own run after a warm-up run that
+    starts the imports, caches and worker a first run pays for.
+
+    The calls are summed over the profiler's own entries, one per function.
+    pstats.Stats(profile).total_calls keys them by (file, line, name) and
+    keeps one entry per key, and every dataclass's generated __init__ is
+    "<string>:2:__init__", so its total drops the calls of all but one of
+    them, and which one depends on the process."""
+    config = harness.parse_config(doc)
+    harness.run_training(config)
+    profile = cProfile.Profile()
+    assert profile.runcall(harness.run_training, config).status == "completed"
+    tracemalloc.start()
+    try:
+        harness.run_training(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sum(entry.callcount for entry in profile.getstats()), peak
+
+
+@pytest.mark.parametrize("doc,calls,peak", [(PARITY_NESTEROV, 46_497, 332_000),
+                                            (DEEP_ABLATION, 7_784, 388_800)],
+                         ids=["test-10-nesterov", "deep-ablation"])
+def test_costs_per_run(doc, calls, peak):
+    """On these small runs a step costs mostly the calls it makes, so the
+    calls per run are pinned exactly: a change that adds or removes a call
+    per step or per run changes the count and must say so. The profiler
+    sees Python functions, ufunc reductions and ndarray methods on the
+    calling thread only. It does not see a ufunc call such as
+    np.add(a, b, out=a), or the C code under np.dot, so element-wise work
+    is not counted here. The traced peak moves by up to 2.4 KB from run to
+    run (330,823-333,201 B and 388,224-389,345 B over six runs each), so it
+    is pinned within 1%, which a leaked or widened buffer of test 10's
+    (64 rows of 16, 8 KB) still exceeds."""
+    got_calls, got_peak = _costs(doc)
+    assert got_calls == calls
+    assert abs(got_peak - peak) <= 0.01 * peak
 
 
 FAST_PATH_DOCS = pytest.mark.parametrize("doc", [PARITY_NESTEROV, DEEP_ABLATION, LARGE_BATCH],
