@@ -1,6 +1,6 @@
 """optparity: desk-scale optimizer parity benchmarking toolkit."""
 
-from .param_store import ParamGroup, ParamStore, build_param_store
+from .param_store import Layout, ParamGroup, ParamStore, build_param_store
 from .optim import (
     GroupState,
     OptimizerConfig,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import glob
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -26,9 +27,8 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     StaleCache,
-    UnknownGroupName,
 )
-from .param_store import ParamGroup, ParamStore, all_finite, build_param_store, const
+from .param_store import Layout, ParamStore, all_finite, const
 
 
 @dataclass
@@ -140,31 +140,33 @@ class BnRunningStats:
         return cls(values, widths)
 
 
+def _groups(config: MlpConfig) -> list[tuple]:
+    """(name, tag, shape) of each of the model's groups in model order: per
+    layer its weight and bias, then a BN layer's scale and shift."""
+    widths, groups = config.layer_widths, []
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), 1):
+        groups += [(f"w{i}", "weight", (fan_in, fan_out)), (f"b{i}", "bias", (fan_out,))]
+        if i < len(widths) - 1 and config.use_bn[i - 1]:
+            groups += [(f"bn{i}_scale", "bn_scale", (fan_out,)),
+                       (f"bn{i}_shift", "bn_shift", (fan_out,))]
+    return groups
+
+
 def init_mlp(config: MlpConfig, rng_seed: int | None = None) -> ParamStore:
     """Seeded init: weights uniform with scale 1/sqrt(fan_in), biases zero,
     BN scales set per the gamma_0 policy, BN shifts zero."""
     seed = config.init_seed if rng_seed is None else rng_seed
     rng = np.random.default_rng(seed)
-    groups = []
-    widths = config.layer_widths
-    bn_idx = 0
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        scale = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-scale, scale, size=(fan_in, fan_out))
-        groups.append(ParamGroup(f"w{i + 1}", "weight", w.ravel(), (fan_in, fan_out)))
-        groups.append(ParamGroup(f"b{i + 1}", "bias", np.zeros(fan_out), (fan_out,)))
-        if i < len(widths) - 2 and config.use_bn[i]:
-            gamma0 = config.bn_gamma_init[bn_idx]
-            groups.append(
-                ParamGroup(f"bn{i + 1}_scale", "bn_scale",
-                           np.full(fan_out, gamma0), (fan_out,))
-            )
-            groups.append(
-                ParamGroup(f"bn{i + 1}_shift", "bn_shift", np.zeros(fan_out), (fan_out,))
-            )
-            bn_idx += 1
-    return build_param_store(groups)
+    layout = Layout(_groups(config))
+    flat = np.zeros(layout.size)
+    gammas = iter(config.bn_gamma_init)
+    for seg, values in zip(layout.segments, layout.views(flat).values()):
+        if seg.tag == "weight":
+            scale = 1.0 / np.sqrt(seg.shape[0])
+            values[:] = rng.uniform(-scale, scale, size=values.size)
+        elif seg.tag == "bn_scale":
+            values[:] = next(gammas)
+    return ParamStore(layout, flat)
 
 
 # Ghost BN walks the batch in blocks of whole virtual batches holding at most
@@ -309,7 +311,7 @@ def _cut(n, layers, unit) -> tuple:
     tie) leaves neither piece under 3/8 of the rows. Both functions make the
     same OpenBLAS call and give the same bits; np.dot was timed faster on
     narrow products only, and on both threads of a split step it read slower."""
-    if not any(n * w.size > WIDE_PRODUCT for w, _, _, _ in layers):
+    if not any(n * w.size > WIDE_PRODUCT for w, _, _ in layers):
         return [slice(0, n)], np.dot
     split = (n + unit - 1) // (2 * unit) * unit  # n / 2 rounded half down to units
     if _USE_WORKER and 8 * min(split, n - split) >= 3 * n:
@@ -547,34 +549,26 @@ def target_table(n_classes, tau):
 class LayerPlan:
     """What forward and backward need of one store under one model config.
 
-    `layers` holds, per affine layer, its weight matrix, bias and (for a
-    hidden layer with BN) BN scale and shift as views into the store's
-    `flat`, which a store never replaces; `targets` is the smoothed-target
-    table and `eps` the BN epsilon as a constant. `grad_views(out)` gives the
-    same groups' views into a gradient vector laid out like `flat`, with a
-    BN layer's scale and shift as the rows of one (2, c) view, and
-    `row_plan(n, mode)` how passes over n rows cut them. `_eval` holds per
-    hidden layer an (EVAL_BLOCK_ROWS, width) buffer, which the store's first
-    eval plan builds and every eval plan views.
+    The store's `layout` must be the one `_groups(config)` lays out, or the
+    plan raises ShapeMismatch before any write. `layers` holds `_views` of
+    the store's `flat`, which a store never replaces, and `grad_views(out)`
+    the same views of a gradient vector; `targets` is the smoothed-target
+    table, `eps` the BN epsilon as a constant and `row_plan(n, mode)` how
+    passes over n rows cut them. `_eval` holds per hidden layer an
+    (EVAL_BLOCK_ROWS, width) buffer, which the store's first eval plan
+    builds and every eval plan views.
     """
 
     def __init__(self, params: ParamStore, config: MlpConfig):
         self.config = config
-        segments = {seg.name: seg for seg in params.segments}
-        n_layers = len(config.layer_widths) - 1
-        self._segments = []
-        for i in range(1, n_layers + 1):
-            names = [f"w{i}", f"b{i}"]
-            if i < n_layers and config.use_bn[i - 1]:
-                names += [f"bn{i}_scale", f"bn{i}_shift"]
-            try:
-                self._segments.append([segments[name] for name in names])
-            except KeyError as exc:
-                raise UnknownGroupName(exc.args[0]) from None
-        covered = sum(seg.stop - seg.start for segs in self._segments for seg in segs)
-        if covered != params.flat.size:
-            raise ShapeMismatch(f"store holds {params.flat.size} parameters, "
-                                f"the model {covered}")
+        want = Layout(_groups(config))
+        for have, need in itertools.zip_longest(params.layout.segments, want.segments):
+            if have != need:
+                raise ShapeMismatch(f"the store has {have} where the model has {need}")
+        self.layout = params.layout
+        segments = iter(self.layout.segments)
+        self._segments = [[next(segments) for _ in range(4 if bn else 2)]
+                          for bn in (*config.use_bn, False)]
         self.layers = self._views(params.flat)
         self.targets = target_table(config.n_classes, config.label_smoothing)
         self.eps = const(config.bn_epsilon)
@@ -583,24 +577,25 @@ class LayerPlan:
         self._eval = None
 
     def _views(self, vec: np.ndarray) -> list[tuple]:
-        """Per layer (weight, bias, BN scale or None, BN shift or None) over `vec`."""
-        views = []
-        for segs in self._segments:
-            layer = [vec[seg.start:seg.stop].reshape(seg.shape) for seg in segs]
-            views.append(tuple(layer + [None] * (4 - len(layer))))
+        """Per layer (weight, bias, BN scale and shift as the rows of one
+        (2, c) view or None) over `vec`, a vector laid out like `flat`."""
+        views, step = [], vec.strides[0]
+        for w, b, *bn in self._segments:
+            pair = None
+            if bn:
+                scale, shift = bn
+                pair = np.lib.stride_tricks.as_strided(
+                    vec[scale.start:], (2, scale.stop - scale.start),
+                    ((shift.start - scale.start) * step, step))
+            views.append((vec[w.start:w.stop].reshape(w.shape), vec[b.start:b.stop], pair))
         return views
 
     def grad_views(self, out: np.ndarray):
-        """(per layer (weight, bias, BN scale and shift as one (2, c) view or
-        None), {group name: flat view}) into `out`."""
+        """(`_views(out)`, the layout's views of `out` by group name), built
+        once per `out`."""
         if out is not self._out:
-            self._layer_grads = [(w, b, None if gamma is None else _pair_view(out, *segs[2:]))
-                                 for (w, b, gamma, _), segs
-                                 in zip(self._views(out), self._segments)]
-            self._named_grads = {seg.name: out[seg.start:seg.stop]
-                                 for segs in self._segments for seg in segs}
-            self._out = out
-        return self._layer_grads, self._named_grads
+            self._grads, self._out = (self._views(out), self.layout.views(out)), out
+        return self._grads
 
     def row_plan(self, n: int, mode: str) -> "RowPlan":
         """The `RowPlan` of passes over n rows in `mode`, "train" or "eval",
@@ -609,14 +604,6 @@ class LayerPlan:
         if rows is None:
             rows = self._row_plans[n, mode] = RowPlan(self, n, mode)
         return rows
-
-
-def _pair_view(vec: np.ndarray, first, second) -> np.ndarray:
-    """The (2, c) view of `vec` whose rows are the segments `first` and
-    `second`, each c values long."""
-    step = vec.strides[0]
-    return np.lib.stride_tricks.as_strided(vec[first.start:], (2, first.stop - first.start),
-                                           ((second.start - first.start) * step, step))
 
 
 class RowPlan:
@@ -675,7 +662,7 @@ class RowPlan:
             block_rows = min(n, EVAL_BLOCK_ROWS)
             self.pieces, self.product = _cut(block_rows, plan.layers, EVAL_BLOCK_ALIGN)
             if plan._eval is None:
-                plan._eval = [np.empty((EVAL_BLOCK_ROWS, w.shape[1])) for w, _, _, _ in hidden]
+                plan._eval = [np.empty((EVAL_BLOCK_ROWS, w.shape[1])) for w, _, _ in hidden]
             buffers = [buf[:block_rows] for buf in plan._eval]
             self.walks = []
             for block in self.blocks:
@@ -686,7 +673,7 @@ class RowPlan:
             return
         config = plan.config
         vbs = config.virtual_batch_size
-        bn_widths = [w.shape[1] for w, _, gamma, _ in hidden if gamma is not None]
+        bn_widths = [w.shape[1] for w, _, pair in hidden if pair is not None]
         self.stamp = 0
         self.sub_stats = self.stat_sums = self.decay = None
         if bn_widths:
@@ -701,7 +688,8 @@ class RowPlan:
         piece_layers = [[] for _ in self.pieces]
         self.back, self.top = [], None
         bn_index = 0
-        for (w, b, gamma, beta), (w_next, _, _, _) in zip(plan.layers, plan.layers[1:]):
+        for (w, b, pair), (w_next, _, _) in zip(plan.layers, plan.layers[1:]):
+            gamma, beta = (None, None) if pair is None else pair
             c = w.shape[1]
             pair, mask = np.empty((2, n, c)), np.empty((n, c), dtype=bool)
             act, dz = pair
@@ -758,12 +746,12 @@ def _eval_pass(piece, x, layers, running, eps, product):
     rows, buffers = piece
     h = x[rows]
     bn_stats = iter(running)
-    for (w, b, gamma, beta), z in zip(layers, buffers):
+    for (w, b, pair), z in zip(layers, buffers):
         product(h, w, out=z)
         z += b
-        if gamma is not None:
+        if pair is not None:
             _check_bn_input(z)
-            _bn_eval(z, gamma, beta, *next(bn_stats), eps)
+            _bn_eval(z, *pair, *next(bn_stats), eps)
         np.maximum(z, _ZERO, out=z)
         h = z
 
@@ -810,7 +798,7 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     except IndexError:
         raise InvalidConfig("label out of range") from None
     new_stats = stats
-    w_out, b_out, _, _ = plan.layers[-1]
+    w_out, b_out, _ = plan.layers[-1]
     if mode == "eval":
         hidden, running = plan.layers[:-1], list(zip(stats.means, stats.vars))
         logits = np.empty((n, widths[-1]))

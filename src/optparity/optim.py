@@ -21,10 +21,10 @@ it, so a step allocates no parameter-sized array. The plan also keeps
 every view a step works in, down to each LARS or LAMB group's views for
 its trust ratio, so a step slices no vector.
 `apply_step` is the one code path that dispatches a rule: it updates a
-flat parameter vector and the optimizer state in place, over the layout
-the store keeps in ``flat_order``. `composite_step` runs it on copies of
-a store and of every slot vector, with the gradient given as a dict, and
-returns the new store and state.
+flat parameter vector and the optimizer state in place, over the state's
+`Layout`, which it shares with the store. `composite_step` runs it on
+copies of a store and of every slot vector, with the gradient given as a
+dict that the layout's views assemble, and returns the new store and state.
 
 The public ``*_update`` functions run `apply_step` over a one-group
 layout and return new arrays, leaving their inputs untouched.
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DivisionHazard, InvalidConfig, LengthMismatch, NonFiniteInput, UncoveredTag
-from .param_store import ParamStore, Segment, TAGS, all_finite, const
+from .param_store import Layout, ParamStore, Segment, TAGS, all_finite, const
 
 KINDS = ("heavy_ball", "nesterov", "adam", "lars", "lamb")
 
@@ -98,36 +98,37 @@ class GroupState:
 
 
 class OptimizerState:
-    """Flat slot vectors `v`, `m`, `s` laid out like a store's `flat`.
+    """Flat slot vectors `v`, `m`, `s` laid out by `layout`, a store's.
 
-    `segments` is that layout in flat order (a store's `flat_order`), and
-    `slots` maps each group name to a `GroupState` of views into the slot
-    vectors. The state also carries the routing plan of the run it belongs
-    to, so the plan is built once per run and not per step.
+    Each slot vector must be `layout.size` long. `slots` maps each group
+    name to a `GroupState` of the layout's views into the slot vectors. The
+    state also carries the routing plan of the run it belongs to, so the
+    plan is built once per run and not per step.
     """
 
-    def __init__(self, v, m, s, t: int = 0, segments: tuple[Segment, ...] = ()):
-        self.v, self.m, self.s, self.t = v, m, s, t
-        self.segments = segments
+    def __init__(self, layout: Layout, v, m, s, t: int = 0):
+        for name, vec in (("v", v), ("m", m), ("s", s)):
+            if vec.shape != (layout.size,):
+                raise LengthMismatch(f"slot {name} {vec.shape} vs the layout's ({layout.size},)")
+        self.layout, self.v, self.m, self.s, self.t = layout, v, m, s, t
         self._plan = None
 
     @classmethod
     def for_store(cls, store: ParamStore) -> "OptimizerState":
-        n = store.flat.size
-        return cls(np.zeros(n), np.zeros(n), np.zeros(n), 0, store.flat_order)
+        n = store.layout.size
+        return cls(store.layout, np.zeros(n), np.zeros(n), np.zeros(n))
 
     @property
     def slots(self) -> dict[str, GroupState]:
         """Per-group views of the slot vectors at the current step count."""
-        return {seg.name: GroupState(self.v[seg.start:seg.stop], self.m[seg.start:seg.stop],
-                                     self.s[seg.start:seg.stop], self.t)
-                for seg in self.segments}
+        v, m, s = (self.layout.views(vec) for vec in (self.v, self.m, self.s))
+        return {name: GroupState(v[name], m[name], s[name], self.t) for name in v}
 
     def plan_for(self, routing: "RoutingRule") -> "_Plan":
         """The parts `routing` makes of this state's layout, built once per routing."""
         plan = self._plan
         if plan is None or plan.routing is not routing:
-            plan = self._plan = _Plan(routing, self.segments)
+            plan = self._plan = _Plan(routing, self.layout)
         return plan
 
 
@@ -195,10 +196,10 @@ class _Part:
 class _Plan:
     """The parts a routing makes of one store layout, in flat order."""
 
-    def __init__(self, routing: RoutingRule, flat_order: tuple[Segment, ...]):
+    def __init__(self, routing: RoutingRule, layout: Layout):
         self.routing = routing
         runs: list[tuple[OptimizerConfig, list[Segment]]] = []
-        for seg in flat_order:
+        for seg in layout.flat_order:
             cfg = routing.config_for(seg.tag)
             if runs and runs[-1][0] is cfg:
                 runs[-1][1].append(seg)
@@ -346,8 +347,8 @@ def _update_one(kind, theta, g, state: GroupState, eta, config, group_tag):
     if config.kind != kind:
         raise InvalidConfig(f"{kind}_update got a config of kind {config.kind!r}")
     theta = np.array(theta, dtype=np.float64)
-    one = OptimizerState(state.v.copy(), state.m.copy(), state.s.copy(), state.t,
-                         (Segment("", group_tag, theta.shape, 0, theta.size),))
+    one = OptimizerState(Layout([("", group_tag, theta.shape)]), state.v.copy(),
+                         state.m.copy(), state.s.copy(), state.t)
     apply_step(theta, np.array(g, dtype=np.float64),
                RoutingRule([(frozenset({group_tag}), config)]), eta, one)
     return theta, GroupState(one.v, one.m, one.s, one.t)
@@ -411,17 +412,18 @@ def composite_step(
 ) -> tuple[ParamStore, OptimizerState]:
     """`apply_step` on copies: returns a new store and state.
 
-    `grads` maps every group name to its flat gradient. Neither `store`
+    `grads` maps every group name to its flat gradient; a missing or
+    misshapen one raises LengthMismatch naming the group. Neither `store`
     nor `state` is modified.
     """
-    g = np.empty(store.flat.size)
-    for seg in store.flat_order:
-        grad, want = grads[seg.name], (seg.stop - seg.start,)
-        if grad.shape != want:
-            raise LengthMismatch(f"gradient of {seg.name!r}: {grad.shape} vs {want}")
-        g[seg.start:seg.stop] = grad
+    g = np.empty(store.layout.size)
+    for name, view in store.layout.views(g).items():
+        got = grads[name].shape if name in grads else "no gradient"
+        if got != view.shape:
+            raise LengthMismatch(f"gradient of {name!r}: {got} vs {view.shape}")
+        view[:] = grads[name]
     new_store = store.copy()
-    new_state = OptimizerState(state.v.copy(), state.m.copy(), state.s.copy(), state.t,
-                               state.segments)
+    new_state = OptimizerState(state.layout, state.v.copy(), state.m.copy(), state.s.copy(),
+                               state.t)
     apply_step(new_store.flat, g, routing, eta, new_state)
     return new_store, new_state

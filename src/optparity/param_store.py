@@ -3,11 +3,11 @@
 Optimizers and regularizers route per group by tag; the four tags cover
 every exclusion rule used in the experiments (weights vs. bias/BN scale/
 BN shift). A store keeps all of its parameters in one float64 vector
-``flat``, ordered by tag (``TAGS`` order, model order within a tag), and
-every group's ``values`` is a view into it, so a route over adjacent tags
-is a single slice. Iteration, lookup and ``names()`` keep model order. All
-optimizer math downstream is shape-oblivious: norms are taken over flat
-vectors, shape metadata exists only for the model.
+``flat``, which one `Layout` orders by tag (``TAGS`` order, model order
+within a tag), and every group's ``values`` is a view into it, so a route
+over adjacent tags is a single slice. All optimizer math downstream is
+shape-oblivious: norms are taken over flat vectors, shape metadata exists
+only for the model.
 `const` and `all_finite` are the numeric helpers the model and the
 optimizer share.
 """
@@ -48,8 +48,6 @@ class ParamGroup:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        if self.tag not in TAGS:
-            raise InvalidConfig(f"unknown tag {self.tag!r}")
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         self.shape = tuple(int(d) for d in self.shape)
         if self.values.size == 0:
@@ -71,7 +69,7 @@ class ParamGroup:
 
 
 class Segment(NamedTuple):
-    """Where one group lives in its store's flat vector."""
+    """Where one group sits in a vector laid out like a store's `flat`."""
 
     name: str
     tag: str
@@ -80,65 +78,75 @@ class Segment(NamedTuple):
     stop: int
 
 
-class ParamStore:
-    """Groups in model order over one tag-ordered flat vector.
-
-    `segments` lists the groups in model order and `flat_order` the same
-    segments by offset; both are shared, unchanged, by every copy. A store
-    never replaces its `flat`, so views into it stay valid: `layer_plan`
-    holds the model's (see `model.layer_plan`), and a copy starts without.
+class Layout:
+    """Where each group sits in a vector laid out like a store's `flat`, by
+    tag (`TAGS` order) and in model order within a tag: the only code that
+    assigns offsets. Built once from (name, tag, shape) in model order and
+    shared, unchanged, by a store, its copies, its optimizer state and its
+    layer plan. `segments` lists the groups in model order, `flat_order` the
+    same segments by offset, and `size` is the vector's length.
     """
 
-    def __init__(self, groups: list[ParamGroup] = ()):
-        names = [g.name for g in groups]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise DuplicateGroupName(", ".join(dupes))
-        by_tag = sorted(range(len(groups)), key=lambda i: TAGS.index(groups[i].tag))
-        starts, offset = {}, 0
-        for i in by_tag:
-            starts[i] = offset
-            offset += groups[i].values.size
-        flat = np.empty(offset)
-        segments = []
-        for i, g in enumerate(groups):
-            seg = Segment(g.name, g.tag, g.shape, starts[i], starts[i] + g.values.size)
-            flat[seg.start:seg.stop] = g.values
-            segments.append(seg)
-        self.segments = tuple(segments)
-        self.flat_order = tuple(sorted(segments, key=lambda s: s.start))
-        self._adopt(flat)
+    def __init__(self, groups):
+        groups = list(groups)
+        if unknown := {tag for _, tag, _ in groups} - set(TAGS):
+            raise InvalidConfig(f"unknown tag {min(unknown)!r}")
+        sizes = [math.prod(shape) for _, _, shape in groups]
+        starts, offset = [0] * len(groups), 0
+        for i in sorted(range(len(groups)), key=lambda i: TAGS.index(groups[i][1])):
+            starts[i], offset = offset, offset + sizes[i]
+        self.segments = tuple(Segment(name, tag, shape, start, start + size) for
+                              (name, tag, shape), start, size in zip(groups, starts, sizes))
+        self.flat_order = tuple(sorted(self.segments, key=lambda seg: seg.start))
+        self.size = offset
+        self._index = {seg.name: seg for seg in self.segments}
+        if len(self._index) != len(groups):
+            names = [name for name, _, _ in groups]
+            raise DuplicateGroupName(", ".join(sorted({n for n in names if names.count(n) > 1})))
 
-    def _adopt(self, flat: np.ndarray) -> None:
-        self.flat = flat
-        self.layer_plan = None
-        self.groups = [ParamGroup._view(seg, flat) for seg in self.segments]
-        self._index = {g.name: g for g in self.groups}
-
-    def __iter__(self):
-        return iter(self.groups)
-
-    def __len__(self):
-        return len(self.groups)
-
-    def __getitem__(self, name: str) -> ParamGroup:
+    def __getitem__(self, name: str) -> Segment:
         try:
             return self._index[name]
         except KeyError:
             raise UnknownGroupName(name) from None
 
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Each group's flat view of `vec`, by name, in model order."""
+        return {seg.name: vec[seg.start:seg.stop] for seg in self.segments}
+
+
+class ParamStore:
+    """A `Layout` and one flat vector laid out by it.
+
+    Iteration, lookup and `names()` keep model order, and each group they
+    give is a view into `flat`. A store never replaces its `flat`, so views
+    into it stay valid: `layer_plan` holds the model's (see
+    `model.layer_plan`), and a copy shares the layout and starts without.
+    """
+
+    def __init__(self, layout: Layout, flat: np.ndarray):
+        self.layout, self.flat = layout, flat
+        self.layer_plan = None
+
+    def __iter__(self):
+        return (ParamGroup._view(seg, self.flat) for seg in self.layout.segments)
+
+    def __getitem__(self, name: str) -> ParamGroup:
+        return ParamGroup._view(self.layout[name], self.flat)
+
     def names(self) -> list[str]:
-        return [g.name for g in self.groups]
+        return [seg.name for seg in self.layout.segments]
 
     def copy(self) -> "ParamStore":
-        new = object.__new__(ParamStore)
-        new.segments, new.flat_order = self.segments, self.flat_order
-        new._adopt(self.flat.copy())
-        return new
+        return ParamStore(self.layout, self.flat.copy())
 
 
 def build_param_store(groups: list[ParamGroup]) -> ParamStore:
     """Validate and assemble groups, preserving input order."""
     if not groups:
         raise ShapeMismatch("empty group list")
-    return ParamStore(list(groups))
+    layout = Layout((g.name, g.tag, g.shape) for g in groups)
+    flat = np.empty(layout.size)
+    for g, values in zip(groups, layout.views(flat).values()):
+        values[:] = g.values
+    return ParamStore(layout, flat)

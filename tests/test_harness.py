@@ -596,8 +596,8 @@ def _costs(doc) -> tuple[int, int]:
     return sum(entry.callcount for entry in profile.getstats()), peak
 
 
-@pytest.mark.parametrize("doc,calls,peak", [(PARITY_NESTEROV, 46_497, 332_000),
-                                            (DEEP_ABLATION, 7_784, 388_800)],
+@pytest.mark.parametrize("doc,calls,peak", [(PARITY_NESTEROV, 46_424, 331_000),
+                                            (DEEP_ABLATION, 7_575, 386_000)],
                          ids=["test-10-nesterov", "deep-ablation"])
 def test_costs_per_run(doc, calls, peak):
     """On these small runs a step costs mostly the calls it makes, so the
@@ -606,10 +606,12 @@ def test_costs_per_run(doc, calls, peak):
     sees Python functions, ufunc reductions and ndarray methods on the
     calling thread only. It does not see a ufunc call such as
     np.add(a, b, out=a), or the C code under np.dot, so element-wise work
-    is not counted here. The traced peak moves by up to 2.4 KB from run to
-    run (330,823-333,201 B and 388,224-389,345 B over six runs each), so it
+    is not counted here. The traced peak moves by up to 2.5 KB from run to
+    run (329,954-332,431 B and 385,791-386,206 B over six runs each), so it
     is pinned within 1%, which a leaked or widened buffer of test 10's
-    (64 rows of 16, 8 KB) still exceeds."""
+    (64 rows of 16, 8 KB) still exceeds. Test 10's config read 46,497 calls
+    and DEEP_ABLATION 7,784 before the store, the optimizer state and the
+    layer plan shared one parameter layout."""
     got_calls, got_peak = _costs(doc)
     assert got_calls == calls
     assert abs(got_peak - peak) <= 0.01 * peak
@@ -1204,6 +1206,16 @@ def test_only_harness_decode_json_decodes_json():
                                    and f.attr in ("load", "loads")
                                    and isinstance(f.value, ast.Name) and f.value.id == "json")
     assert decoders == {("harness", "decode_json")}
+
+
+def test_only_the_layout_builds_segments():
+    """Every call of `Segment` in the package sits in param_store, in the
+    constructor of `Layout`, the one code that assigns groups their offsets:
+    the store, the optimizer state and the layer plan all read its
+    segments."""
+    builders = _callers_in_package(lambda f: isinstance(f, ast.Name) and f.id == "Segment"
+                                   or isinstance(f, ast.Attribute) and f.attr == "Segment")
+    assert builders == {("param_store", "__init__")}
 
 
 class TestReport:

@@ -240,6 +240,24 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(store, BnRunningStats.for_config(cfg), bad, cfg)
 
+    @pytest.mark.parametrize("store_cfg,cfg", [
+        (small_config(use_bn=False), small_config()),
+        (small_config(), small_config(use_bn=False)),
+        # 14 parameters each: w1 (1, 1), b1, w2 (1, 6), b2 against w1 (1, 3), b1, w2 (3, 2), b2
+        (small_config(layer_widths=[1, 1, 6], use_bn=False),
+         small_config(layer_widths=[1, 3, 2], use_bn=False)),
+    ], ids=["no-bn-store-under-bn", "bn-store-under-no-bn", "same-size-other-shapes"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_a_store_laid_out_for_another_model_is_rejected(self, store_cfg, cfg, mode):
+        """The layer plan compares the store's layout with the config's and
+        raises before any write: the store keeps its values and its plan."""
+        store = init_mlp(store_cfg)
+        kept = store.flat.copy()
+        with pytest.raises(ShapeMismatch, match="the store has"):
+            forward(store, BnRunningStats.for_config(cfg), random_batch(cfg, 8), cfg, mode=mode)
+        np.testing.assert_array_equal(store.flat, kept)
+        assert store.layer_plan is None
+
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_label_out_of_range_rejected(self, mode):
         """Before the pass writes anything: the last train forward's cache,

@@ -355,6 +355,37 @@ class TestComposite:
         grads["b1"] = arr(1.0, 2.0)  # the total length still matches
         with pytest.raises(LengthMismatch):
             composite_step(store, grads, routing, 0.1, OptimizerState.for_store(store))
+        grads = {n: np.zeros_like(store[n].values) for n in store.names()}
+        del grads["bn1_scale"]  # a dropped group
+        with pytest.raises(LengthMismatch, match="gradient of 'bn1_scale': no gradient"):
+            composite_step(store, grads, routing, 0.1, OptimizerState.for_store(store))
+        np.testing.assert_array_equal(store.flat, arr(1.0, 2.0, 0.5, 1.0, 0.0))
+
+    def test_a_state_is_built_over_its_layout(self):
+        """A state built from the store's layout and zero slots steps as
+        for_store's does. Slot vectors alone make no state: without its
+        layout a state would route no group, so a step would leave theta as
+        it was and still advance t."""
+        store = self.make_store()
+        routing = RoutingRule([(frozenset(TAGS), OptimizerConfig(momentum=0.9))])
+        n = store.layout.size
+        g = np.linspace(-1.0, 1.0, n)
+        theta, want = store.flat.copy(), store.flat.copy()
+        state = OptimizerState(store.layout, np.zeros(n), np.zeros(n), np.zeros(n))
+        apply_step(theta, g.copy(), routing, 0.1, state)
+        apply_step(want, g.copy(), routing, 0.1, OptimizerState.for_store(store))
+        assert not np.array_equal(theta, store.flat)
+        np.testing.assert_array_equal(theta, want)
+        with pytest.raises(TypeError):
+            OptimizerState(np.zeros(n), np.zeros(n), np.zeros(n))
+
+    @pytest.mark.parametrize("slot", ["v", "m", "s"])
+    @pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+    def test_a_slot_off_the_layout_is_rejected(self, slot, extra):
+        n = self.make_store().layout.size
+        slots = {"v": np.zeros(n), "m": np.zeros(n), "s": np.zeros(n), slot: np.zeros(n + extra)}
+        with pytest.raises(LengthMismatch, match=f"slot {slot} "):
+            OptimizerState(self.make_store().layout, **slots)
 
     @pytest.mark.parametrize("extra", [2, -2], ids=["longer", "shorter"])
     def test_theta_off_the_states_layout_rejected_before_any_write(self, extra):
