@@ -382,10 +382,11 @@ class TestComposite:
     @pytest.mark.parametrize("slot", ["v", "m", "s"])
     @pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
     def test_a_slot_off_the_layout_is_rejected(self, slot, extra):
-        n = self.make_store().layout.size
+        layout = self.make_store().layout
+        n = layout.size
         slots = {"v": np.zeros(n), "m": np.zeros(n), "s": np.zeros(n), slot: np.zeros(n + extra)}
         with pytest.raises(LengthMismatch, match=f"slot {slot} "):
-            OptimizerState(self.make_store().layout, **slots)
+            OptimizerState(layout, **slots)
 
     @pytest.mark.parametrize("extra", [2, -2], ids=["longer", "shorter"])
     def test_theta_off_the_states_layout_rejected_before_any_write(self, extra):
