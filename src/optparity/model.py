@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import itertools
 import math
@@ -205,7 +206,24 @@ EVAL_BLOCK_ALIGN = 16
 # another kernel path for the smaller call).
 WIDE_PRODUCT = 1 << 21
 
+# A hidden layer whose train activation holds at most this many values meets
+# its bias, BN scale and BN shift as float64 tiles shaped like the arrays they
+# meet, and its ReLU mask is float64; so do the logits' bias where the logits
+# are that small. At these sizes a ufunc with a broadcast row or a bool operand
+# takes numpy's general iterator: on (2, 8, 8) a multiply took 0.67 us against
+# a same-shape float64 array and 1.17 us against an (8,) row, and on (16, 8)
+# float x bool 1.14 us against float x float 0.48 us. A train forward refreshes
+# every tile with one gather, at about 0.6 ns a value. Timed on a BN layer's
+# five such calls per step (bias add, scale and shift in the forward, scale in
+# the backward, the mask multiply), tiles and their gather took 0.61-0.65 of
+# the rows' time at 128 values, 0.89-0.91 at 2,048 and 1.08-1.13 at 4,096
+# (2-vCPU VM). Every benchmark model's layers but the large-batch model's
+# (1,024 x 256 activations, 1,024 x 10 logits) are this small.
+SMALL_ACTIVATION = 2048
+
 _ZERO, _ONE = const(0.0), const(1.0)
+# x > 0 as a bool mask, called as _POSITIVE(x, out=mask) like np.sign
+_POSITIVE = functools.partial(np.less, _ZERO)
 
 
 def _pin_blas() -> bool:
@@ -339,7 +357,7 @@ def _bn_block_rows(vbs, width):
     return max(1, BN_BLOCK_ELEMS // (vbs * width)) * vbs
 
 
-def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, pair, mask=None):
+def _ghost_bn_cache(y, gamma, beta, vbs, stat_rows, pieces, pair, mask=None):
     """A train-mode BN cache over the (n, c) buffer `y`, walked in `pieces`,
     row slices each of which begins at a multiple of `_bn_block_rows(vbs,
     c)` rows and is cut into blocks of that many rows counted from its own
@@ -352,14 +370,17 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, pair, mask=None):
     into `stat_rows`, a (2, n // vbs, c) view. A row plan's rows of it are
     C-contiguous where the layer is as wide as its widest BN layer: a ufunc
     with a strided operand takes numpy's general iterator, at two to three
-    times the cost at these sizes. bn_backward works in the
-    (2, n, c) buffer `pair`, scratch in row 0 and dx written over dy in row
-    1, so that each of its paired sums is one reduction over the pair; given
-    the boolean `mask` of the ReLU that reads BN's output, it first
-    multiplies dy there by the mask. "back" holds its views per piece: the
-    piece's rows of dx, of the mask (or None), of x-hat and of scratch, then
-    per block (its rows of the pair, of scratch, of dx and of x-hat, a
-    (2, blocks, 1, c) column pair and its two rows, 1/std as a column).
+    times the cost at these sizes. The scale and shift `gamma` and `beta`
+    are (c,) rows, or tiles shaped like `y` cut into virtual batches, (n //
+    vbs, vbs, c) (see SMALL_ACTIVATION), which each block carries cut to its
+    rows. bn_backward works in the (2, n, c) buffer `pair`, scratch in row 0
+    and dx written over dy in row 1, so that each of its paired sums is one
+    reduction over the pair; given the `mask` of the ReLU that reads BN's
+    output, it first multiplies dy there by the mask. "back" holds its views
+    per piece: the piece's rows of dx, of the mask (or None), of x-hat and
+    of scratch, then per block (its rows of the pair, of scratch, of dx and
+    of x-hat, a (2, blocks, 1, c) column pair and its two rows, 1/std as a
+    column, the block's scale).
     """
     n, c = y.shape
     n_sub = n // vbs
@@ -377,15 +398,17 @@ def _ghost_bn_cache(y, gamma, vbs, stat_rows, pieces, pair, mask=None):
         for start in range(rows.start, rows.stop, step):
             sub = slice(start // vbs, min(start + step, rows.stop) // vbs)
             mu, var, inv = stat_rows[0, sub], stat_rows[1, sub], inv_stds[sub]
+            scale = gamma[sub] if gamma.shape == y3.shape else gamma
+            shift = beta[sub] if beta.shape == y3.shape else beta
             forward_blocks.append((y3[sub], xhat3[sub], mu, mu[:, None], var, inv,
-                                   inv[:, None]))
+                                   inv[:, None], scale, shift))
             block_pair, block_cols = pair4[:, sub], cols[:, sub]
             back_blocks.append((block_pair, *block_pair, xhat3[sub], block_cols, *block_cols,
-                                inv[:, None]))
+                                inv[:, None], scale))
         forward_pieces.append({"x": y[rows], "blocks": forward_blocks, "vbs": vbs_const})
         back.append((dx[rows], None if mask is None else mask[rows], xhat[rows],
                      scratch[rows], back_blocks))
-    return {"x": y, "xhat": xhat, "inv_stds": inv_stds, "vbs": vbs_const, "gamma": gamma,
+    return {"x": y, "xhat": xhat, "inv_stds": inv_stds, "vbs": vbs_const,
             "blocks": [blk for piece in forward_pieces for blk in piece["blocks"]],
             "pieces": forward_pieces, "pair": pair, "dx": dx, "back": back}
 
@@ -406,7 +429,9 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     over `x` and the running statistics are returned as given, since the
     caller updates every layer's at once from the sums the cache's stat rows
     hold, and `x` is not checked: forward checks the means in the stat rows.
-    A cache made here holds its own pair buffer, so it serves one bn_backward.
+    Nor are `gamma` and `beta` read: the cache's blocks carry the scale and
+    shift it was built with. A cache made here holds its own pair buffer,
+    so it serves one bn_backward.
     """
     if mode not in ("train", "eval"):
         raise InvalidConfig(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -422,7 +447,7 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     if cache is not None:
         if cache["x"] is not x:
             raise StaleCache("a BN cache serves only the array it was built over")
-        _normalize(cache["blocks"], gamma, beta, bn_epsilon, cache["vbs"])
+        _normalize(cache["blocks"], bn_epsilon, cache["vbs"])
         return x, cache, running_mean, running_var
     n_sub = n // virtual_batch_size
     y = np.array(x, dtype=np.float64)
@@ -430,9 +455,10 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     # row plan's for one BN layer, so that the running sums below add them to
     # zero in sub-batch order, as a loop does.
     sub_stats = np.zeros((2, 1, n_sub + 1, x.shape[1]))
-    cache = _ghost_bn_cache(y, np.asarray(gamma, dtype=np.float64), virtual_batch_size,
+    cache = _ghost_bn_cache(y, np.asarray(gamma, dtype=np.float64),
+                            np.asarray(beta, dtype=np.float64), virtual_batch_size,
                             sub_stats[:, 0, 1:], [slice(0, n)], np.empty((2, *y.shape)))
-    _normalize(cache["blocks"], gamma, beta, bn_epsilon, cache["vbs"])
+    _normalize(cache["blocks"], bn_epsilon, cache["vbs"])
     stats = BnRunningStats(np.stack([running_mean, running_var])[:, None], (x.shape[1],))
     stats = stats.updated(np.add.accumulate(sub_stats, axis=2)[:, :, -1],
                           (stats_decay, 1.0 - stats_decay, n_sub))
@@ -454,9 +480,10 @@ def _bn_eval(z, gamma, beta, running_mean, running_var, bn_epsilon):
     return z
 
 
-def _normalize(blocks, gamma, beta, bn_epsilon, vbs):
-    """Train-mode ghost BN in place over the block views of `_ghost_bn_cache`."""
-    for ys, d, mu, mu_col, var, inv, inv_col in blocks:
+def _normalize(blocks, bn_epsilon, vbs):
+    """Train-mode ghost BN in place over the block views of `_ghost_bn_cache`,
+    each with the scale and shift it carries."""
+    for ys, d, mu, mu_col, var, inv, inv_col, gamma, beta in blocks:
         # np.mean's and np.var's own steps (sum, then divide by the count), so
         # the results match theirs bit for bit, with x - mu computed once;
         # ys holds x, then the squares, then y
@@ -490,7 +517,7 @@ def bn_backward(dy, cache, out=None):
         np.copyto(dx, dy)
     _walk(_bn_backward_scale, back)
     sums = np.add.reduce(cache["pair"], axis=1, out=out)
-    _walk(_bn_backward_dx, back, cache["gamma"], cache["vbs"])
+    _walk(_bn_backward_dx, back, cache["vbs"])
     return dx, sums[0], sums[1]
 
 
@@ -503,9 +530,10 @@ def _bn_backward_scale(piece):
     np.multiply(dy, xhat, out=scratch)
 
 
-def _bn_backward_dx(piece, gamma, vbs):
-    """bn_backward's dx over dy, per block of one piece of its cache's "back"."""
-    for pair, dxhat, d, xh, cols, sum_dxhat, sum_dxhat_xh, inv_col in piece[4]:
+def _bn_backward_dx(piece, vbs):
+    """bn_backward's dx over dy, per block of one piece of its cache's "back",
+    with the scale the block carries."""
+    for pair, dxhat, d, xh, cols, sum_dxhat, sum_dxhat_xh, inv_col, gamma in piece[4]:
         # (inv / vbs) * (vbs * dxhat - sum(dxhat) - xh * sum(dxhat * xh)),
         # evaluated in this order, as the per-virtual-batch loop did; d holds
         # dy until dxhat is taken from it, then dxhat * xh, so that both sums
@@ -625,16 +653,26 @@ class RowPlan:
     every BN layer's `_bn_block_rows`, so that each BN layer's blocks lie
     inside the pieces (`_ghost_bn_cache`); `walk` holds the pieces as
     `_train_pass` takes them: (the piece's rows, per hidden layer (weight,
-    bias, BN scale, BN shift, the piece's rows of the activation (for a BN
-    layer its BN piece's "x") and of the mask, its piece of the BN cache or
-    None), whether it runs on this thread). Its buffers serve every train
-    forward and backward at this batch size, and each train forward
-    overwrites them. Per hidden layer there is a (2, n, c) buffer holding
-    the activation, over which BN writes y and the ReLU its output, which
-    the next layer reads, and the gradient at the affine output, over which
-    BN's backward writes dx; the ReLU mask; and for a BN layer a cache
-    holding x-hat, the inverse standard deviations and the block views
-    (`_ghost_bn_cache`), whose pair buffer is the layer's. BN's backward
+    the bias operand, the piece's rows of the activation (for a BN layer
+    its BN piece's "x") and of the mask, the function that writes the
+    mask, its piece of the BN cache or None), whether it runs on this
+    thread). Its buffers serve every train forward and backward at this
+    batch size, and each train forward overwrites them. Per hidden layer
+    there is a (2, n, c) buffer holding the activation, over which BN
+    writes y and the ReLU its output, which the next layer reads, and the
+    gradient at the affine output, over which BN's backward writes dx; the
+    ReLU mask; and for a BN layer a cache holding x-hat, the inverse
+    standard deviations and the block views (`_ghost_bn_cache`), whose pair
+    buffer is the layer's. A layer at most SMALL_ACTIVATION values large
+    meets its bias as an (n, c) tile and its BN scale and shift as (n //
+    vbs, vbs, c) tiles, cut into the piece and block views of the arrays
+    they meet, and its mask is float64, written by np.sign after the ReLU;
+    a larger layer meets the (c,) rows of the store's `flat`, and its mask
+    is bool. `tiles` holds every tile of the plan, the output layer's bias
+    included where the logits are that small, and `tile_index` where in
+    `flat` each tile value sits, so that one take refreshes them all (both
+    None with no tile); `out_bias` is what the logits' bias add takes, a
+    tile or the row. BN's backward
     overwrites the activation, so a cache serves one backward. `top` is the
     last hidden layer's activation, or None with no hidden layer. `back`
     holds per hidden layer what backward reads: this layer's activation and
@@ -685,26 +723,51 @@ class RowPlan:
             self.decay = (const(rho), const(1.0 - rho), const(n // vbs))
         self.pieces, self.product = _cut(n, plan.layers, math.lcm(
             EVAL_BLOCK_ALIGN, *(_bn_block_rows(vbs, c) for c in bn_widths)))
+        # Per layer its bias, BN scale and BN shift as its passes take them: the
+        # rows of `flat`, or tiles where the layer is small, the scale's and
+        # shift's cut into virtual batches, as BN's blocks meet them
+        operands, tiled, index = [], [], []
+        for (w, b, pair), segs in zip(plan.layers, plan._segments):
+            rows = [b] if pair is None else [b, *pair]
+            operands += [rows]
+            if n * w.shape[1] <= SMALL_ACTIVATION:
+                tiled += [rows]
+                for seg in segs[1:]:  # where in `flat` each tile row's values sit
+                    index += [range(seg.start, seg.stop)] * n
+        self.tiles = self.tile_index = None
+        if index:
+            self.tile_index = np.fromiter(itertools.chain(*index), np.intp)
+            self.tiles = np.empty(self.tile_index.size)
+        start = 0
+        for rows in tiled:
+            c = rows[0].size
+            for k, _ in enumerate(rows):
+                view, start = self.tiles[start:start + n * c], start + n * c
+                rows[k] = view.reshape((n, c) if k == 0 else (n // vbs, vbs, c))
         piece_layers = [[] for _ in self.pieces]
         self.back, self.top = [], None
         bn_index = 0
-        for (w, b, pair), (w_next, _, _) in zip(plan.layers, plan.layers[1:]):
-            gamma, beta = (None, None) if pair is None else pair
+        for (w, _, _), (w_next, _, _), (bias, *scale_shift) in zip(
+                plan.layers, plan.layers[1:], operands):
+            tile = bias.ndim == 2
             c = w.shape[1]
-            pair, mask = np.empty((2, n, c)), np.empty((n, c), dtype=bool)
+            pair, mask = np.empty((2, n, c)), np.empty((n, c), dtype=np.float64 if tile else bool)
             act, dz = pair
             bn_cache, bn_pieces = None, [None] * len(self.pieces)
-            if gamma is not None:
+            if scale_shift:
                 stat_rows = self.sub_stats[:, bn_index, 1:, :c]
                 # BN's backward uses the activation, read by then, as scratch
-                bn_cache = _ghost_bn_cache(act, gamma, vbs, stat_rows, self.pieces, pair, mask)
+                bn_cache = _ghost_bn_cache(act, *scale_shift, vbs, stat_rows, self.pieces, pair,
+                                           mask)
                 bn_pieces = bn_cache["pieces"]
                 bn_index += 1
             for rows, layers, bn in zip(self.pieces, piece_layers, bn_pieces):
-                layers.append((w, b, gamma, beta, act[rows] if bn is None else bn["x"],
-                               mask[rows], bn))
+                layers.append((w, bias[rows] if tile else bias,
+                               act[rows] if bn is None else bn["x"], mask[rows],
+                               np.sign if tile else _POSITIVE, bn))
             self.back.append((act.T, w_next.T, mask, dz, bn_cache))
             self.top = act
+        self.out_bias = operands[-1][0]
         self.walk = [(rows, layers, rows is self.pieces[-1])
                      for rows, layers in zip(self.pieces, piece_layers)]
         self.targets = np.empty((n, config.n_classes))
@@ -727,16 +790,18 @@ def _train_pass(piece, x, eps, config, product):
     BN's input: forward checks every layer's means once the pieces are done."""
     rows, layers, here = piece
     x = x[rows]
-    for w, b, gamma, beta, act, mask, bn in layers:
+    for w, bias, act, mask, mark, bn in layers:
         product(x, w, out=act)
-        act += b
+        act += bias
         if bn is not None and here:
-            bn_forward(act, gamma, beta, eps, config.virtual_batch_size, "train",
+            bn_forward(act, None, None, eps, config.virtual_batch_size, "train",
                        None, None, config.bn_stats_decay, cache=bn)
         elif bn is not None:
-            _normalize(bn["blocks"], gamma, beta, eps, bn["vbs"])
-        np.greater(act, _ZERO, out=mask)
+            _normalize(bn["blocks"], eps, bn["vbs"])
         np.maximum(act, _ZERO, out=act)
+        # after the ReLU either mask is 1 where act > 0 and 0 elsewhere,
+        # signed and denormal zeros included; a NaN raises before any backward
+        mark(act, out=mask)
         x = act
 
 
@@ -766,7 +831,11 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     A pass walks the layer plan's `RowPlan` for its row count and mode. A
     train-mode pass runs in the row plan's buffers, so its cache holds views
     of them and goes stale once a backward has used it or at the next train
-    forward on the same store and batch size. An eval-mode pass walks the
+    forward on the same store and batch size. It first gathers the row
+    plan's tiles of the small layers' parameters from the store's `flat`,
+    in one take, so each train forward reads the store as it is then (see
+    SMALL_ACTIVATION); the eval pass reads the parameter rows directly. An
+    eval-mode pass walks the
     rows in blocks: each block runs through every hidden layer in the
     plan's eval buffers, which the next block and the next eval forward on
     the store overwrite, and writes its output-layer product into its rows
@@ -798,7 +867,7 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     except IndexError:
         raise InvalidConfig("label out of range") from None
     new_stats = stats
-    w_out, b_out, _ = plan.layers[-1]
+    w_out, bias, _ = plan.layers[-1]
     if mode == "eval":
         hidden, running = plan.layers[:-1], list(zip(stats.means, stats.vars))
         logits = np.empty((n, widths[-1]))
@@ -813,6 +882,10 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
         work.stamp += 1
         cache = {"mode": mode, "params": params, "plan": plan, "work": work,
                  "stamp": work.stamp, "inputs": x}
+        if work.tiles is not None:
+            # mode="raise" would write the values into a buffer first, then copy
+            # them to `out`; the index is in range by construction
+            params.flat.take(work.tile_index, out=work.tiles, mode="clip")
         with np.errstate(invalid="ignore"):  # a non-finite BN input raises below
             _walk(_train_pass, work.walk, x, plan.eps, config, work.product)
         if work.top is not None:
@@ -824,7 +897,8 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
             new_stats = stats.updated(work.stat_sums[:, :, -1], work.decay)
         buffers = work.loss
         logits = work.product(x, w_out)
-    logits += b_out
+        bias = work.out_bias
+    logits += bias
     if not all_finite(logits):
         raise NonFiniteInput("non-finite logits")
     loss, cache["log_p"] = _smoothed_loss(logits, targets, buffers)
@@ -852,8 +926,12 @@ def backward(cache, params: ParamStore, config: MlpConfig,
                          "overwrote the cache")
     if out is None:
         out = np.empty(params.flat.size)
-    elif out.shape != params.flat.shape:
-        raise LengthMismatch(f"out {out.shape} vs the store's {params.flat.shape}")
+    elif (out.shape != params.flat.shape or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        # numpy refuses any other buffer as a product's `out`, after writes
+        raise LengthMismatch(f"out must be a C-contiguous float64 vector of shape "
+                             f"{params.flat.shape}, got {out.dtype} {out.shape}"
+                             f"{'' if out.flags.c_contiguous else ' strided'}")
     work.stamp += 1
     layer_grads, named = cache["plan"].grad_views(out)
     dz = np.exp(cache["log_p"], out=work.loss[1])

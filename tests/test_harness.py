@@ -596,22 +596,32 @@ def _costs(doc) -> tuple[int, int]:
     return sum(entry.callcount for entry in profile.getstats()), peak
 
 
-@pytest.mark.parametrize("doc,calls,peak", [(PARITY_NESTEROV, 46_424, 331_000),
-                                            (DEEP_ABLATION, 7_575, 386_000)],
-                         ids=["test-10-nesterov", "deep-ablation"])
-def test_costs_per_run(doc, calls, peak):
-    """On these small runs a step costs mostly the calls it makes, so the
+@pytest.mark.parametrize("doc,calls,peak", [(PARITY_NESTEROV, 46_933, 448_000),
+                                            (DEEP_ABLATION, 7_626, 433_000),
+                                            (LARGE_BATCH, 2_393, 21_943_500)],
+                         ids=["test-10-nesterov", "deep-ablation", "large-batch"])
+def test_costs_per_run(doc, calls, peak, worker_on):
+    """On the small runs a step costs mostly the calls it makes, so the
     calls per run are pinned exactly: a change that adds or removes a call
     per step or per run changes the count and must say so. The profiler
     sees Python functions, ufunc reductions and ndarray methods on the
     calling thread only. It does not see a ufunc call such as
     np.add(a, b, out=a), or the C code under np.dot, so element-wise work
-    is not counted here. The traced peak moves by up to 2.5 KB from run to
-    run (329,954-332,431 B and 385,791-386,206 B over six runs each), so it
-    is pinned within 1%, which a leaked or widened buffer of test 10's
-    (64 rows of 16, 8 KB) still exceeds. Test 10's config read 46,497 calls
-    and DEEP_ABLATION 7,784 before the store, the optimizer state and the
-    layer plan shared one parameter layout."""
+    is not counted here. The traced peak moves by up to 2.7 KB from run to
+    run (447,876-448,104 B, 432,499-433,297 B and 21,943,147-21,945,873 B
+    over six runs or more each), so it is pinned within 1%, which a leaked
+    or widened buffer of test 10's (64 rows of 16, 8 KB) or LARGE_BATCH's
+    (1,024 rows of 256, 2 MB) still exceeds. Test 10's config read 46,497
+    calls and DEEP_ABLATION 7,784 before the store, the optimizer state and
+    the layer plan shared one parameter layout; then 46,424 and 7,575 calls
+    and peaks of 331,000 and 386,000 B before the small layers' tiles. The
+    tiles add one take per train step (500 and 30) and, per run, one
+    reshape per tile, the index and the buffer (9 and 21 calls), and the
+    tiles, their index and the float masks raise the peaks by about
+    115 KB and 45 KB. LARGE_BATCH has no small layer, so its calls are
+    those of a run without tiles. Its steps run with the worker, as
+    wherever two CPUs are usable: without it they run in one piece, with
+    no handoff, and the profiler counts 1,635 calls."""
     got_calls, got_peak = _costs(doc)
     assert got_calls == calls
     assert abs(got_peak - peak) <= 0.01 * peak
@@ -633,24 +643,54 @@ def _row_plans(doc):
             [plan.row_plan(len(batch), "eval") for batch in sets])
 
 
+def _meets(operand, array, small):
+    """Whether `operand` is what a train op over `array` takes of a parameter:
+    on a small layer a C-contiguous float64 tile shaped like `array`, else
+    the (c,) row."""
+    if not small:
+        return operand.shape == array.shape[-1:]
+    return (operand.shape == array.shape and operand.dtype == np.float64
+            and operand.flags.c_contiguous)
+
+
 @FAST_PATH_DOCS
 @pytest.mark.parametrize("worker", [False, True], ids=["one-piece", "worker"])
 def test_row_plans_take_the_fast_paths(doc, worker, monkeypatch):
     """Every BN block's mean, variance and 1/std views are C-contiguous, so
     that the ufuncs over them skip numpy's general iterator, and a row plan
     makes its products with np.dot where none is wider than WIDE_PRODUCT,
-    else with np.matmul, whether or not it splits."""
+    else with np.matmul, whether or not it splits. Each bias, BN scale and
+    BN shift operand of a small layer's train ops (at most SMALL_ACTIVATION
+    values) is a C-contiguous float64 tile shaped like the array it meets,
+    and its ReLU mask is float64, so that no such op broadcasts a row or
+    reads a bool array; the logits' bias is a tile where the logits are
+    that small. LARGE_BATCH's layers keep the (c,) rows and a bool mask."""
     monkeypatch.setattr(model, "_USE_WORKER", worker)
     train, evals = _row_plans(doc)
     wide = doc is LARGE_BATCH  # 2.6-67 M multiply-adds, the others at most 0.13 M
     for rows in [train, *evals]:
         assert rows.product is (np.matmul if wide else np.dot)
         assert len(rows.pieces) == (2 if wide and worker else 1)
+    small = not wide  # LARGE_BATCH: 1,024 x 256 activations; the others at most 1,024 values
+    assert (train.tiles is not None) == small
+    for _, layers, _ in train.walk:
+        for _, bias, act, mask, mark, _ in layers:
+            assert _meets(bias, act, small)
+            assert mask.dtype == (np.float64 if small else bool)
+            assert mark is (np.sign if small else model._POSITIVE)
+    for _, _, mask, _, _ in train.back:
+        assert mask.dtype == (np.float64 if small else bool)
+    config = harness.parse_config(doc)
+    assert _meets(train.out_bias, np.empty((config.batch_size, config.model.n_classes)), small)
     caches = [cache for *_, cache in train.back if cache is not None]
     assert caches
     for cache in caches:
-        for _, _, mu, _, var, inv, _ in cache["blocks"]:
+        for ys, d, mu, _, var, inv, _, scale, shift in cache["blocks"]:
             assert mu.flags.c_contiguous and var.flags.c_contiguous and inv.flags.c_contiguous
+            assert _meets(scale, d, small) and _meets(shift, ys, small)
+        for *_, back_blocks in cache["back"]:
+            for _, _, d, *_, scale in back_blocks:
+                assert _meets(scale, d, small)
 
 
 def _dot_products(doc, rng):

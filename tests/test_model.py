@@ -38,6 +38,7 @@ from optparity.model import (
     layer_plan,
     target_table,
 )
+from optparity.param_store import ParamStore
 
 
 def small_config(**kw):
@@ -367,6 +368,28 @@ class TestBackward:
         # a rejected `out` leaves the cache usable
         backward(cache, store, cfg, out=np.empty(store.flat.size))
 
+    def test_out_numpy_cannot_write_into_rejected_before_any_write(self):
+        """A right-length `out` that is strided, float32 or int64 is not one a
+        product can write into; it is refused before the plan's stamp moves,
+        so the same cache still serves a backward, with the gradients of a
+        fresh store's."""
+        cfg = small_config(layer_widths=[2, 16, 2])
+        batch = random_batch(cfg, 16, seed=42)
+        other = init_mlp(cfg)
+        _, _, fresh, _ = forward(other, BnRunningStats.for_config(cfg), batch, cfg)
+        want = backward(fresh, other, cfg)
+        store = init_mlp(cfg)
+        _, _, cache, _ = forward(store, BnRunningStats.for_config(cfg), batch, cfg)
+        size = store.flat.size
+        for out in (np.full(2 * size, 7.0)[::2], np.full(size, 7, dtype=np.float32),
+                    np.full(size, 7, dtype=np.int64)):
+            with pytest.raises(LengthMismatch, match="C-contiguous float64"):
+                backward(cache, store, cfg, out=out)
+            assert (out == 7).all()
+        got = backward(cache, store, cfg, out=np.empty(size))
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+
 
 class TestTrainWorkspace:
     """A train forward runs in its store's row plan for the batch size."""
@@ -410,6 +433,21 @@ class TestTrainWorkspace:
         self._assert_same((logits, loss, new_stats.values, backward(cache, store, cfg)),
                           want)
 
+    def test_train_forward_reads_the_store_as_it_is_then(self):
+        """A narrow model's train forward gathers its tiles of the biases, BN
+        scales and shifts from `flat` anew: after new values are written into
+        `flat`, its logits, loss, running statistics and gradients equal, bit
+        for bit, those of a fresh store that holds those values."""
+        cfg = small_config(layer_widths=[2, 16, 8, 3], label_smoothing=0.1)
+        store = init_mlp(cfg, rng_seed=43)
+        batch = random_batch(cfg, 16, seed=44)
+        self._step(store, cfg, batch)
+        assert layer_plan(store, cfg).row_plan(16, "train").tiles is not None
+        values = np.random.default_rng(45).normal(size=store.flat.size)
+        store.flat[:] = values
+        fresh = ParamStore(store.layout, values.copy())
+        self._assert_same(self._step(store, cfg, batch), self._step(fresh, cfg, batch))
+
     def test_batch_sizes_each_match_a_fresh_store(self):
         cfg = small_config(layer_widths=[2, 16, 8, 2])
         store = init_mlp(cfg)
@@ -447,19 +485,25 @@ class TestTrainWorkspace:
             np.testing.assert_array_equal(mean, 0.0)
             np.testing.assert_array_equal(var, 1.0)
 
-    @pytest.mark.parametrize("widths,use_bn", [([2, 16, 8, 2], True),
-                                               ([2, 16, 8, 12, 2], [True, False, True])],
-                             ids=["bn-16-8", "bn-16-plain-8-bn-12"])
-    def test_running_stats_of_unequal_widths_match_the_oracle(self, widths, use_bn):
+    @pytest.mark.parametrize("widths,use_bn,n,vbs", [([2, 16, 8, 2], True, 32, 8),
+                                                     ([2, 16, 8, 12, 2], [True, False, True],
+                                                      32, 8),
+                                                     ([2, 1, 1, 2], True, 64, 4)],
+                             ids=["bn-16-8", "bn-16-plain-8-bn-12", "bn-1-1"])
+    def test_running_stats_of_unequal_widths_match_the_oracle(self, widths, use_bn, n, vbs):
         """BN layers narrower than the widest keep their statistics in narrower
         views of the row plan's layer-major buffers; the running statistics
-        still come out side by side, as oracles.ghost_bn_forward gives them."""
-        cfg = small_config(layer_widths=widths, use_bn=use_bn, bn_stats_decay=0.8)
+        still come out side by side, as oracles.ghost_bn_forward gives them.
+        The width-1 layers' 16 virtual batches are where the sums must stay an
+        accumulate down the sub-batches: np.add.reduce over that axis sums a
+        width-1 column pairwise, in another order, from 8 virtual batches on."""
+        cfg = small_config(layer_widths=widths, use_bn=use_bn, bn_stats_decay=0.8,
+                           virtual_batch_size=vbs)
         store = init_mlp(cfg, rng_seed=12)
         stats = BnRunningStats.for_config(cfg)
         want = [(np.zeros(c), np.ones(c)) for c, on in zip(widths[1:-1], cfg.use_bn) if on]
         for seed in (13, 14):
-            batch = random_batch(cfg, 32, seed=seed)
+            batch = random_batch(cfg, n, seed=seed)
             _, _, _, stats = forward(store, stats, batch, cfg)
             x, k = batch.inputs, 0
             for i, (c_in, c_out) in enumerate(zip(widths, widths[1:-1])):
