@@ -351,6 +351,13 @@ def _walk(pass_, pieces, *args):
         pass_(pieces[1], *args)
 
 
+def _walk_call(pass_, pieces, *args):
+    """A call of `_walk(pass_, pieces, *args)`, without `_walk` over one piece."""
+    if len(pieces) == 1:
+        return functools.partial(pass_, pieces[0], *args)
+    return functools.partial(_walk, pass_, pieces, *args)
+
+
 def _bn_block_rows(vbs, width):
     """The rows of a block ghost BN walks over a layer `width` wide: whole
     virtual batches of vbs rows, at most BN_BLOCK_ELEMS values (or one batch)."""
@@ -376,11 +383,11 @@ def _ghost_bn_cache(y, gamma, beta, vbs, stat_rows, pieces, pair, mask=None):
     rows. bn_backward works in the (2, n, c) buffer `pair`, scratch in row 0
     and dx written over dy in row 1, so that each of its paired sums is one
     reduction over the pair; given the `mask` of the ReLU that reads BN's
-    output, it first multiplies dy there by the mask. "back" holds its views
-    per piece: the piece's rows of dx, of the mask (or None), of x-hat and
-    of scratch, then per block (its rows of the pair, of scratch, of dx and
-    of x-hat, a (2, blocks, 1, c) column pair and its two rows, 1/std as a
-    column, the block's scale).
+    output, it first multiplies dy there by the mask. "passes" are its two
+    passes over "back" (`_walk_call`), which holds its views per piece: the
+    piece's rows of dx, of the mask (or None), of x-hat and of scratch, then
+    per block (its rows of the pair, of scratch, of dx and of x-hat, a (2,
+    blocks, 1, c) column pair and its two rows, 1/std as a column, its scale).
     """
     n, c = y.shape
     n_sub = n // vbs
@@ -410,7 +417,9 @@ def _ghost_bn_cache(y, gamma, beta, vbs, stat_rows, pieces, pair, mask=None):
                      scratch[rows], back_blocks))
     return {"x": y, "xhat": xhat, "inv_stds": inv_stds, "vbs": vbs_const,
             "blocks": [blk for piece in forward_pieces for blk in piece["blocks"]],
-            "pieces": forward_pieces, "pair": pair, "dx": dx, "back": back}
+            "pieces": forward_pieces, "pair": pair, "dx": dx, "back": back,
+            "passes": (_walk_call(_bn_backward_scale, back),
+                       _walk_call(_bn_backward_dx, back, vbs_const))}
 
 
 def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
@@ -428,11 +437,16 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     it; any other `x` raises StaleCache before any write. y is written
     over `x` and the running statistics are returned as given, since the
     caller updates every layer's at once from the sums the cache's stat rows
-    hold, and `x` is not checked: forward checks the means in the stat rows.
+    hold, and `x` is not checked: forward checks the means in the stat rows
+    where its loss is not finite.
     Nor are `gamma` and `beta` read: the cache's blocks carry the scale and
     shift it was built with. A cache made here holds its own pair buffer,
     so it serves one bn_backward.
     """
+    if (mode == "train" and cache is not None and x.shape[0] % virtual_batch_size == 0
+            and cache["x"] is x):  # what the checks below would let through to _normalize
+        _normalize(cache["blocks"], bn_epsilon, cache["vbs"])
+        return x, cache, running_mean, running_var
     if mode not in ("train", "eval"):
         raise InvalidConfig(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or cache is None:
@@ -445,10 +459,7 @@ def bn_forward(x, gamma, beta, bn_epsilon, virtual_batch_size, mode,
     if n % virtual_batch_size != 0:
         raise IndivisibleBatch(f"{n} rows vs virtual batch {virtual_batch_size}")
     if cache is not None:
-        if cache["x"] is not x:
-            raise StaleCache("a BN cache serves only the array it was built over")
-        _normalize(cache["blocks"], bn_epsilon, cache["vbs"])
-        return x, cache, running_mean, running_var
+        raise StaleCache("a BN cache serves only the array it was built over")
     n_sub = n // virtual_batch_size
     y = np.array(x, dtype=np.float64)
     # Per-sub-batch means and variances after a zero row each, laid out as a
@@ -509,15 +520,15 @@ def bn_backward(dy, cache, out=None):
     With a cache of a train row plan, dy must be that buffer: it holds the
     gradient at the output of the ReLU after BN, which the call first
     multiplies by the ReLU's mask. Its row-wise passes walk the cache's
-    pieces (`_walk`), and dgamma and dbeta are summed over all rows on this
-    thread, as one reduction over the pair of dy * x-hat and dy.
+    pieces (the cache's "passes"), and dgamma and dbeta are summed over all
+    rows on this thread, as one reduction over the pair of dy * x-hat and dy.
     """
-    dx, back = cache["dx"], cache["back"]
+    dx, (scale_pass, dx_pass) = cache["dx"], cache["passes"]
     if dy is not dx:
         np.copyto(dx, dy)
-    _walk(_bn_backward_scale, back)
+    scale_pass()
     sums = np.add.reduce(cache["pair"], axis=1, out=out)
-    _walk(_bn_backward_dx, back, cache["vbs"])
+    dx_pass()
     return dx, sums[0], sums[1]
 
 
@@ -726,21 +737,22 @@ class RowPlan:
         # Per layer its bias, BN scale and BN shift as its passes take them: the
         # rows of `flat`, or tiles where the layer is small, the scale's and
         # shift's cut into virtual batches, as BN's blocks meet them
-        operands, tiled, index = [], [], []
+        operands, tiled = [], []
         for (w, b, pair), segs in zip(plan.layers, plan._segments):
             rows = [b] if pair is None else [b, *pair]
             operands += [rows]
             if n * w.shape[1] <= SMALL_ACTIVATION:
-                tiled += [rows]
-                for seg in segs[1:]:  # where in `flat` each tile row's values sit
-                    index += [range(seg.start, seg.stop)] * n
+                tiled += [(rows, segs[1:])]
         self.tiles = self.tile_index = None
-        if index:
-            self.tile_index = np.fromiter(itertools.chain(*index), np.intp)
-            self.tiles = np.empty(self.tile_index.size)
+        if tiled:
+            size = n * sum(row.size for rows, _ in tiled for row in rows)
+            self.tiles, self.tile_index = np.empty(size), np.empty(size, np.intp)
         start = 0
-        for rows in tiled:
+        for rows, segs in tiled:
             c = rows[0].size
+            # each of the layer's tiles holds n copies of its segment's indices in `flat`
+            np.add(np.array([seg.start for seg in segs])[:, None, None], np.arange(c),
+                   out=self.tile_index[start:start + len(rows) * n * c].reshape(-1, n, c))
             for k, _ in enumerate(rows):
                 view, start = self.tiles[start:start + n * c], start + n * c
                 rows[k] = view.reshape((n, c) if k == 0 else (n // vbs, vbs, c))
@@ -787,7 +799,7 @@ def _train_pass(piece, x, eps, config, product):
     """The train forward's hidden layers over one piece of `RowPlan.walk`,
     reading its rows of the input `x`. On the calling thread BN runs through
     bn_forward; on the worker it normalizes the piece directly. Neither checks
-    BN's input: forward checks every layer's means once the pieces are done."""
+    BN's input: forward checks every layer's means if its loss is not finite."""
     rows, layers, here = piece
     x = x[rows]
     for w, bias, act, mask, mark, bn in layers:
@@ -841,7 +853,8 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
     the store overwrite, and writes its output-layer product into its rows
     of the logits; the bias, the logits check and the loss then run once
     over all rows. Its cache holds no view of the buffers. The logits are a
-    new array in both modes.
+    new array in both modes. A train pass checks its BN means, then its
+    logits, only if its loss is not finite; an eval pass checks each BN input.
 
     Where a product is wide (see WIDE_PRODUCT), the hidden layers run in two
     pieces of rows, the worker thread carrying the first through every
@@ -876,8 +889,11 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
             h = x[block]
             _walk(_eval_pass, pieces, h, hidden, running, plan.eps, blocks.product)
             blocks.product(h if top is None else top, w_out, out=logits[block])
-        buffers = _loss_buffers(n, widths[-1])
+        logits += bias
+        if not all_finite(logits):
+            raise NonFiniteInput("non-finite logits")
         cache = {"mode": mode}
+        loss, cache["log_p"] = _smoothed_loss(logits, targets, _loss_buffers(n, widths[-1]))
     else:
         work.stamp += 1
         cache = {"mode": mode, "params": params, "plan": plan, "work": work,
@@ -886,22 +902,22 @@ def forward(params: ParamStore, stats: BnRunningStats, batch: Batch,
             # mode="raise" would write the values into a buffer first, then copy
             # them to `out`; the index is in range by construction
             params.flat.take(work.tile_index, out=work.tiles, mode="clip")
-        with np.errstate(invalid="ignore"):  # a non-finite BN input raises below
+        with np.errstate(invalid="ignore"):  # a non-finite BN input or logit raises below
             _walk(_train_pass, work.walk, x, plan.eps, config, work.product)
-        if work.top is not None:
-            x = work.top
-        if work.decay is not None:
-            # a virtual batch's mean is non-finite where any of its inputs is
-            _check_bn_input(work.sub_stats[0])
-            np.add.accumulate(work.sub_stats, axis=2, out=work.stat_sums)
-            new_stats = stats.updated(work.stat_sums[:, :, -1], work.decay)
-        buffers = work.loss
-        logits = work.product(x, w_out)
-        bias = work.out_bias
-    logits += bias
-    if not all_finite(logits):
-        raise NonFiniteInput("non-finite logits")
-    loss, cache["log_p"] = _smoothed_loss(logits, targets, buffers)
+            if work.decay is not None:
+                np.add.accumulate(work.sub_stats, axis=2, out=work.stat_sums)
+                new_stats = stats.updated(work.stat_sums[:, :, -1], work.decay)
+            logits = work.product(x if work.top is None else work.top, w_out)
+            logits += work.out_bias
+            loss, cache["log_p"] = _smoothed_loss(logits, targets, work.loss)
+        if not math.isfinite(loss):
+            # a non-finite virtual-batch mean (from a non-finite input or an
+            # overflowing sum) makes x-hat NaN down its column, and so each logit
+            # of its rows; a non-finite logit makes the loss NaN or +inf
+            if work.decay is not None:
+                _check_bn_input(work.sub_stats[0])
+            if not all_finite(logits):
+                raise NonFiniteInput("non-finite logits")
     cache["targets"] = targets
     return logits, loss, cache, new_stats
 

@@ -7,7 +7,9 @@ step. `per_group_step` is the numpy per-group composite step, and
 `ghost_bn_forward`/`ghost_bn_backward` are the per-virtual-batch loops of
 train-mode ghost batch normalization. `reference_run_training` is a whole
 training run built from those; it alone imports from the package (data
-generation, the parameter init and the schedule).
+generation, the parameter init and the schedule). `reference_train_forward`
+is one train-mode forward that checks each BN layer's virtual-batch means
+as it reaches the layer, then the logits.
 """
 
 import math
@@ -279,9 +281,12 @@ class _Diverged(Exception):
     pass
 
 
-def _finite_or_diverge(a):
+BN_INPUT, LOGITS = "BN input contains NaN/Inf", "non-finite logits"
+
+
+def _finite_or_diverge(a, message=""):
     if not np.isfinite(a).all():
-        raise _Diverged
+        raise _Diverged(message)
 
 
 def _reference_forward(p, layers, running, x, labels, mc, mode):
@@ -292,12 +297,15 @@ def _reference_forward(p, layers, running, x, labels, mc, mode):
         z = x @ p[w] + p[b]
         cache = {"x_in": x}
         if scale is not None:
-            _finite_or_diverge(z)
             mean, var = running[bn_idx]
             if mode == "eval":
+                _finite_or_diverge(z, BN_INPUT)
                 inv = 1.0 / np.sqrt(var + mc.bn_epsilon)
                 y = (z - mean) * inv * p[scale] + p[shift]
             else:
+                # each virtual batch's mean, which finite inputs may overflow
+                vbs = mc.virtual_batch_size
+                _finite_or_diverge(z.reshape(-1, vbs, z.shape[1]).mean(axis=1), BN_INPUT)
                 y, xhat, inv_stds, mean, var = ghost_bn_forward(
                     z, p[scale], p[shift], mc.bn_epsilon, mc.virtual_batch_size,
                     mean, var, mc.bn_stats_decay)
@@ -311,7 +319,7 @@ def _reference_forward(p, layers, running, x, labels, mc, mode):
         x = np.maximum(y, 0.0)
     w, b, _, _ = layers[-1]
     logits = x @ p[w] + p[b]
-    _finite_or_diverge(logits)
+    _finite_or_diverge(logits, LOGITS)
     z = logits - logits.max(axis=1, keepdims=True)
     log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     k = logits.shape[1]
@@ -345,6 +353,32 @@ def _reference_backward(p, layers, caches, mc):
     return grads
 
 
+def _reference_model(store, mc):
+    """(values by group name, per layer its group names, BN running stats)."""
+    p = {g.name: g.values.reshape(g.shape).copy() for g in store}
+    n_layers = len(mc.layer_widths) - 1
+    layers = [(f"w{i}", f"b{i}",
+               f"bn{i}_scale" if i < n_layers and mc.use_bn[i - 1] else None,
+               f"bn{i}_shift" if i < n_layers and mc.use_bn[i - 1] else None)
+              for i in range(1, n_layers + 1)]
+    running = [(np.zeros(mc.layer_widths[i + 1]), np.ones(mc.layer_widths[i + 1]))
+               for i, on in enumerate(mc.use_bn) if on]
+    return p, layers, running
+
+
+def reference_train_forward(store, mc, inputs, labels):
+    """The loss of one train-mode forward of model config `mc` with the
+    values of `store` (a ParamStore) on a batch, or the message of the first
+    check that fails, in the eager order: each BN layer's virtual-batch means
+    as the walk reaches it, then the logits."""
+    p, layers, running = _reference_model(store, mc)
+    try:
+        with np.errstate(all="ignore"):
+            return _reference_forward(p, layers, running, inputs, labels, mc, "train")[1]
+    except _Diverged as exc:
+        return str(exc)
+
+
 def reference_run_training(config):
     from optparity.model import gen_synthetic_dataset, init_mlp
     from optparity.schedule import eval_schedule
@@ -354,15 +388,8 @@ def reference_run_training(config):
                                             d.spread, d.seed)
     store = init_mlp(mc, rng_seed=mc.init_seed + config.base_seed)
     tags = {g.name: g.tag for g in store}
-    p = {g.name: g.values.reshape(g.shape).copy() for g in store}
+    p, layers, running = _reference_model(store, mc)
     slots = {name: {key: np.zeros(a.size) for key in "vms"} for name, a in p.items()}
-    n_layers = len(mc.layer_widths) - 1
-    layers = [(f"w{i}", f"b{i}",
-               f"bn{i}_scale" if i < n_layers and mc.use_bn[i - 1] else None,
-               f"bn{i}_shift" if i < n_layers and mc.use_bn[i - 1] else None)
-              for i in range(1, n_layers + 1)]
-    running = [(np.zeros(mc.layer_widths[i + 1]), np.ones(mc.layer_widths[i + 1]))
-               for i, on in enumerate(mc.use_bn) if on]
     rng = np.random.default_rng(config.base_seed)
     buffer = np.empty(0, dtype=np.int64)
     result = {"history": [], "status": "completed", "steps_run": 0,

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import cProfile
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -558,7 +559,7 @@ def _reductions(doc) -> int:
     return count
 
 
-@pytest.mark.parametrize("doc,count", [(PARITY_NESTEROV, 10_084), (DEEP_ABLATION, 1_276)],
+@pytest.mark.parametrize("doc,count", [(PARITY_NESTEROV, 9_084), (DEEP_ABLATION, 1_216)],
                          ids=["test-10-nesterov", "deep-ablation"])
 def test_reductions_per_run(doc, count):
     """At these sizes a reduction costs about as much as a small step's
@@ -567,9 +568,12 @@ def test_reductions_per_run(doc, count):
     per BN layer, two for the statistics and one per BN block of the
     backward; one over its pair of sums dgamma and dbeta; one per bias
     gradient; one accumulate over the running statistics; four in the loss;
-    and the finiteness checks of the BN means, the logits and the gradient.
-    Test 10's config read 12,594 and DEEP_ABLATION 1,672 before the paired
-    sums and the label check folded into the targets' take."""
+    and the finiteness check of the gradient. The checks of the BN means and
+    the logits run only after a non-finite loss. Test 10's config read
+    12,594 and DEEP_ABLATION 1,672 before the paired sums and the label
+    check folded into the targets' take, and 10,084 and 1,276 while every
+    train step checked its BN means and logits (two reductions a step, 1,000
+    and 60 a run)."""
     assert _reductions(doc) == count
 
 
@@ -596,9 +600,9 @@ def _costs(doc) -> tuple[int, int]:
     return sum(entry.callcount for entry in profile.getstats()), peak
 
 
-@pytest.mark.parametrize("doc,calls,peak", [(PARITY_NESTEROV, 46_933, 448_000),
-                                            (DEEP_ABLATION, 7_626, 433_000),
-                                            (LARGE_BATCH, 2_393, 21_943_500)],
+@pytest.mark.parametrize("doc,calls,peak", [(PARITY_NESTEROV, 40_965, 448_000),
+                                            (DEEP_ABLATION, 6_866, 433_000),
+                                            (LARGE_BATCH, 2_389, 21_943_500)],
                          ids=["test-10-nesterov", "deep-ablation", "large-batch"])
 def test_costs_per_run(doc, calls, peak, worker_on):
     """On the small runs a step costs mostly the calls it makes, so the
@@ -621,7 +625,20 @@ def test_costs_per_run(doc, calls, peak, worker_on):
     115 KB and 45 KB. LARGE_BATCH has no small layer, so its calls are
     those of a run without tiles. Its steps run with the worker, as
     wherever two CPUs are usable: without it they run in one piece, with
-    no handoff, and the profiler counts 1,635 calls."""
+    no handoff, and the profiler counts 1,607 calls (1,635 before the three
+    changes below). Then 46,933, 7,626 and 2,393 calls before these three
+    changes, which left the peaks as they were:
+    - a train forward checks its BN means and logits only after a non-finite
+      loss, which drops a _check_bn_input, two all_finite calls and their
+      two reductions and adds one math.isfinite per train step (-2,000,
+      -120 and -12);
+    - a one-piece BN cache runs bn_backward's two passes without _walk,
+      which drops two _walk and two len calls per BN layer and train step
+      (-4,000, -720, and 0 on LARGE_BATCH's two pieces, -24 in one piece),
+      for one _walk_call and one len per pass and BN layer per run (+8, +24
+      and +8);
+    - the tile index is built per layer with numpy, not by np.fromiter over
+      Python ranges (+24 and +56 calls per run, and 0)."""
     got_calls, got_peak = _costs(doc)
     assert got_calls == calls
     assert abs(got_peak - peak) <= 0.01 * peak
@@ -691,6 +708,39 @@ def test_row_plans_take_the_fast_paths(doc, worker, monkeypatch):
         for *_, back_blocks in cache["back"]:
             for _, _, d, *_, scale in back_blocks:
                 assert _meets(scale, d, small)
+
+
+def _ranges_index(plan, n):
+    """The tile index of `plan`'s train row plan over n rows as Python ranges
+    give it: for each small layer in model order, each of its bias, BN scale
+    and BN shift segments' indices in `flat`, once per row; None with no
+    small layer."""
+    ranges = []
+    for (w, _, _), segs in zip(plan.layers, plan._segments):
+        if n * w.shape[1] <= model.SMALL_ACTIVATION:
+            for seg in segs[1:]:
+                ranges += [range(seg.start, seg.stop)] * n
+    return np.fromiter(itertools.chain(*ranges), np.intp) if ranges else None
+
+
+@pytest.mark.parametrize("doc", [
+    PARITY_NESTEROV, DEEP_ABLATION, LARGE_BATCH,
+    # widths 16, 80 and 8 at 32 rows: the 80-wide layer is too large for tiles
+    {"model": {"layer_widths": [3, 16, 80, 8, 2], "use_bn": [True, False, True],
+               "virtual_batch_size": 8}, "batch_size": 32}],
+    ids=["test-10-nesterov", "deep-ablation", "large-batch", "mixed-widths"])
+def test_tile_index_matches_the_segments_ranges(doc):
+    """The tile index numpy builds per layer equals, element for element and
+    as intp, the one that np.fromiter built from Python ranges."""
+    config = MlpConfig(**doc["model"])
+    plan = model.layer_plan(model.init_mlp(config), config)
+    got = plan.row_plan(doc["batch_size"], "train").tile_index
+    want = _ranges_index(plan, doc["batch_size"])
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == np.intp and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 def _dot_products(doc, rng):

@@ -531,6 +531,88 @@ class TestTrainWorkspace:
             np.testing.assert_array_equal(stats.values[:, 1, 8:], np.zeros((2, 8)))
 
 
+@st.composite
+def _poisoned_forwards(draw):
+    """(config, store, batch) of a small model, BN on, off or mixed, with one
+    value poisoned: a batch input at +-inf or NaN, a weight of a layer past
+    the first at +-1e308 (one entry or all), or an output weight at +-inf or
+    NaN."""
+    hidden = draw(st.lists(st.sampled_from([2, 4, 8, 16]), min_size=1, max_size=3))
+    widths = [draw(st.integers(1, 4)), *hidden, draw(st.integers(2, 4))]
+    vbs = draw(st.sampled_from([1, 2, 4, 8]))
+    cfg = MlpConfig(layer_widths=widths, use_bn=draw(st.lists(
+        st.booleans(), min_size=len(hidden), max_size=len(hidden))), virtual_batch_size=vbs,
+        label_smoothing=draw(st.sampled_from([0.0, 0.1])))
+    store = init_mlp(cfg, rng_seed=draw(st.integers(0, 999)))
+    batch = random_batch(cfg, vbs * draw(st.integers(1, 4)), seed=draw(st.integers(0, 999)))
+    where = draw(st.sampled_from(["input", "deep", "output"]))
+    if where == "input":
+        target = batch.inputs.reshape(-1)
+        values = st.sampled_from([np.inf, -np.inf, np.nan])
+    else:
+        last = len(widths) - 1
+        layer = last if where == "output" else draw(st.integers(2, last))
+        target = store[f"w{layer}"].values
+        values = st.sampled_from([np.inf, -np.inf, np.nan] if where == "output"
+                                 else [1e308, -1e308])
+    if where == "deep" and draw(st.booleans()):
+        target[:] = draw(values)
+    else:
+        target[draw(st.integers(0, target.size - 1))] = draw(values)
+    return cfg, store, batch
+
+
+class TestDeferredChecks:
+    """A train forward checks its BN means and logits only where its loss is
+    not finite, and then raises what the eager checks raise, in their order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_poisoned_forwards())
+    def test_poisoned_forward_matches_the_eager_order(self, case):
+        """The same message as the oracle's first failing check, or the same
+        loss: equal where it is finite or infinite, NaN where it is NaN (the
+        sign of a NaN hangs on where the loss is negated). No warning but
+        overflow's comes before the result."""
+        cfg, store, batch = case
+        want = oracles.reference_train_forward(store, cfg, batch.inputs, batch.labels)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = forward(store, BnRunningStats.for_config(cfg), batch, cfg)[1]
+            except NonFiniteInput as exc:
+                got = str(exc)
+        if isinstance(want, str) or not math.isnan(want):
+            assert type(got) is type(want) and got == want
+        else:
+            assert isinstance(got, float) and math.isnan(got)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("use_bn", [False, True], ids=["plain", "bn"])
+    def test_non_finite_logits_are_named(self, mode, use_bn):
+        """An infinite output weight leaves every BN input finite and makes a
+        column of logits infinite or NaN: either mode names the logits."""
+        cfg = small_config(layer_widths=[2, 16, 8, 3], use_bn=use_bn)
+        store = init_mlp(cfg, rng_seed=19)
+        store["w3"].values[0] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteInput, match="^non-finite logits$"):
+            forward(store, BnRunningStats.for_config(cfg), random_batch(cfg, 16, seed=20), cfg,
+                    mode=mode)
+
+    def test_finite_logits_may_give_a_non_finite_loss(self):
+        """Logits finite but far apart overflow log-softmax: both checks pass,
+        and the train forward returns the non-finite loss as the oracle does."""
+        cfg = small_config(layer_widths=[2, 16, 2], use_bn=False)
+        store = init_mlp(cfg, rng_seed=21)
+        store["w2"].values[:] = [1e307, -1e307] * 16
+        batch = random_batch(cfg, 16, seed=22)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, loss, _, _ = forward(store, BnRunningStats.for_config(cfg), batch, cfg)
+        assert np.isfinite(logits).all() and not math.isfinite(loss)
+        want = oracles.reference_train_forward(store, cfg, batch.inputs, batch.labels)
+        assert math.isnan(loss) == math.isnan(want) and (math.isnan(loss) or loss == want)
+
+
 LARGE_BATCH_WIDTHS = [16, 256, 256, 10]
 BLOCKED_SHAPES = [(LARGE_BATCH_WIDTHS, 4096), (LARGE_BATCH_WIDTHS, 1024),
                   (LARGE_BATCH_WIDTHS, 1300), ([2, 16, 16, 2], 513)]
